@@ -13,61 +13,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+from .elimination import flatten, span
 from .errors import BadParams, DependentVector, NonlinearCode, TooLarge, TowerMismatch
 from .expansion import IndependentTuple, compress_codes, expand, expand_codes
 from .fields import FieldElement, FieldTower, OrderedBasis
 from .matrices import Mat, rank, rref
 
 DEFAULT_GUARD = 2**20
-
-
-def _vecrow(M: Mat) -> tuple[int, ...]:
-    out = []
-    for r in M.rows:
-        out.extend(r)
-    return tuple(out)
-
-
-class _Reducer:
-    """Echelon form over one field for incremental span membership tests."""
-
-    def __init__(self, tower: FieldTower, width: int):
-        self.tower = tower
-        self.width = width
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot col, row)
-
-    def reduce(self, vec: Sequence[int]) -> list[int]:
-        t = self.tower
-        v = list(vec)
-        for pcol, row in self.rows:
-            c = v[pcol]
-            if c:
-                v = [t.sub(x, t.mul(c, y)) for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert vec into the span; returns False if already dependent."""
-        t = self.tower
-        v = self.reduce(vec)
-        pcol = next((i for i, x in enumerate(v) if x), None)
-        if pcol is None:
-            return False
-        ipiv = t.inv(v[pcol])
-        v = [t.mul(ipiv, x) for x in v]
-        for i, (pc, row) in enumerate(self.rows):
-            c = row[pcol]
-            if c:
-                self.rows[i] = (pc, [t.sub(x, t.mul(c, y)) for x, y in zip(row, v)])
-        self.rows.append((pcol, v))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self.reduce(vec))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 class RankMetricCode:
@@ -77,34 +29,27 @@ class RankMetricCode:
         tower = gen.tower
         if gen.subdeg != tower.m:
             raise BadParams("generator must be tagged with the top field")
-        if rank(gen) != gen.nrows or gen.nrows == 0:
+        self._span = span(tower, gen.ncols, tower.m)
+        if not gen.rows or not all(map(self._span.add, gen.rows)):
             raise BadParams("generator matrix must have full row rank")
         self.tower = tower
         self.gen = gen
         self.k = gen.nrows
         self.l = gen.ncols
-        self._reducer = _Reducer(tower, self.l)
-        for row in gen.rows:
-            self._reducer.add(row)
 
     @property
     def size(self) -> int:
         return self.tower.order**self.k
 
     def contains_codes(self, vec: Sequence[int]) -> bool:
-        return self._reducer.contains(vec)
+        return self._span.contains(vec)
 
     def contains(self, vec: Sequence[FieldElement]) -> bool:
         return self.contains_codes([x.code for x in vec])
 
     def codeword_codes(self) -> Iterator[tuple[int, ...]]:
-        t = self.tower
-        for msg in itertools.product(range(t.order), repeat=self.k):
-            word = [0] * self.l
-            for u, row in zip(msg, self.gen.rows):
-                if u:
-                    word = [t.add(w, t.mul(u, x)) for w, x in zip(word, row)]
-            yield tuple(word)
+        for msg in itertools.product(range(self.tower.order), repeat=self.k):
+            yield self.gen.vec_mul(msg)
 
     def codewords(self) -> Iterator[tuple[FieldElement, ...]]:
         t = self.tower
@@ -174,14 +119,17 @@ class MatrixCode:
         self.l = l
         self.m = m
         self.basis = tuple(basis)
-        self._reducer = _Reducer(tower, l * m)
+        self._span = span(tower, l * m)
         for B in self.basis:
             if B.tower is not tower:
                 raise TowerMismatch("basis matrix from a different tower")
             if B.shape() != (l, m) or B.subdeg != 1:
                 raise BadParams("basis matrices must be l x m over F_q")
-            if not self._reducer.add(_vecrow(B)):
+            if not self._span.add(flatten(B.rows)):
                 raise DependentVector("matrix code basis is dependent")
+        # the basis as one matrix of flattened rows: codewords are msg @ it
+        self._flat = Mat(tower, [flatten(B.rows) for B in self.basis],
+                         subdeg=1, check=False, ncols=l * m)
 
     @property
     def dim(self) -> int:
@@ -194,19 +142,18 @@ class MatrixCode:
     def contains(self, A: Mat) -> bool:
         if A.shape() != (self.l, self.m):
             return False
-        return self._reducer.contains(_vecrow(A))
+        return self._span.contains(flatten(A.rows))
+
+    def _word(self, msg: Sequence[int]) -> Mat:
+        """The codeword with coordinates msg in the basis."""
+        flat, m = self._flat.vec_mul(msg), self.m
+        return Mat(self.tower, [flat[i * m:(i + 1) * m] for i in range(self.l)],
+                   subdeg=1, check=False, ncols=m)
 
     def codewords(self) -> Iterator[Mat]:
-        t = self.tower
-        codes = t.subfield_codes(1)
+        codes = self.tower.subfield_codes(1)
         for msg in itertools.product(codes, repeat=self.dim):
-            word = [[0] * self.m for _ in range(self.l)]
-            for u, B in zip(msg, self.basis):
-                if u:
-                    for i in range(self.l):
-                        row = B.rows[i]
-                        word[i] = [t.add(w, t.mul(u, x)) for w, x in zip(word[i], row)]
-            yield Mat(t, word, subdeg=1, check=False)
+            yield self._word(msg)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixCode):
@@ -214,7 +161,7 @@ class MatrixCode:
         if (self.tower is not other.tower or (self.l, self.m) != (other.l, other.m)
                 or self.dim != other.dim):
             return False
-        return all(self._reducer.contains(_vecrow(B)) for B in other.basis)
+        return all(self.contains(B) for B in other.basis)
 
     def __hash__(self):
         raise TypeError("codes are compared by span; not hashable")
@@ -272,10 +219,6 @@ def rank_weight(x, b: OrderedBasis) -> int:
     return rank(expand(x, b))
 
 
-def _weight_codes(tower: FieldTower, word: Sequence[int]) -> int:
-    return tower.fq_rank([tower.fq_coords(c) for c in word])
-
-
 def _projective_messages(alphabet: Sequence[int], k: int):
     """Nonzero messages up to leading-coefficient scaling: first nonzero is 1."""
     for lead in range(k):
@@ -292,39 +235,28 @@ def min_rank_distance(code, guard: int = DEFAULT_GUARD) -> int:
     t = code.tower
     if code.size > guard:
         raise TooLarge(f"|code| = {code.size} exceeds guard {guard}")
-    best = None
     if isinstance(code, RankMetricCode):
-        alphabet = range(t.order)
-        rows = code.gen.rows
-        for msg in _projective_messages(alphabet, code.k):
-            word = [0] * code.l
-            for u, row in zip(msg, rows):
-                if u:
-                    word = [t.add(w, t.mul(u, x)) for w, x in zip(word, row)]
-            w = _weight_codes(t, word)
-            if best is None or w < best:
-                best = w
-                if best == 1:
-                    break
-        return best
-    if isinstance(code, MatrixCode):
+        alphabet, k = range(t.order), code.k
+
+        def weight(msg):
+            return t.fq_rank([t.fq_coords(c) for c in code.gen.vec_mul(msg)])
+    elif isinstance(code, MatrixCode):
         if code.dim == 0:
             raise BadParams("minimum distance of the zero code is undefined")
-        alphabet = t.subfield_codes(1)
-        for msg in _projective_messages(alphabet, code.dim):
-            word = [[0] * code.m for _ in range(code.l)]
-            for u, B in zip(msg, code.basis):
-                if u:
-                    for i in range(code.l):
-                        word[i] = [t.add(w, t.mul(u, x))
-                                   for w, x in zip(word[i], B.rows[i])]
-            w = rank(Mat(t, word, subdeg=1, check=False))
-            if best is None or w < best:
-                best = w
-                if best == 1:
-                    break
-        return best
-    raise BadParams(f"unsupported code type {type(code).__name__}")
+        alphabet, k = t.subfield_codes(1), code.dim
+
+        def weight(msg):
+            return rank(code._word(msg))
+    else:
+        raise BadParams(f"unsupported code type {type(code).__name__}")
+    best = None
+    for msg in _projective_messages(alphabet, k):
+        w = weight(msg)
+        if best is None or w < best:
+            best = w
+            if best == 1:
+                break
+    return best
 
 
 def expand_code(c: RankMetricCode, b: OrderedBasis) -> MatrixCode:
@@ -336,11 +268,11 @@ def expand_code(c: RankMetricCode, b: OrderedBasis) -> MatrixCode:
     """
     tower = c.tower
     mats = []
-    reducer = _Reducer(tower, c.l * tower.m)
+    s = span(tower, c.l * tower.m)
     for row in c.gen.rows:
         for e in b.elements:
             M = expand_codes([tower.mul(e.code, x) for x in row], b)
-            if reducer.add(_vecrow(M)):
+            if s.add(flatten(M.rows)):
                 mats.append(M)
     return MatrixCode(tower, c.l, tower.m, mats)
 
@@ -350,12 +282,8 @@ def compress_code(mc: MatrixCode, b: OrderedBasis) -> RankMetricCode:
     if not is_extension_linear(mc, b):
         raise NonlinearCode("compressed set is not linear over the top field")
     tower = mc.tower
-    reducer = _Reducer(tower, mc.l)
-    rows = []
-    for B in mc.basis:
-        v = compress_codes(B, b)
-        if reducer.add(v):
-            rows.append(v)
+    s = span(tower, mc.l, tower.m)
+    rows = [v for v in (compress_codes(B, b) for B in mc.basis) if s.add(v)]
     return RankMetricCode(Mat(tower, rows, subdeg=tower.m, check=False))
 
 
@@ -383,13 +311,8 @@ def is_extension_linear(mc: MatrixCode, b: OrderedBasis,
 def format_code_file(code) -> str:
     from .matrices import format_matrix  # local to avoid import noise at top
     tower = code.tower
-    if isinstance(code, GabidulinCode):
-        header = "gabidulin"
-        shape = f"l={code.l},m={tower.m},k={code.k}"
-        body = [format_matrix(Mat(tower, [row], subdeg=tower.m, check=False))
-                for row in code.gen.rows]
-    elif isinstance(code, RankMetricCode):
-        header = "rankmetric"
+    if isinstance(code, RankMetricCode):
+        header = "gabidulin" if isinstance(code, GabidulinCode) else "rankmetric"
         shape = f"l={code.l},m={tower.m},k={code.k}"
         body = [format_matrix(Mat(tower, [row], subdeg=tower.m, check=False))
                 for row in code.gen.rows]
@@ -402,6 +325,21 @@ def format_code_file(code) -> str:
     return "\n".join([header, tower.spec_string(), shape, *body]) + "\n"
 
 
+def parse_shape(line: str, keys: Sequence[str]) -> dict[str, int]:
+    """Parse a `key=int,...` shape line; BadParams unless each key is there."""
+    shape = {}
+    for part in line.split(","):
+        key, _, val = part.partition("=")
+        try:
+            shape[key.strip()] = int(val)
+        except ValueError:
+            raise BadParams(f"shape entry {part.strip()!r} is not key=integer") from None
+    missing = [k for k in keys if k not in shape]
+    if missing:
+        raise BadParams(f"shape line {line!r} lacks {', '.join(missing)}")
+    return shape
+
+
 def parse_code_file(text: str):
     from .fields import parse_field_spec
     from .matrices import parse_matrix
@@ -409,24 +347,30 @@ def parse_code_file(text: str):
     if len(lines) < 3:
         raise BadParams("code file needs header, field and shape lines")
     header, field_line, shape_line = lines[0], lines[1], lines[2]
+    if header not in ("rankmetric", "gabidulin", "matrix"):
+        raise BadParams(f"unknown code file header {header!r}")
     tower = parse_field_spec(field_line)
-    shape = {}
-    for part in shape_line.split(","):
-        key, _, val = part.partition("=")
-        shape[key.strip()] = int(val)
+    shape = parse_shape(shape_line, ("l", "m", "k"))
+    l, m, k = shape["l"], shape["m"], shape["k"]
     body = lines[3:]
-    if header in ("rankmetric", "gabidulin"):
-        rows = [parse_matrix(tower, ln, subdeg=tower.m).rows[0] for ln in body]
-        if len(rows) != shape["k"]:
-            raise BadParams("row count does not match k")
-        if header == "gabidulin":
-            g = IndependentTuple(tuple(FieldElement(tower, c) for c in rows[0]))
-            code = GabidulinCode(g, shape["k"])
-            if code.gen.rows != tuple(rows):
-                raise BadParams("listed rows are not the q-power iterates of row 1")
-            return code
-        return RankMetricCode(Mat(tower, rows, subdeg=tower.m))
-    if header == "matrix":
-        basis = [parse_matrix(tower, ln, subdeg=1) for ln in body]
-        return MatrixCode(tower, shape["l"], shape["m"], basis)
-    raise BadParams(f"unknown code file header {header!r}")
+    if len(body) != k:
+        raise BadParams(f"{len(body)} rows or matrices listed, shape line says k={k}")
+    if header == "matrix":  # MatrixCode checks each matrix is l x m
+        return MatrixCode(tower, l, m, [parse_matrix(tower, ln) for ln in body])
+    if m != tower.m:
+        raise BadParams(f"shape line says m={m}, field has m={tower.m}")
+    if k < 1:
+        raise BadParams("a rank-metric code needs k >= 1")
+    rows = []
+    for ln in body:
+        R = parse_matrix(tower, ln, subdeg=tower.m)
+        if R.shape() != (1, l):
+            raise BadParams(f"generator row {ln!r} is not 1 x {l}")
+        rows.append(R.rows[0])
+    if header == "gabidulin":
+        g = IndependentTuple(tuple(FieldElement(tower, c) for c in rows[0]))
+        code = GabidulinCode(g, k)
+        if code.gen.rows != tuple(rows):
+            raise BadParams("listed rows are not the q-power iterates of row 1")
+        return code
+    return RankMetricCode(Mat(tower, rows, subdeg=tower.m))

@@ -1,0 +1,232 @@
+"""The one exact elimination kernel: echelon form, rank, solves and spans.
+
+Rows are sequences of element codes of a tower whose entries lie in the
+subfield F_{q^subdeg}.  The kernel picks how to hold a row from that input
+alone: entries in F_2 (p = 2, e = 1, subdeg = 1) are packed into one Python
+int per row, column 0 in the most significant bit, and combined with XOR;
+entries in another prime field (e = 1, subdeg = 1) are plain ints mod p, a
+base-field code being its own value; every other field (e > 1, or entries
+in a larger subfield) keeps lists of codes and combines them with
+FieldTower.add_scaled, which runs on the log/exp tables bound to locals.
+
+Each representation keeps a reduced echelon basis that grows one row at a
+time (a :class:`Span`), and echelon form, rank, inverse, row decomposition
+and membership are all read off it.  Those results are unique, so they are
+identical to the textbook Gauss-Jordan on the tower's arithmetic that the
+test suite keeps as its oracle.  The one free choice, the particular
+solution of a decomposition over dependent rows, uses only the rows that
+are independent of the rows before them.  Pivot columns are 1-based.
+
+Only :mod:`rmcodes.errors` is imported, so :mod:`rmcodes.fields` can use
+this module too.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from .errors import NotInSpan, Singular
+
+
+class Span:
+    """Reduced echelon basis of a growing row space over one field.
+
+    Rows have width + extra entries and pivots lie in the first width
+    columns, so the extra columns can record how each basis row was formed.
+    Subclasses say how a row is held; this base holds it as a list and
+    needs _sub (v minus a combination of rows) and _scale (v / c).
+    """
+
+    _pack = list
+    _unpack = tuple
+
+    def __init__(self, tower, width: int, extra: int = 0):
+        self.tower = tower
+        self.width = width
+        self._len = width + extra
+        self._cols: list[int] = []  # 0-based pivot column of each basis row
+        self._rows: list = []
+
+    def _lead(self, v) -> int | None:
+        for c in range(self.width):
+            if v[c]:
+                return c
+        return None
+
+    def _reduce(self, v):
+        # the basis is reduced: each row's coefficient is v's entry at its pivot
+        return self._sub(v, map(v.__getitem__, self._cols), self._rows)
+
+    def _push(self, v, col):
+        v = self._scale(v, v[col])
+        rows = self._rows
+        for i, b in enumerate(rows):
+            if b[col]:
+                rows[i] = self._sub(b, (b[col],), (v,))
+        self._cols.append(col)
+        rows.append(v)
+
+    def _insert(self, v) -> bool:
+        v = self._reduce(v)
+        col = self._lead(v)
+        if col is None:
+            return False
+        self._push(v, col)
+        return True
+
+    def add(self, vec: Sequence[int]) -> bool:
+        """Insert vec; returns False (and changes nothing) if it is dependent."""
+        return self._insert(self._pack(vec))
+
+    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """vec minus the combination of basis rows that clears their pivots."""
+        return self._unpack(self._reduce(self._pack(vec)))
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return self._lead(self._reduce(self._pack(vec))) is None
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(c + 1 for c in sorted(self._cols))
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """The basis as reduced row echelon form (pivot columns ascending)."""
+        order = sorted(range(self.rank), key=self._cols.__getitem__)
+        return [self._unpack(self._rows[i]) for i in order]
+
+    def join_rank(self, other: "Span") -> int:
+        """Dimension of the sum of two spans of one space; neither changes.
+
+        Reducing other's rows by this basis is linear, so the residuals span
+        a complement of this span inside the sum.
+        """
+        rest = type(self)(self.tower, self.width)
+        if type(other) is type(self):
+            rows: Iterable = other._rows
+        else:
+            rows = map(self._pack, other.rows())
+        for v in rows:
+            rest._insert(self._reduce(v))
+        return self.rank + rest.rank
+
+
+class _F2Span(Span):
+    """Rows packed into ints, column j at bit (len - 1 - j); XOR arithmetic."""
+
+    def __init__(self, tower, width: int, extra: int = 0):
+        super().__init__(tower, width, extra)
+        self._bits: list[int] = []  # pivot bit of each basis row
+
+    def _pack(self, vec):
+        v = 0
+        for x in vec:
+            v = v << 1 | x
+        return v
+
+    def _unpack(self, v):
+        return tuple(v >> s & 1 for s in range(self._len - 1, -1, -1))
+
+    def _lead(self, v):
+        col = self._len - v.bit_length()
+        return col if col < self.width else None
+
+    def _reduce(self, v):
+        for bit, b in zip(self._bits, self._rows):
+            if v & bit:
+                v ^= b
+        return v
+
+    def _push(self, v, col):
+        bit = 1 << (self._len - 1 - col)
+        rows = self._rows
+        for i, b in enumerate(rows):
+            if b & bit:
+                rows[i] = b ^ v
+        self._bits.append(bit)
+        self._cols.append(col)
+        rows.append(v)
+
+
+class _PrimeSpan(Span):
+    """Rows as lists of ints mod an odd prime p."""
+
+    def _sub(self, v, coeffs, rows):
+        p = self.tower.p
+        for c, b in zip(coeffs, rows):
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, b)]
+        return v
+
+    def _scale(self, v, c):
+        p = self.tower.p
+        inv = pow(c, p - 2, p)
+        return [x * inv % p for x in v]
+
+
+class _TowerSpan(Span):
+    """Rows as lists of codes, combined by the tower's table arithmetic."""
+
+    def _sub(self, v, coeffs, rows):
+        t = self.tower
+        if t.p != 2:
+            coeffs = [t.mul(t.p - 1, c) for c in coeffs]  # -c; -1 has code p - 1
+        return t.add_scaled(v, coeffs, rows)
+
+    def _scale(self, v, c):
+        return self.tower.add_scaled([0] * len(v), (self.tower.inv(c),), (v,))
+
+
+def span(tower, width: int, subdeg: int = 1, rows: Iterable[Sequence[int]] = (),
+         extra: int = 0) -> Span:
+    """The span of rows (inserted in order) over F_{q^subdeg}, held in the
+    representation that field calls for."""
+    if subdeg == 1 and tower.e == 1:
+        cls = _F2Span if tower.p == 2 else _PrimeSpan
+    else:
+        cls = _TowerSpan
+    s = cls(tower, width, extra)
+    for r in rows:
+        s.add(r)
+    return s
+
+
+def flatten(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Concatenate the rows of a matrix into one row-major vector."""
+    return tuple(x for r in rows for x in r)
+
+
+def _solver(tower, rows: Sequence[Sequence[int]], width: int, subdeg: int) -> Span:
+    """The span of [rows | I]: each basis row ends with its combination of rows."""
+    n = len(rows)
+    unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    return span(tower, width, subdeg, [tuple(r) + u for r, u in zip(rows, unit)], n)
+
+
+def inverse(tower, rows: Sequence[Sequence[int]],
+            subdeg: int = 1) -> list[tuple[int, ...]]:
+    """Rows of the inverse of a square matrix; Singular if there is none."""
+    n = len(rows)
+    s = _solver(tower, rows, n, subdeg)
+    if s.rank != n:
+        raise Singular("matrix is singular")
+    return [r[n:] for r in s.rows()]
+
+
+def decompose(tower, targets: Iterable[Sequence[int]],
+              rows: Sequence[Sequence[int]], width: int,
+              subdeg: int = 1) -> list[tuple[int, ...]]:
+    """Coefficient rows C with C times rows equal to targets; NotInSpan if
+    some target lies outside the row space."""
+    s = _solver(tower, rows, width, subdeg)
+    zeros = (0,) * len(rows)
+    out = []
+    for w in targets:
+        v = s.reduce(tuple(w) + zeros)
+        if any(v[:width]):
+            raise NotInSpan("target row outside the row space")
+        out.append(tuple(map(tower.neg, v[width:])))
+    return out

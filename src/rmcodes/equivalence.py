@@ -103,15 +103,8 @@ class RmMap:
         t = self.tower
         if len(vec) != self.l:
             raise ShapeMismatch(f"vector length {len(vec)} != {self.l}")
-        out = []
-        for j in range(self.l):
-            s = 0
-            for i, x in enumerate(vec):
-                c = self.L.rows[i][j]
-                if x and c:
-                    s = t.add(s, t.mul(x, c))
-            out.append(t.frob(t.mul(self.alpha, s), self.gamma))
-        return tuple(out)
+        alpha, gamma = self.alpha, self.gamma
+        return tuple([t.frob(t.mul(alpha, s), gamma) for s in self.L.vec_mul(vec)])
 
     def __eq__(self, other):
         return (isinstance(other, RmMap) and self.tower is other.tower
@@ -494,29 +487,13 @@ def rank_preserving_vec_maps(tower: FieldTower, l: int, m: int) -> list[Mat]:
     codes = tower.subfield_codes(1)
     if len(codes) ** (l * m) > 2**16:
         raise TooLarge("matrix space too large for the rank-preservation scan")
-    mats = []
     ranks = {}
     for entries in itertools.product(codes, repeat=l * m):
         A = Mat(tower, [entries[i * m:(i + 1) * m] for i in range(l)],
                 subdeg=1, check=False)
-        mats.append(entries)
         ranks[entries] = rank(A)
-    t = tower
-    out = []
-    for G in enumerate_gl(tower, l * m):
-        good = True
-        for entries in mats:
-            img = [0] * (l * m)
-            for i, x in enumerate(entries):
-                if x:
-                    row = G.rows[i]
-                    img = [t.add(a, t.mul(x, c)) for a, c in zip(img, row)]
-            if ranks[tuple(img)] != ranks[entries]:
-                good = False
-                break
-        if good:
-            out.append(G)
-    return out
+    return [G for G in enumerate_gl(tower, l * m)
+            if all(ranks[G.vec_mul(v)] == r for v, r in ranks.items())]
 
 
 def vec_map_table(tower: FieldTower, l: int, m: int) -> dict[tuple, MatMap]:

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import elimination
 from .errors import (
     BadParams,
     DependentVector,
@@ -292,6 +293,25 @@ class FieldTower:
         n = self.mult_order
         return self._exp[(n - self._log[a]) % n]
 
+    def add_scaled(self, v: Sequence[int], coeffs: Sequence[int],
+                   rows: Sequence[Sequence[int]]) -> list[int]:
+        """v + sum of coeffs[i] * rows[i], for rows of codes: the row operation
+        behind every linear combination over a tower field."""
+        exp, log, n, tab = self._exp, self._log, self.mult_order, self._addtab
+        for c, b in zip(coeffs, rows):
+            if not c:
+                continue
+            lc = log[c]
+            # the sum is spelled out per case: a call per entry would dominate
+            if self.p == 2:
+                v = [x ^ exp[(lc + log[y]) % n] if y else x for x, y in zip(v, b)]
+            elif tab is not None:
+                v = [tab[x][exp[(lc + log[y]) % n]] if y else x for x, y in zip(v, b)]
+            else:
+                v = [self.add(x, exp[(lc + log[y]) % n]) if y else x
+                     for x, y in zip(v, b)]
+        return v
+
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise DivisionByZero("division by zero")
@@ -379,81 +399,35 @@ class FieldTower:
     def fq_coords(self, code: int) -> tuple[int, ...]:
         """Coordinates of an element over F_q w.r.t. the basis (1, t, ..., t^(m-1)).
 
-        With e = 1 these are just the base-p digits.  For e > 1 the
-        coordinates are recovered through a precomputed F_p change of basis.
+        With e = 1 these are just the base-p digits.  For e > 1 they are
+        F_p-linear in the digits, so they combine the precomputed coordinates
+        of t^0, t^1, ... with the digits as coefficients.
         """
         if self.e == 1:
             return tuple(self._digits(code))
-        solver = self._fq_solver_rows()
-        digits = self._digits(code)
-        m, e, p = self.m, self.e, self.p
-        raw = []
-        for row in solver:
-            s = 0
-            for d, r in zip(digits, row):
-                s += d * r
-            raw.append(s % p)
-        wgen = self._fq_gen_code()
-        coords = []
-        for j in range(m):
-            c = 0
-            for s in range(e):
-                if raw[j * e + s]:
-                    c = self.add(c, self.mul(raw[j * e + s] % p, self.pow(wgen, s)))
-            coords.append(c)
-        return tuple(coords)
+        return tuple(self.add_scaled([0] * self.m, self._digits(code),
+                                     self._fq_solver_rows()))
 
     def _fq_gen_code(self) -> int:
         return self._exp[self.mult_order // (self.q - 1)]
 
     def _fq_solver_rows(self) -> list[tuple[int, ...]]:
+        """F_q-coordinates of t^0, ..., t^(e*m - 1); built on first use."""
         if self._fq_solver is None:
-            p, e, m, deg = self.p, self.e, self.m, self.degree
-            wgen = self._fq_gen_code()
-            cols = []
-            for j in range(m):
-                tj = self.pow(self.p, j) if j else 1  # t^j; code of t is p
-                for s in range(e):
-                    basis_el = self.mul(tj, self.pow(wgen, s))
-                    cols.append(self._digits(basis_el))
-            # invert the deg x deg matrix whose columns are the basis digits
-            aug = [[cols[c][r] for c in range(deg)] + [1 if k == r else 0 for k in range(deg)]
-                   for r in range(deg)]
-            rank = 0
-            for col in range(deg):
-                piv = next((i for i in range(rank, deg) if aug[i][col]), None)
-                if piv is None:
-                    raise BadParams("internal basis is degenerate")
-                aug[rank], aug[piv] = aug[piv], aug[rank]
-                ipiv = pow(aug[rank][col], -1, p)
-                aug[rank] = [(x * ipiv) % p for x in aug[rank]]
-                for i in range(deg):
-                    if i != rank and aug[i][col]:
-                        f = aug[i][col]
-                        aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[rank])]
-                rank += 1
-            self._fq_solver = [tuple(row[deg:]) for row in aug]
+            m, ws = self.m, [self.pow(self._fq_gen_code(), s) for s in range(self.e)]
+            # the F_p-basis t^j w^s as digit rows; F_p digits are the codes of
+            # F_p inside F_q, so row k of its inverse gives t^k in that basis
+            basis = [self._digits(self.mul(self.pow(self.p, j), w))  # t has code p
+                     for j in range(m) for w in ws]
+            units = [tuple(w if i == j else 0 for i in range(m))
+                     for j in range(m) for w in ws]
+            self._fq_solver = [tuple(self.add_scaled([0] * m, a, units))
+                               for a in elimination.inverse(self, basis)]
         return self._fq_solver
 
     def fq_rank(self, rows: Sequence[Sequence[int]]) -> int:
         """Rank over F_q of a list of F_q-coordinate rows (code entries)."""
-        work = [list(r) for r in rows]
-        ncols = len(work[0]) if work else 0
-        rank = 0
-        for col in range(ncols):
-            piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            ipiv = self.inv(work[rank][col])
-            work[rank] = [self.mul(ipiv, x) for x in work[rank]]
-            for i in range(len(work)):
-                if i != rank and work[i][col]:
-                    f = work[i][col]
-                    work[i] = [self.sub(x, self.mul(f, y))
-                               for x, y in zip(work[i], work[rank])]
-            rank += 1
-        return rank
+        return elimination.span(self, len(rows[0]) if rows else 0, 1, rows).rank
 
     # -- misc ----------------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 Matrices carry a subfield tag: entries of a Mat with subdeg=d live in
 F_{q^d} inside the tower's top field (d=1 is the base field F_q, d=m the
-top field).  All row operations stay inside the tagged subfield, so rank,
-RREF and inversion are exact over that field.  Pivot columns are reported
+top field).  Rank, RREF, inversion and row decomposition run on the
+shared kernel in :mod:`rmcodes.elimination`, which works over the tagged
+subfield, so they are exact over that field.  Pivot columns are reported
 1-based.
 """
 
@@ -13,14 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    BadParams,
-    NotInSpan,
-    ShapeMismatch,
-    Singular,
-    TooLarge,
-    TowerMismatch,
-)
+from . import elimination
+from .errors import BadParams, ShapeMismatch, Singular, TooLarge, TowerMismatch
 from .fields import FieldElement, FieldTower, format_element, parse_element
 
 _GL_CANDIDATE_GUARD = 2**24
@@ -91,50 +86,32 @@ class Mat:
             raise ShapeMismatch(
                 f"field tags differ ({self.subdeg} vs {other.subdeg})")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _entrywise(self, other: "Mat", op, name: str) -> "Mat":
         self._same_space(other)
         if self.shape() != other.shape():
-            raise ShapeMismatch("addition shape mismatch")
-        add = self.tower.add
+            raise ShapeMismatch(f"{name} shape mismatch")
         return Mat(self.tower,
-                   [[add(a, b) for a, b in zip(ra, rb)]
+                   [[op(a, b) for a, b in zip(ra, rb)]
                     for ra, rb in zip(self.rows, other.rows)],
                    self.subdeg, check=False)
 
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._entrywise(other, self.tower.add, "addition")
+
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_space(other)
-        if self.shape() != other.shape():
-            raise ShapeMismatch("subtraction shape mismatch")
-        sub = self.tower.sub
-        return Mat(self.tower,
-                   [[sub(a, b) for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)],
-                   self.subdeg, check=False)
+        return self._entrywise(other, self.tower.sub, "subtraction")
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._same_space(other)
         if self.ncols != other.nrows:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape()} by {other.shape()}")
-        t = self.tower
-        mul, add = t.mul, t.add
-        bt = list(zip(*other.rows))
-        out = []
-        for ra in self.rows:
-            row = []
-            for cb in bt:
-                s = 0
-                for a, b in zip(ra, cb):
-                    if a and b:
-                        s = add(s, mul(a, b))
-                row.append(s)
-            out.append(row)
-        return Mat(t, out, self.subdeg, check=False)
+        return Mat(self.tower, [other.vec_mul(r) for r in self.rows],
+                   self.subdeg, check=False, ncols=other.ncols)
 
-    def scale(self, c: FieldElement) -> "Mat":
-        mul = self.tower.mul
-        return Mat(self.tower, [[mul(c.code, x) for x in r] for r in self.rows],
-                   self.subdeg)
+    def vec_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """The row vector vec (codes) times this matrix: sum of vec_i * row_i."""
+        return tuple(self.tower.add_scaled([0] * self.ncols, vec, self.rows))
 
     def transpose(self) -> "Mat":
         return Mat(self.tower, list(zip(*self.rows)), self.subdeg, check=False)
@@ -178,51 +155,21 @@ class RrefResult:
 
 def rref(M: Mat) -> RrefResult:
     """Canonical reduced row echelon form; preserves the row space."""
-    t = M.tower
-    work = [list(r) for r in M.rows]
-    pivots = []
-    r = 0
-    for col in range(M.ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        ipiv = t.inv(work[r][col])
-        work[r] = [t.mul(ipiv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [t.sub(x, t.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(col + 1)
-        r += 1
-    return RrefResult(Mat(t, work, M.subdeg, check=False), tuple(pivots))
+    s = elimination.span(M.tower, M.ncols, M.subdeg, M.rows)
+    rows = s.rows() + [(0,) * M.ncols] * (M.nrows - s.rank)
+    return RrefResult(Mat(M.tower, rows, M.subdeg, check=False, ncols=M.ncols),
+                      s.pivots)
 
 
 def rank(M: Mat) -> int:
-    return rref(M).rank
+    return elimination.span(M.tower, M.ncols, M.subdeg, M.rows).rank
 
 
 def inverse(M: Mat) -> Mat:
     if M.nrows != M.ncols:
         raise ShapeMismatch("inverse of a non-square matrix")
-    t = M.tower
-    n = M.nrows
-    work = [list(r) + [1 if i == j else 0 for j in range(n)]
-            for i, r in enumerate(M.rows)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if work[i][col]), None)
-        if piv is None:
-            raise Singular("matrix is singular")
-        work[r], work[piv] = work[piv], work[r]
-        ipiv = t.inv(work[r][col])
-        work[r] = [t.mul(ipiv, x) for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [t.sub(x, t.mul(f, y)) for x, y in zip(work[i], work[r])]
-        r += 1
-    return Mat(t, [row[n:] for row in work], M.subdeg, check=False)
+    return Mat(M.tower, elimination.inverse(M.tower, M.rows, M.subdeg),
+               M.subdeg, check=False)
 
 
 def kronecker(L: Mat, M: Mat) -> Mat:
@@ -280,33 +227,18 @@ def enumerate_gl(tower: FieldTower, n: int, subdeg: int = 1) -> Iterator[Mat]:
     if size ** (n * n) > _GL_CANDIDATE_GUARD:
         raise TooLarge(
             f"{size}^{n * n} candidate matrices exceed the enumeration guard")
-    t = tower
-    add, mul = t.add, t.mul
-
-    def extend(span: set[tuple[int, ...]], row: tuple[int, ...]) -> set:
-        new = set(span)
-        for v in span:
-            for c in codes[1:]:
-                new.add(tuple(add(x, mul(c, y)) for x, y in zip(v, row)))
-        return new
-
-    zero_row = tuple([0] * n)
-    stack_rows: list[tuple[int, ...]] = []
-    spans = [{zero_row}]
+    rows: list[tuple[int, ...]] = []
 
     def rec():
-        if len(stack_rows) == n:
-            yield Mat(t, list(stack_rows), subdeg, check=False)
+        if len(rows) == n:
+            yield Mat(tower, list(rows), subdeg, check=False)
             return
-        span = spans[-1]
+        span = elimination.span(tower, n, subdeg, rows)
         for cand in itertools.product(codes, repeat=n):
-            if cand in span:
-                continue
-            stack_rows.append(cand)
-            spans.append(extend(span, cand))
-            yield from rec()
-            spans.pop()
-            stack_rows.pop()
+            if not span.contains(cand):
+                rows.append(cand)
+                yield from rec()
+                rows.pop()
 
     yield from rec()
 
@@ -317,42 +249,9 @@ def row_decompose(targets: Sequence[Sequence[int]], M: Mat) -> Mat:
     targets is a sequence of code rows of length M.ncols; the result C is
     len(targets) x M.nrows.
     """
-    t = M.tower
-    n = M.nrows
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-           for i, r in enumerate(M.rows)]
-    width = M.ncols
-    rows = []
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        ipiv = t.inv(aug[r][col])
-        aug[r] = [t.mul(ipiv, x) for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [t.sub(x, t.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    out = []
-    for w in targets:
-        w = list(w)
-        coeff = [0] * n
-        for idx, col in enumerate(pivots):
-            c = w[col]
-            if c:
-                for j in range(width):
-                    w[j] = t.sub(w[j], t.mul(c, aug[idx][j]))
-                for j in range(n):
-                    coeff[j] = t.add(coeff[j], t.mul(c, aug[idx][width + j]))
-        if any(w):
-            raise NotInSpan("target row outside the row space")
-        out.append(coeff)
-    return Mat(t, out, M.subdeg, check=False)
+    return Mat(M.tower, elimination.decompose(M.tower, targets, M.rows, M.ncols,
+                                              M.subdeg),
+               M.subdeg, check=False)
 
 
 def format_matrix(M: Mat) -> str:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codes import MatrixCode
+from .codes import MatrixCode, parse_shape
+from .elimination import flatten, span
 from .errors import (
     AmbientMismatch,
     BadParams,
@@ -22,21 +23,21 @@ from .errors import (
     TooLarge,
 )
 from .fields import FieldTower, parse_field_spec
-from .matrices import Mat, format_matrix, parse_matrix, rank, rref
+from .matrices import Mat, format_matrix, parse_matrix, rank
 
 
 class Subspace:
     """A subspace of F_q^n, stored by its RREF basis matrix."""
 
-    __slots__ = ("tower", "n", "mat", "pivots")
+    __slots__ = ("tower", "n", "mat", "pivots", "_span")
 
     def __init__(self, mat: Mat):
-        res = rref(mat)
-        rows = [res.rref.rows[i] for i in range(res.rank)]
+        s = span(mat.tower, mat.ncols, mat.subdeg, mat.rows)
         self.tower = mat.tower
         self.n = mat.ncols
-        self.mat = Mat(mat.tower, rows, subdeg=1, ncols=mat.ncols, check=False)
-        self.pivots = res.pivots
+        self.mat = Mat(mat.tower, s.rows(), subdeg=1, ncols=mat.ncols, check=False)
+        self.pivots = s.pivots
+        self._span = s
 
     @property
     def dim(self) -> int:
@@ -57,9 +58,7 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
     """dim(U+V) - dim(U n V), computed as 2 dim(U+V) - dim U - dim V."""
     if U.tower is not V.tower or U.n != V.n:
         raise AmbientMismatch("subspaces of different ambient spaces")
-    stacked = Mat(U.tower, list(U.mat.rows) + list(V.mat.rows),
-                  subdeg=1, ncols=U.n, check=False)
-    return 2 * rank(stacked) - U.dim - V.dim
+    return 2 * U._span.join_rank(V._span) - U.dim - V.dim
 
 
 class SubspaceCode:
@@ -153,13 +152,9 @@ def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
     for w in words:
         aux.append(Mat(sc.tower, [[w.mat.rows[i][j - 1] for j in nonpivots]
                                   for i in range(w.dim)], subdeg=1, check=False))
-    from .codes import _Reducer, _vecrow
     l, m = sc.dim, sc.n - sc.dim
-    reducer = _Reducer(sc.tower, l * m)
-    basis = []
-    for A in aux:
-        if reducer.add(_vecrow(A)):
-            basis.append(A)
+    s = span(sc.tower, l * m)
+    basis = [A for A in aux if s.add(flatten(A.rows))]
     mc = MatrixCode(sc.tower, l, m, basis)
     if mc.size != len(aux):
         raise NonlinearCode("auxiliary matrices do not form a linear code")
@@ -231,11 +226,7 @@ def parse_subspace_file(text: str) -> SubspaceCode:
     if len(lines) < 3 or lines[0] != "subspace":
         raise BadParams("not a subspace code file")
     tower = parse_field_spec(lines[1])
-    shape = {}
-    for part in lines[2].split(","):
-        key, _, val = part.partition("=")
-        shape[key.strip()] = int(val)
-    n = shape["n"]
+    n = parse_shape(lines[2], ("n",))["n"]
     words = []
     for ln in lines[3:]:
         M = parse_matrix(tower, ln, subdeg=1)

@@ -13,6 +13,7 @@ from math import gcd, lcm
 
 from .automorphisms import m_beta, rm_aut_group, stabilizer_degree
 from .codes import expand_code, gabidulin, is_extension_linear, min_rank_distance
+from .elimination import flatten, span
 from .equivalence import MatMap, RmMap, _mat_image_equals, mat_apply, rm_apply, rm_order
 from .errors import UnknownExample
 from .expansion import IndependentTuple, compress
@@ -195,17 +196,17 @@ def _distance_law(seed: int = 0) -> ExampleReport:
     rnd = random.Random(seed)
     all_ok = True
     pivot_free = True
-    from .codes import MatrixCode, _Reducer, _vecrow
+    from .codes import MatrixCode
     for _ in range(10):
         l = rnd.choice((2, 3))
         m = rnd.choice((3, 4))
         dim = rnd.randrange(1, 5)
-        reducer = _Reducer(tower, l * m)
+        s = span(tower, l * m)
         mats = []
         while len(mats) < dim:
             A = Mat(tower, [[rnd.randrange(2) for _ in range(m)] for _ in range(l)],
                     subdeg=1, check=False)
-            if reducer.add(_vecrow(A)):
+            if s.add(flatten(A.rows)):
                 mats.append(A)
         mc = MatrixCode(tower, l, m, mats)
         piv1 = tuple(range(1, l + 1))

@@ -41,7 +41,7 @@ from rmcodes import (
     vec_map_table,
     verify_distance_law,
 )
-from rmcodes.codes import _Reducer, _vecrow
+from rmcodes.elimination import flatten, span
 from rmcodes.equivalence import _mat_image_equals
 from rmcodes.fields import FieldElement
 from rmcodes.matrices import element_order, rank
@@ -170,12 +170,12 @@ def test_criterion_5_distance_law(f16):
         l = rnd.choice((2, 3))
         m = rnd.choice((3, 4))
         dim = rnd.randrange(1, 7)
-        reducer = _Reducer(f16, l * m)
+        s = span(f16, l * m)
         mats = []
         while len(mats) < dim:
             A = Mat(f16, [[rnd.randrange(2) for _ in range(m)]
                           for _ in range(l)], subdeg=1, check=False)
-            if reducer.add(_vecrow(A)):
+            if s.add(flatten(A.rows)):
                 mats.append(A)
         mc = MatrixCode(f16, l, m, mats)
         piv1 = tuple(range(1, l + 1))

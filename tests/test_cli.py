@@ -114,6 +114,31 @@ class TestPipeline:
         assert code == 0 and "EQUIVALENT" in out
 
 
+class TestMalformedCodeFiles:
+    """Bad code files end in one error line and exit 1, never a traceback
+    or a code built from the wrong shape."""
+
+    @pytest.mark.parametrize("text", [
+        # shape line says l=2 but the row has 3 entries
+        f"rankmetric\n{F16}\nl=2,m=4,k=1\ng^0,g^5,g^7\n",
+        # no k= on the shape line
+        f"rankmetric\n{F16}\nl=2,m=4\ng^0,g^5\n",
+        f"rankmetric\n{F16}\nl=2,m=4,k=x\ng^0,g^5\n",
+        f"rankmetric\n{F16}\nl=2,m=3,k=1\ng^0,g^5\n",
+        f"gabidulin\n{F16}\nl=2,m=4,k=0\n",
+        f"matrix\n{F16}\nl=2,m=2,k=1\n1,0,1;0,1,1\n",
+        f"matrix\n{F16}\nl=2,m=2,k=2\n1,0;0,1\n",
+    ], ids=["row-longer-than-l", "no-k", "k-not-integer", "m-not-tower-m",
+            "gabidulin-k-0", "matrix-wrong-shape", "fewer-matrices-than-k"])
+    def test_mindist_rejects(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.code"
+        path.write_text(text)
+        code, out, err = run(capsys, "mindist", "--code", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "d_R,min" not in out
+
+
 class TestMapVerbs:
     def test_apply_vector(self, capsys):
         code, out, _ = run(capsys, "apply", "--field", F16,

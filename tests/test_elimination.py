@@ -1,0 +1,174 @@
+"""The elimination kernel against the Gauss-Jordan oracle it replaced.
+
+Every fast path is compared with the slow path on random matrices of every
+row representation: packed F_2 rows, plain ints mod 3, F_4 inside F_16
+(e = 2, tower arithmetic) and the top fields of F_16 and F_81.  Shapes
+include empty, zero-column, all-zero, wide, tall and rank-deficient
+matrices.
+"""
+
+import random
+
+import pytest
+
+import gauss_jordan_oracle as oracle
+from rmcodes import make_tower
+from rmcodes.elimination import (
+    _F2Span,
+    _PrimeSpan,
+    _TowerSpan,
+    flatten,
+    span,
+)
+from rmcodes.errors import NotInSpan, Singular
+from rmcodes.matrices import Mat, inverse, rank, row_decompose, rref
+
+FIELDS = {
+    "F2": (lambda: make_tower(2, 1, 4, [1, 1, 0, 0, 1]), 1, _F2Span),
+    "F3": (lambda: make_tower(3, 1, 4), 1, _PrimeSpan),
+    "F4-e2": (lambda: make_tower(2, 2, 2), 1, _TowerSpan),
+    "F16-top": (lambda: make_tower(2, 1, 4, [1, 1, 0, 0, 1]), 4, _TowerSpan),
+    "F81-top": (lambda: make_tower(3, 1, 4), 4, _TowerSpan),
+}
+
+SHAPES = [(0, 3), (3, 0), (1, 1), (2, 2), (3, 3), (4, 4), (2, 6), (5, 2),
+          (6, 3), (3, 7)]
+
+
+def _combo(tower, codes, rows, ncols, rnd):
+    out = [0] * ncols
+    for r in rows:
+        c = rnd.choice(codes)
+        out = [tower.add(x, tower.mul(c, y)) for x, y in zip(out, r)]
+    return out
+
+
+def _matrices(tower, subdeg, rnd):
+    """Random matrices of every shape: dense, all-zero, and with rows that
+    are combinations of earlier rows (so ranks fall short)."""
+    codes = tower.subfield_codes(subdeg)
+    for nrows, ncols in SHAPES:
+        yield Mat(tower, [[0] * ncols for _ in range(nrows)], subdeg,
+                  check=False, ncols=ncols)
+        for dependent in (False, True, True):
+            rows = []
+            for i in range(nrows):
+                if dependent and i and rnd.random() < 0.5:
+                    rows.append(_combo(tower, codes, rows, ncols, rnd))
+                else:
+                    rows.append([rnd.choice(codes) for _ in range(ncols)])
+            yield Mat(tower, rows, subdeg, check=False, ncols=ncols)
+
+
+@pytest.fixture(params=sorted(FIELDS))
+def field(request):
+    build, subdeg, rep = FIELDS[request.param]
+    return build(), subdeg, rep
+
+
+def test_representation_follows_the_field(field):
+    tower, subdeg, rep = field
+    assert type(span(tower, 3, subdeg)) is rep
+
+
+def test_rref_and_rank_match_oracle(field):
+    tower, subdeg, _ = field
+    rnd = random.Random(1)
+    for M in _matrices(tower, subdeg, rnd):
+        got, want = rref(M), oracle.rref(M)
+        assert got.rref == want.rref
+        assert got.pivots == want.pivots
+        assert rank(M) == oracle.rank(M)
+        if subdeg == 1 and M.nrows:
+            assert tower.fq_rank(M.rows) == want.rank
+
+
+def test_inverse_matches_oracle(field):
+    tower, subdeg, _ = field
+    rnd = random.Random(2)
+    singular = invertible = 0
+    for M in _matrices(tower, subdeg, rnd):
+        if M.nrows != M.ncols:
+            continue
+        try:
+            want = oracle.inverse(M)
+        except Singular:
+            singular += 1
+            with pytest.raises(Singular):
+                inverse(M)
+            continue
+        invertible += 1
+        assert inverse(M) == want
+    assert singular and invertible
+
+
+def test_row_decompose_matches_oracle(field):
+    """Equal to the oracle whenever the rows are independent (the solution is
+    unique); on dependent rows any solution is correct, so check it solves."""
+    tower, subdeg, _ = field
+    rnd = random.Random(3)
+    codes = tower.subfield_codes(subdeg)
+    outside = 0
+    for M in _matrices(tower, subdeg, rnd):
+        inside = [_combo(tower, codes, M.rows, M.ncols, rnd) for _ in range(3)]
+        free = [[rnd.choice(codes) for _ in range(M.ncols)] for _ in range(2)]
+        for targets in (inside, inside + free):
+            try:
+                want = oracle.row_decompose(targets, M)
+            except NotInSpan:
+                outside += 1
+                with pytest.raises(NotInSpan):
+                    row_decompose(targets, M)
+                continue
+            got = row_decompose(targets, M)
+            if oracle.rank(M) == M.nrows:
+                assert got == want
+            else:
+                assert (got @ M).rows == tuple(tuple(t) for t in targets)
+    assert outside
+
+
+def test_span_matches_reducer(field):
+    tower, subdeg, _ = field
+    rnd = random.Random(4)
+    codes = tower.subfield_codes(subdeg)
+    for M in _matrices(tower, subdeg, rnd):
+        s, ref = span(tower, M.ncols, subdeg), oracle.Reducer(tower, M.ncols)
+        for row in M.rows:
+            assert s.add(row) == ref.add(row)
+            probes = [[rnd.choice(codes) for _ in range(M.ncols)],
+                      _combo(tower, codes, M.rows, M.ncols, rnd)]
+            for vec in probes:
+                assert s.contains(vec) == ref.contains(vec)
+                assert s.reduce(vec) == tuple(ref.reduce(vec))
+        assert s.rank == ref.rank
+        assert s.rows() == [tuple(r) for _, r in ref.rows]
+
+
+def test_join_rank_is_rank_of_stacked_rows(field):
+    tower, subdeg, _ = field
+    rnd = random.Random(5)
+    mats = [M for M in _matrices(tower, subdeg, rnd) if M.ncols == 3]
+    for A in mats:
+        for B in mats:
+            sa = span(tower, 3, subdeg, A.rows)
+            sb = span(tower, 3, subdeg, B.rows)
+            stacked = Mat(tower, A.rows + B.rows, subdeg, check=False, ncols=3)
+            assert sa.join_rank(sb) == oracle.rank(stacked)
+            assert sa.rank == oracle.rank(A)
+
+
+def test_flatten_is_row_major():
+    assert flatten(((1, 2), (3, 4))) == (1, 2, 3, 4)
+    assert flatten(()) == ()
+
+
+def test_join_rank_across_representations(f16):
+    """F_2 rows tagged with the top field sit in a tower-arithmetic span."""
+    rows = [(1, 0, 1), (0, 1, 1)]
+    packed, generic = span(f16, 3, 1), span(f16, 3, 4)
+    packed.add(rows[0])
+    generic.add(rows[1])
+    assert packed.join_rank(generic) == generic.join_rank(packed) == 2
+    generic.add(rows[0])
+    assert packed.join_rank(generic) == 2

@@ -20,7 +20,7 @@ from rmcodes import (
     unlift,
     verify_distance_law,
 )
-from rmcodes.codes import _Reducer, _vecrow
+from rmcodes.elimination import flatten, span
 from rmcodes.subspaces import format_subspace_file, parse_subspace_file
 
 
@@ -68,12 +68,12 @@ class TestSubspaceDistance:
 
 
 def _random_matrix_code(tower, l, m, dim, rnd):
-    reducer = _Reducer(tower, l * m)
+    s = span(tower, l * m)
     mats = []
     while len(mats) < dim:
         A = Mat(tower, [[rnd.randrange(2) for _ in range(m)] for _ in range(l)],
                 subdeg=1, check=False)
-        if reducer.add(_vecrow(A)):
+        if s.add(flatten(A.rows)):
             mats.append(A)
     return MatrixCode(tower, l, m, mats)
 
