@@ -93,8 +93,10 @@ from .equivalence import (
     are_equivalent,
     enumerate_mat_maps,
     enumerate_rm_maps,
+    equivalence_maps,
     factor_vec_map,
     group_order,
+    maps_onto,
     mat_apply,
     mat_compose,
     mat_invert,

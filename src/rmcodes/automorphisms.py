@@ -23,12 +23,10 @@ from .expansion import IndependentTuple, coords
 from .fields import FieldElement, FieldTower, OrderedBasis
 from .matrices import Mat
 from .equivalence import (
-    MatMap,
     RmMap,
-    _gl_leading_one,
-    _mat_image_equals,
-    enumerate_mat_maps,
+    equivalence_maps,
     group_order,
+    maps_onto,
     mat_compose,
     rm_compose,
     rm_to_mat,
@@ -124,13 +122,12 @@ class AutGroup:
                 f"d={self.d}, complete={self.complete})")
 
 
-def _greedy_generators(elements: Sequence, compose: Callable,
-                       identity) -> tuple:
-    """A small generating set, grown greedily with closure bookkeeping."""
+def _greedy_generators(elements: Sequence, compose: Callable) -> tuple:
+    """A small generating set, grown greedily from the identity."""
     if len(elements) > 4096:
         return tuple(elements)
     gens: list = []
-    closure = {identity.key: identity}
+    closure = {f.key: f for f in elements if f.is_identity()}
     for f in sorted(elements, key=lambda x: x.key):
         if f.key in closure:
             continue
@@ -173,8 +170,7 @@ def rm_aut_group(c: GabidulinCode, verify: bool = True) -> AutGroup:
     elements = []
     for beta in betas:
         Mb = m_beta(c.g, beta)
-        if verify and not all(c.contains_codes(Mb.vec_mul(row))
-                              for row in c.gen.rows):
+        if verify and not maps_onto(RmMap(1, Mb), c, c):
             raise BadParams("analytic automorphism failed to fix the code")
         for alpha in reps:
             elements.append(RmMap(alpha, Mb))
@@ -187,36 +183,25 @@ def rm_aut_group(c: GabidulinCode, verify: bool = True) -> AutGroup:
     return AutGroup("rm", tower, gens, tuple(elements), d=sd.d)
 
 
-def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
-                 guard: int = 2**20) -> AutGroup:
-    """Exact stabilizer of a rank-metric code inside the equivalence group.
-
-    Filters the full canonical-coset enumeration by the fix-the-code
-    predicate.  The predicate is evaluated once per (L, gamma) pair since
-    the scalar part acts trivially on a linear code.
-    """
-    tower = c.tower
-    mode = "rm-semilinear" if semilinear else "rm-linear"
-    order = group_order(tower, c.l, mode)
+def _brute_group(kind: str, code, semilinear: bool, guard: int,
+                 m: int | None = None) -> AutGroup:
+    """The stabilizer of code: its equivalence_maps onto itself, by key."""
+    mode = f"{kind}-{'semilinear' if semilinear else 'linear'}"
+    order = group_order(code.tower, code.l, mode, m=m)
     if order > guard:
         raise TooLarge(f"group order {order} exceeds guard {guard}")
-    if c.size > guard:
-        raise TooLarge(f"|code| = {c.size} exceeds guard {guard}")
-    gammas = range(tower.degree) if semilinear else (0,)
-    elements = []
-    for gamma in gammas:
-        for L in _gl_leading_one(tower, c.l):
-            # [1, L, gamma] maps row x to (x L)^(p^gamma)
-            images = (L.vec_mul(row) for row in c.gen.rows)
-            if gamma:
-                images = ([tower.frob(x, gamma) for x in img] for img in images)
-            if all(map(c.contains_codes, images)):
-                for alpha in range(1, tower.order):
-                    elements.append(RmMap(alpha, L, gamma))
-    elements.sort(key=lambda f: f.key)
-    gens = _greedy_generators(elements, rm_compose,
-                              RmMap.identity(tower, c.l))
-    return AutGroup("rm", tower, gens, tuple(elements))
+    if code.size > guard:
+        raise TooLarge(f"|code| = {code.size} exceeds guard {guard}")
+    elements = sorted((f for f, _ in equivalence_maps(code, code, mode)),
+                      key=lambda f: f.key)
+    gens = _greedy_generators(elements, rm_compose if kind == "rm" else mat_compose)
+    return AutGroup(kind, code.tower, gens, tuple(elements))
+
+
+def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
+                 guard: int = 2**20) -> AutGroup:
+    """Exact stabilizer of a rank-metric code inside the equivalence group."""
+    return _brute_group("rm", c, semilinear, guard)
 
 
 def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis,
@@ -228,18 +213,12 @@ def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis,
     the expanded code when verify is set.
     """
     rm_group = rm_aut_group(c)
+    elements = sorted((rm_to_mat(f, b) for f in rm_group.elements), key=lambda g: g.key)
+    if len({g.key for g in elements}) != len(elements):
+        raise BadParams("translation collided on canonical cosets")
     mc = expand_code(c, b) if verify else None
-    elements = []
-    seen = set()
-    for f in rm_group.elements:
-        g = rm_to_mat(f, b)
-        if g.key in seen:
-            raise BadParams("translation collided on canonical cosets")
-        seen.add(g.key)
-        if verify and not _mat_image_equals(g, mc, mc):
-            raise BadParams("translated automorphism failed to fix the code")
-        elements.append(g)
-    elements.sort(key=lambda f: f.key)
+    if verify and not all(maps_onto(g, mc, mc) for g in elements):
+        raise BadParams("translated automorphism failed to fix the code")
     gens = tuple(rm_to_mat(f, b) for f in rm_group.generators)
     return AutGroup("mat", c.tower, gens, tuple(elements), d=rm_group.d,
                     complete=False)
@@ -248,17 +227,4 @@ def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis,
 def mat_aut_brute(mc: MatrixCode, semilinear: bool = False,
                   guard: int = 2**22) -> AutGroup:
     """Exact stabilizer of a matrix code inside the matrix-equivalence group."""
-    tower = mc.tower
-    mode = "mat-semilinear" if semilinear else "mat-linear"
-    order = group_order(tower, mc.l, mode, m=mc.m)
-    if order > guard:
-        raise TooLarge(f"group order {order} exceeds guard {guard}")
-    if mc.size > guard:
-        raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
-    elements = [f for f in enumerate_mat_maps(tower, mc.l, mc.m,
-                                              semilinear=semilinear)
-                if _mat_image_equals(f, mc, mc)]
-    elements.sort(key=lambda f: f.key)
-    gens = _greedy_generators(elements, mat_compose,
-                              MatMap.identity(tower, mc.l, mc.m))
-    return AutGroup("mat", tower, gens, tuple(elements))
+    return _brute_group("mat", mc, semilinear, guard, m=mc.m)

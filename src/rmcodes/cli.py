@@ -26,6 +26,7 @@ from .codes import (
     rank_weight,
 )
 from .equivalence import (
+    MODES,
     RmMap,
     are_equivalent,
     format_map,
@@ -61,6 +62,15 @@ from .verify import EXAMPLE_IDS, run_example
 
 DEFAULT_GUARD = 2**20
 
+# options several verbs read; each verb registers only those it reads
+_SHARED_OPTIONS = {
+    "field": dict(required=True, help="gf(p,e,m;modulus=[...])"),
+    "code": dict(required=True, help="code file"),
+    "basis": dict(help="elements, or 'power'/'normal' (default power)"),
+    "out": dict(help="write the file here (default: standard output)"),
+    "guard": dict(type=int, default=DEFAULT_GUARD, help="max enumeration size before refusing"),
+}
+
 
 def _parse_basis(tower: FieldTower, text: str | None) -> OrderedBasis:
     if text is None or text == "power":
@@ -75,8 +85,15 @@ def _parse_vector(tower: FieldTower, text: str):
     return tuple(parse_element(tower, tok) for tok in text.split(","))
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise BadParams(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_code(path: str):
-    return parse_code_file(Path(path).read_text())
+    return parse_code_file(_read(path))
 
 
 def _emit(text: str, out: str | None):
@@ -146,7 +163,10 @@ def _cmd_lift(args) -> int:
     if not isinstance(code, MatrixCode):
         raise BadParams("lift needs a matrix code file")
     print(f"field: {code.tower.spec_string()}")
-    pivots = tuple(int(tok) for tok in args.pivots.split(","))
+    try:
+        pivots = tuple(int(tok) for tok in args.pivots.split(","))
+    except ValueError:
+        raise BadParams(f"pivots must be integers: {args.pivots!r}") from None
     sc = lift(code, pivots, guard=args.guard)
     print(f"lifted subspace code: n={sc.n}, dim={sc.dim}, |C|={sc.size}, "
           f"pivots={list(pivots)}")
@@ -155,7 +175,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_unlift(args) -> int:
-    sc = parse_subspace_file(Path(args.code).read_text())
+    sc = parse_subspace_file(_read(args.code))
     print(f"field: {sc.tower.spec_string()}")
     pivots, mc = unlift(sc)
     print(f"pivots: {list(pivots)}")
@@ -183,9 +203,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    text = Path(args.code).read_text()
-    first = text.strip().splitlines()[0].strip()
-    if first == "subspace":
+    text = _read(args.code)
+    if text.strip().split("\n", 1)[0].strip() == "subspace":
         sc = parse_subspace_file(text)
         print(f"field: {sc.tower.spec_string()}")
         d = sc.min_distance()
@@ -304,77 +323,56 @@ def build_parser() -> argparse.ArgumentParser:
                     "construction, distances, equivalence and automorphisms")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *shared):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomised checks (default 0)")
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                       help="max enumeration size before refusing")
+        for opt in shared:
+            p.add_argument(f"--{opt}", **_SHARED_OPTIONS[opt])
         return p
 
-    p = add("field", _cmd_field, "describe a field tower")
-    p.add_argument("--field", required=True, help="gf(p,e,m;modulus=[...])")
+    add("field", _cmd_field, "describe a field tower", "field")
 
-    p = add("gab", _cmd_gab, "construct a Gabidulin code")
-    p.add_argument("--field", required=True)
+    p = add("gab", _cmd_gab, "construct a Gabidulin code", "field", "out", "guard")
     p.add_argument("--g", required=True, help="comma-separated vector entries")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", help="write the code file here")
 
-    p = add("expand", _cmd_expand, "expand a rank-metric code to a matrix code")
-    p.add_argument("--code", required=True)
-    p.add_argument("--basis", help="elements, or 'power'/'normal' (default power)")
-    p.add_argument("--out")
+    add("expand", _cmd_expand, "expand a rank-metric code to a matrix code",
+        "code", "basis", "out")
+    add("compress", _cmd_compress, "compress a matrix code to a rank-metric code",
+        "code", "basis", "out")
 
-    p = add("compress", _cmd_compress, "compress a matrix code to a rank-metric code")
-    p.add_argument("--code", required=True)
-    p.add_argument("--basis")
-    p.add_argument("--out")
-
-    p = add("lift", _cmd_lift, "lift a matrix code to a subspace code")
-    p.add_argument("--code", required=True)
+    p = add("lift", _cmd_lift, "lift a matrix code to a subspace code",
+            "code", "out", "guard")
     p.add_argument("--pivots", required=True, help="ascending 1-based columns")
-    p.add_argument("--out")
 
-    p = add("unlift", _cmd_unlift, "recover pivots and the underlying matrix code")
-    p.add_argument("--code", required=True)
-    p.add_argument("--out")
+    add("unlift", _cmd_unlift, "recover pivots and the underlying matrix code",
+        "code", "out")
 
-    p = add("dist", _cmd_dist, "distance between two vectors or subspaces")
-    p.add_argument("--field", required=True)
+    p = add("dist", _cmd_dist, "distance between two vectors or subspaces",
+            "field", "basis")
     p.add_argument("--kind", choices=("rank", "subspace"), default="rank")
     p.add_argument("--u", required=True, help="vector or subspace basis matrix")
     p.add_argument("--v", required=True)
-    p.add_argument("--basis")
 
-    p = add("mindist", _cmd_mindist, "minimum distance of a code file")
-    p.add_argument("--code", required=True)
+    add("mindist", _cmd_mindist, "minimum distance of a code file", "code", "guard")
 
-    p = add("apply", _cmd_apply, "apply an equivalence map")
-    p.add_argument("--field", required=True)
+    p = add("apply", _cmd_apply, "apply an equivalence map", "field", "out")
     p.add_argument("--map", required=True)
     p.add_argument("--x", help="inline vector (rm) or matrix (mat)")
     p.add_argument("--code", help="code file to map")
-    p.add_argument("--out")
 
-    p = add("compose", _cmd_compose, "compose maps left to right")
-    p.add_argument("--field", required=True)
+    p = add("compose", _cmd_compose, "compose maps left to right", "field")
     p.add_argument("--map", action="append", required=True)
 
-    p = add("order", _cmd_order, "order of a map in its group")
-    p.add_argument("--field", required=True)
+    p = add("order", _cmd_order, "order of a map in its group", "field")
     p.add_argument("--map", required=True)
 
-    p = add("equiv", _cmd_equiv, "exhaustive equivalence test for two code files")
-    p.add_argument("--code", required=True)
+    p = add("equiv", _cmd_equiv, "exhaustive equivalence test for two code files",
+            "code", "guard")
     p.add_argument("--code2", required=True)
-    p.add_argument("--mode", required=True,
-                   choices=("rm-linear", "rm-semilinear",
-                            "mat-linear", "mat-semilinear"))
+    p.add_argument("--mode", required=True, choices=MODES)
 
-    p = add("aut", _cmd_aut, "automorphism group of a code file")
-    p.add_argument("--code", required=True)
+    p = add("aut", _cmd_aut, "automorphism group of a code file", "code", "guard")
     p.add_argument("--full", action="store_true", help="print all elements")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute force")
@@ -382,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-paper", _cmd_verify_paper,
             "re-run a published worked example and diff every stated value")
     p.add_argument("--example", required=True, choices=EXAMPLE_IDS)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomised checks (default 0)")
 
     return parser
 

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .codes import MatrixCode, RankMetricCode
+from .codes import MatrixCode, RankMetricCode, min_rank_distance
 from .errors import (
     BadParams,
     IllegalTranspose,
@@ -46,11 +46,12 @@ MODES = ("rm-linear", "rm-semilinear", "mat-linear", "mat-semilinear")
 
 
 def _first_nonzero(M: Mat) -> int:
-    for row in M.rows:
-        for c in row:
-            if c:
-                return c
-    return 0
+    return next((c for row in M.rows for c in row if c), 0)
+
+
+def _scaled(M: Mat, c: int) -> Mat:
+    t = M.tower
+    return Mat(t, [[t.mul(c, x) for x in r] for r in M.rows], subdeg=1, check=False)
 
 
 class RmMap:
@@ -72,21 +73,16 @@ class RmMap:
             raise BadParams("L must be invertible")
         c = _first_nonzero(L)
         if c != 1:
-            ci = tower.inv(c)
-            L = Mat(tower, [[tower.mul(ci, x) for x in r] for r in L.rows],
-                    subdeg=1, check=False)
-            alpha = tower.mul(alpha, c)
-        self.tower = tower
-        self.l = L.nrows
-        self.alpha = alpha
-        self.L = L
+            L, alpha = _scaled(L, tower.inv(c)), tower.mul(alpha, c)
+        self.tower, self.l, self.alpha, self.L = tower, L.nrows, alpha, L
         self.gamma = gamma % tower.degree
 
     @classmethod
-    def make(cls, alpha: FieldElement, L: Mat, gamma: int = 0) -> "RmMap":
-        if alpha.tower is not L.tower:
-            raise TowerMismatch("alpha and L from different towers")
-        return cls(alpha.code, L, gamma)
+    def _canonical(cls, alpha: int, L: Mat, gamma: int) -> "RmMap":
+        """The map from canonical parts, unchecked (the scan builds many)."""
+        f = object.__new__(cls)
+        f.tower, f.l, f.alpha, f.L, f.gamma = L.tower, L.nrows, alpha, L, gamma
+        return f
 
     @classmethod
     def identity(cls, tower: FieldTower, l: int) -> "RmMap":
@@ -118,7 +114,9 @@ class RmMap:
 
 
 def rm_map(alpha: FieldElement, L: Mat, gamma: int = 0) -> RmMap:
-    return RmMap.make(alpha, L, gamma)
+    if alpha.tower is not L.tower:
+        raise TowerMismatch("alpha and L from different towers")
+    return RmMap(alpha.code, L, gamma)
 
 
 def rm_apply(f: RmMap, x):
@@ -182,18 +180,9 @@ class MatMap:
             raise BadParams("L and M must be invertible")
         c = _first_nonzero(L)
         if c != 1:
-            ci = tower.inv(c)
-            L = Mat(tower, [[tower.mul(ci, x) for x in r] for r in L.rows],
-                    subdeg=1, check=False)
-            M = Mat(tower, [[tower.mul(c, x) for x in r] for r in M.rows],
-                    subdeg=1, check=False)
-        self.tower = tower
-        self.l = L.nrows
-        self.m = M.nrows
-        self.transpose = transpose
-        self.L = L
-        self.M = M
-        self.gamma = gamma % tower.e
+            L, M = _scaled(L, tower.inv(c)), _scaled(M, c)
+        self.tower, self.l, self.m, self.transpose = tower, L.nrows, M.nrows, transpose
+        self.L, self.M, self.gamma = L, M, gamma % tower.e
 
     @classmethod
     def identity(cls, tower: FieldTower, l: int, m: int) -> "MatMap":
@@ -211,11 +200,8 @@ class MatMap:
         if A.shape() != (self.l, self.m) or A.subdeg != 1:
             raise ShapeMismatch(
                 f"matrix shape {A.shape()} does not match map ({self.l}, {self.m})")
-        B = A.transpose() if self.transpose else A
-        out = self.L @ B @ self.M
-        if self.gamma:
-            out = out.frobenius(self.gamma)
-        return out
+        return _mat_image(self.L @ (A.transpose() if self.transpose else A),
+                          self.M, self.gamma)
 
     def __eq__(self, other):
         return (isinstance(other, MatMap) and self.tower is other.tower
@@ -226,6 +212,11 @@ class MatMap:
 
     def __repr__(self):
         return format_map(self)
+
+
+def _mat_image(LA: Mat, M: Mat, gamma: int) -> Mat:
+    """The image (L A^T? M)^(p^gamma) of A, given its left part L A^T?."""
+    return (LA @ M).frobenius(gamma) if gamma else LA @ M
 
 
 def mat_map(L: Mat, M: Mat, transpose: bool = False, gamma: int = 0) -> MatMap:
@@ -340,30 +331,33 @@ def group_order(tower: FieldTower, l: int, mode: str, m: int | None = None) -> i
     raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
 
 
+def _canonical_classes(tower: FieldTower, l: int, m: int | None, semilinear: bool):
+    """(gamma, flag, L, inner) per class of canonical maps, in enumeration
+    order: gamma, the transpose flag (l = m), L over the leading-one forms;
+    inner is alpha by code (rank-metric maps, m None) or M over GL_m."""
+    rm = m is None
+    gammas = range(tower.degree if rm else tower.e) if semilinear else (0,)
+    flags = (False, True) if l == m else (False,)
+    inner = range(1, tower.order) if rm else _gl_list(tower, m)
+    return ((gamma, flag, L, inner) for gamma in gammas for flag in flags
+            for L in _gl_leading_one(tower, l))
+
+
 def enumerate_rm_maps(tower: FieldTower, l: int,
                       semilinear: bool = False) -> Iterator[RmMap]:
     """Every canonical coset once: gamma outer, then L (lexicographic among
     leading-one representatives), then alpha by code."""
-    gammas = range(tower.degree) if semilinear else (0,)
-    ls = _gl_leading_one(tower, l)
-    for gamma in gammas:
-        for L in ls:
-            for alpha in range(1, tower.order):
-                yield RmMap(alpha, L, gamma)
+    for gamma, _, L, alphas in _canonical_classes(tower, l, None, semilinear):
+        for alpha in alphas:
+            yield RmMap._canonical(alpha, L, gamma)
 
 
 def enumerate_mat_maps(tower: FieldTower, l: int, m: int,
                        semilinear: bool = False) -> Iterator[MatMap]:
     """Every canonical coset once: gamma, transpose flag, L (leading-one), M."""
-    gammas = range(tower.e) if semilinear else (0,)
-    flags = (False, True) if l == m else (False,)
-    ls = _gl_leading_one(tower, l)
-    ms = _gl_list(tower, m)
-    for gamma in gammas:
-        for flag in flags:
-            for L in ls:
-                for M in ms:
-                    yield MatMap(flag, L, M, gamma)
+    for gamma, flag, L, ms in _canonical_classes(tower, l, m, semilinear):
+        for M in ms:
+            yield MatMap(flag, L, M, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +371,11 @@ class EquivResult:
     equivalent: bool
     witness: object | None
     checked: int
+    """Maps tested: 1 for the identity, which is tried first, plus the
+    non-identity maps of the canonical enumeration up to and including the
+    witness (a rank-metric scalar class that does not match counts all of
+    its maps); the group order when no witness exists; 0 when a size, shape
+    or distance pre-filter decided."""
     mode: str
     reason: str
 
@@ -384,68 +383,91 @@ class EquivResult:
         return self.equivalent
 
 
-def _rm_image_equals(f: RmMap, c1: RankMetricCode, c2: RankMetricCode) -> bool:
-    return all(c2.contains_codes(f.apply_codes(row)) for row in c1.gen.rows)
-
-
-def _mat_image_equals(f: MatMap, c1: MatrixCode, c2: MatrixCode) -> bool:
+def maps_onto(f, c1, c2) -> bool:
+    """Whether f, a map of the codes' kind, carries C1 onto C2: f is
+    injective, so when the sizes agree and it maps C1's generators into C2."""
+    if c1.size != c2.size:
+        return False
+    if isinstance(f, RmMap):
+        return all(c2.contains_codes(f.apply_codes(row)) for row in c1.gen.rows)
     return all(c2.contains(f.apply_mat(B)) for B in c1.basis)
+
+
+def _common_space(c1, c2, mode: str) -> tuple | None:
+    """(l, m) shared by both codes (m is None in rank-metric modes), else None."""
+    if mode not in MODES:
+        raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
+    rm = mode.startswith("rm")
+    name, kind = ("rank-metric", RankMetricCode) if rm else ("matrix", MatrixCode)
+    if not (isinstance(c1, kind) and isinstance(c2, kind)):
+        raise BadParams(f"{name} modes need {name} codes")
+    space = (c1.l, None if rm else c1.m)
+    return space if c1.tower is c2.tower and space == (c2.l, None if rm else c2.m) else None
+
+
+def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
+    """Each canonical map f with f(C1) = C2 and the number of maps tested up
+    to and including f (EquivResult.checked for the witness f): the identity
+    first, then the rest of the order of enumerate_rm_maps/enumerate_mat_maps.
+
+    Rank-metric modes test each class [., L, gamma] once: scalars act
+    trivially on an F_{q^m}-linear code.  Only maps yielded are built.
+    """
+    space = _common_space(c1, c2, mode)
+    if space is None or c1.size != c2.size:
+        return
+    (l, m), tower, rm = space, c1.tower, mode.startswith("rm")
+    gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
+    same = all(map(contains, gens))  # the identity's test
+    if same:
+        yield (RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)), 1
+    n, id_rows, frob = 1, Mat.identity(tower, l).rows, tower.frob
+    for gamma, flag, L, inner in _canonical_classes(tower, l, m, mode.endswith("semilinear")):
+        if rm:
+            if gamma or L.rows != id_rows:
+                # [1, L, gamma] maps row x to (x L)^(p^gamma)
+                images = (L.vec_mul(x) for x in gens)
+                if gamma:
+                    images = ([frob(y, gamma) for y in img] for img in images)
+                alphas, hit = inner, all(map(contains, images))
+            else:  # the identity's class; the identity leads it
+                alphas, hit = inner[1:], same
+            if hit:
+                for i, alpha in enumerate(alphas, n + 1):
+                    yield RmMap._canonical(alpha, L, gamma), i
+            n += len(alphas)
+            continue
+        left = [L @ (B.transpose() if flag else B) for B in gens]  # shared by every M
+        identity_row = not (gamma or flag) and L.rows == id_rows
+        for M in inner:
+            if identity_row and M.is_identity():
+                continue  # the identity, tested first
+            n += 1
+            if all(contains(_mat_image(LB, M, gamma)) for LB in left):
+                yield MatMap(flag, L, M, gamma), n
 
 
 def are_equivalent(c1, c2, mode: str, guard: int = 2**22) -> EquivResult:
     """Exhaustive equivalence search returning the first canonical witness.
 
     Pre-filters on size and minimum distance (both are preserved by every
-    equivalence map) before scanning the whole group; refuses with TooLarge
-    when the group order exceeds the guard.  The scan order is the identity
-    map first, then the canonical enumeration, so equal codes always get
-    the identity as their witness.
+    equivalence map), refuses with TooLarge when the group order exceeds the
+    guard, then takes the first map of equivalence_maps: equal codes always
+    get the identity as their witness.
     """
-    from .codes import min_rank_distance
-    if mode not in MODES:
-        raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
-    rm = mode.startswith("rm")
-    if rm:
-        if not (isinstance(c1, RankMetricCode) and isinstance(c2, RankMetricCode)):
-            raise BadParams("rank-metric modes need rank-metric codes")
-        same_shape = (c1.tower is c2.tower and c1.l == c2.l)
-        m_arg = None
-        l = c1.l
-    else:
-        if not (isinstance(c1, MatrixCode) and isinstance(c2, MatrixCode)):
-            raise BadParams("matrix modes need matrix codes")
-        same_shape = (c1.tower is c2.tower and (c1.l, c1.m) == (c2.l, c2.m))
-        m_arg = c1.m
-        l = c1.l
-    if not same_shape:
+    space = _common_space(c1, c2, mode)
+    if space is None:
         return EquivResult(False, None, 0, mode, "shape mismatch")
     if c1.size != c2.size:
         return EquivResult(False, None, 0, mode, "size mismatch")
-    order = group_order(c1.tower, l, mode, m=m_arg)
+    order = group_order(c1.tower, space[0], mode, m=space[1])
     if order > guard:
         raise TooLarge(f"group order {order} exceeds guard {guard}")
     if c1.size <= 2**20 and min_rank_distance(c1) != min_rank_distance(c2):
         return EquivResult(False, None, 0, mode, "minimum distance mismatch")
-    # scan order: the identity first, then the canonical enumeration
-    if rm:
-        ident = RmMap.identity(c1.tower, l)
-        maps = enumerate_rm_maps(c1.tower, l, semilinear=mode.endswith("semilinear"))
-        hit = _rm_image_equals
-    else:
-        ident = MatMap.identity(c1.tower, l, c1.m)
-        maps = enumerate_mat_maps(c1.tower, l, c1.m,
-                                  semilinear=mode.endswith("semilinear"))
-        hit = _mat_image_equals
-    checked = 1
-    if hit(ident, c1, c2):
-        return EquivResult(True, ident, checked, mode, "witness found")
-    for f in maps:
-        if f == ident:
-            continue
-        checked += 1
-        if hit(f, c1, c2):
-            return EquivResult(True, f, checked, mode, "witness found")
-    return EquivResult(False, None, checked, mode, "group exhausted")
+    for f, checked in equivalence_maps(c1, c2, mode):
+        return EquivResult(True, f, checked, mode, "witness found")
+    return EquivResult(False, None, order, mode, "group exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +559,8 @@ def parse_map(tower: FieldTower, text: str):
     else:
         raise BadParams(f"bad map literal: {text!r}")
     segments = [s.strip() for s in body.split(";")]
-    transpose = False
-    if kind == "mat" and segments and segments[0] == "T":
-        transpose = True
+    transpose = kind == "mat" and segments[0] == "T"
+    if transpose:
         segments = segments[1:]
     fields: dict[str, str] = {}
     current = None
@@ -552,11 +573,15 @@ def parse_map(tower: FieldTower, text: str):
             fields[current] += ";" + seg
         else:
             raise BadParams(f"stray segment {seg!r} in map literal")
-    gamma = int(fields.get("gamma", "0"))
+    for key in ("alpha", "L") if kind == "rm" else ("L", "M"):
+        if key not in fields:
+            raise BadParams(f"map literal {text!r} has no {key}=")
+    try:
+        gamma = int(fields.get("gamma", "0"))
+    except ValueError:
+        raise BadParams(f"gamma must be an integer in {text!r}") from None
     if kind == "rm":
         alpha = parse_element(tower, fields["alpha"])
-        L = parse_matrix(tower, fields["L"], subdeg=1)
-        return RmMap(alpha.code, L, gamma)
+        return RmMap(alpha.code, parse_matrix(tower, fields["L"], subdeg=1), gamma)
     L = parse_matrix(tower, fields["L"], subdeg=1)
-    M = parse_matrix(tower, fields["M"], subdeg=1)
-    return MatMap(transpose, L, M, gamma)
+    return MatMap(transpose, L, parse_matrix(tower, fields["M"], subdeg=1), gamma)

@@ -31,6 +31,7 @@ from .errors import (
     NotPrime,
     NotPrimitiveModulus,
     ReducibleModulus,
+    TooLarge,
     TowerMismatch,
 )
 
@@ -607,6 +608,8 @@ def _default_modulus(p: int, degree: int) -> tuple[int, ...]:
 
 _tower_cache: dict[tuple, FieldTower] = {}
 
+_TOWER_GUARD = 2**20  # largest top field: log/exp tables hold an entry per element
+
 
 def make_tower(p: int, e: int, m: int,
                modulus: Sequence[int] | None = None,
@@ -621,13 +624,17 @@ def make_tower(p: int, e: int, m: int,
     modulus and search for the least primitive element instead.
 
     Towers are interned: equal parameters return the identical instance, so
-    elements parsed from files interoperate with programmatic ones.
+    elements parsed from files interoperate with programmatic ones.  Top
+    fields of more than 2^20 elements raise TooLarge before any table.
     """
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if e < 1 or m < 1:
         raise BadParams("e and m must be positive")
     degree = e * m
+    # 2^degree alone exceeds the guard once degree reaches its bit length
+    if p > 1 and (degree >= _TOWER_GUARD.bit_length() or p**degree > _TOWER_GUARD):
+        raise TooLarge(f"|F| = {p}^{degree} exceeds the tower guard {_TOWER_GUARD}")
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if modulus is None:
         mod = _default_modulus(p, degree)
         gen_code = p
@@ -702,12 +709,14 @@ def parse_element(tower: FieldTower, text: str) -> FieldElement:
         return tower.zero
     if text == "g":
         return tower.generator
-    if text.startswith("g^"):
-        return tower.gen_power(int(text[2:]))
-    if text.startswith("poly:[") and text.endswith("]"):
-        body = text[len("poly:["):-1]
-        coeffs = [int(tok) for tok in body.split(",") if tok.strip()] if body.strip() else []
-        return tower.from_coeffs(coeffs)
+    try:
+        if text.startswith("g^"):
+            return tower.gen_power(int(text[2:]))
+        if text.startswith("poly:[") and text.endswith("]"):
+            body = text[len("poly:["):-1]
+            return tower.from_coeffs([int(tok) for tok in body.split(",") if tok.strip()])
+    except ValueError:
+        pass
     if text.isdigit() and int(text) < tower.p:
         return tower.from_coeffs([int(text)])
     raise BadParams(f"bad element literal: {text!r}")

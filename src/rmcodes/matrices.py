@@ -69,9 +69,6 @@ class Mat:
 
     # -- basic structure ------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.tower, self.rows[i][j])
-
     def shape(self) -> tuple[int, int]:
         return self.nrows, self.ncols
 

@@ -1,0 +1,173 @@
+"""The exhaustive equivalence scan and brute stabilizers in their first form.
+
+This is the reference oracle for ``rmcodes.equivalence.equivalence_maps``
+and everything built on it; keep it.  It enumerates the canonical cosets
+itself (leading-one L from ``enumerate_gl``), builds a checked ``RmMap`` /
+``MatMap`` for every candidate and applies it to every generator of the
+code: no scalar-class shortcut, no shared left factors.
+"""
+
+from __future__ import annotations
+
+from rmcodes import (
+    EquivResult,
+    MatMap,
+    RmMap,
+    TooLarge,
+    enumerate_gl,
+    group_order,
+    min_rank_distance,
+    mat_compose,
+    rm_compose,
+)
+from rmcodes.codes import MatrixCode, RankMetricCode
+
+MODES = ("rm-linear", "rm-semilinear", "mat-linear", "mat-semilinear")
+
+
+def _first_nonzero(M):
+    for row in M.rows:
+        for c in row:
+            if c:
+                return c
+    return 0
+
+
+def leading_one_gl(tower, n):
+    return [M for M in enumerate_gl(tower, n) if _first_nonzero(M) == 1]
+
+
+def enumerate_rm_maps(tower, l, semilinear=False):
+    """gamma outer, then L (leading-one), then alpha by code."""
+    gammas = range(tower.degree) if semilinear else (0,)
+    ls = leading_one_gl(tower, l)
+    for gamma in gammas:
+        for L in ls:
+            for alpha in range(1, tower.order):
+                yield RmMap(alpha, L, gamma)
+
+
+def enumerate_mat_maps(tower, l, m, semilinear=False):
+    """gamma, transpose flag, L (leading-one), M."""
+    gammas = range(tower.e) if semilinear else (0,)
+    flags = (False, True) if l == m else (False,)
+    ls = leading_one_gl(tower, l)
+    ms = list(enumerate_gl(tower, m))
+    for gamma in gammas:
+        for flag in flags:
+            for L in ls:
+                for M in ms:
+                    yield MatMap(flag, L, M, gamma)
+
+
+def rm_image(f, vec):
+    t = f.tower
+    return tuple(t.frob(t.mul(f.alpha, s), f.gamma) for s in f.L.vec_mul(vec))
+
+
+def mat_image(f, A):
+    B = A.transpose() if f.transpose else A
+    out = f.L @ B @ f.M
+    return out.frobenius(f.gamma) if f.gamma else out
+
+
+def rm_image_equals(f, c1, c2):
+    return all(c2.contains_codes(rm_image(f, row)) for row in c1.gen.rows)
+
+
+def mat_image_equals(f, c1, c2):
+    return all(c2.contains(mat_image(f, B)) for B in c1.basis)
+
+
+def are_equivalent(c1, c2, mode, guard=2**22):
+    """Pre-filters, then the identity, then every canonical map in order."""
+    if mode not in MODES:
+        raise ValueError(mode)
+    if mode.startswith("rm"):
+        assert isinstance(c1, RankMetricCode) and isinstance(c2, RankMetricCode)
+        same_shape = c1.tower is c2.tower and c1.l == c2.l
+        m_arg = None
+    else:
+        assert isinstance(c1, MatrixCode) and isinstance(c2, MatrixCode)
+        same_shape = c1.tower is c2.tower and (c1.l, c1.m) == (c2.l, c2.m)
+        m_arg = c1.m
+    if not same_shape:
+        return EquivResult(False, None, 0, mode, "shape mismatch")
+    if c1.size != c2.size:
+        return EquivResult(False, None, 0, mode, "size mismatch")
+    order = group_order(c1.tower, c1.l, mode, m=m_arg)
+    if order > guard:
+        raise TooLarge(f"group order {order} exceeds guard {guard}")
+    if c1.size <= 2**20 and min_rank_distance(c1) != min_rank_distance(c2):
+        return EquivResult(False, None, 0, mode, "minimum distance mismatch")
+    checked = 0
+    for f, checked, hit in scan(c1, c2, mode):
+        if hit:
+            return EquivResult(True, f, checked, mode, "witness found")
+    return EquivResult(False, None, checked, mode, "group exhausted")
+
+
+def scan(c1, c2, mode):
+    """(f, maps tested so far, whether f carries c1 onto c2) for every map
+    in scan order: the identity first, then every canonical map but it."""
+    semilinear = mode.endswith("semilinear")
+    if mode.startswith("rm"):
+        ident = RmMap.identity(c1.tower, c1.l)
+        maps = enumerate_rm_maps(c1.tower, c1.l, semilinear)
+        hit = rm_image_equals
+    else:
+        ident = MatMap.identity(c1.tower, c1.l, c1.m)
+        maps = enumerate_mat_maps(c1.tower, c1.l, c1.m, semilinear)
+        hit = mat_image_equals
+    checked = 1
+    yield ident, checked, hit(ident, c1, c2)
+    for f in maps:
+        if f == ident:
+            continue
+        checked += 1
+        yield f, checked, hit(f, c1, c2)
+
+
+def witnesses(c1, c2, mode):
+    """[(key, maps tested up to it)] of every map carrying c1 onto c2."""
+    return [(f.key, n) for f, n, hit in scan(c1, c2, mode) if hit]
+
+
+def greedy_generators(elements, compose, identity):
+    """A small generating set, grown greedily with closure bookkeeping."""
+    if len(elements) > 4096:
+        return tuple(elements)
+    gens = []
+    closure = {identity.key: identity}
+    for f in sorted(elements, key=lambda x: x.key):
+        if f.key in closure:
+            continue
+        gens.append(f)
+        frontier = list(closure.values())
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in gens:
+                    h = compose(a, g)
+                    if h.key not in closure:
+                        closure[h.key] = h
+                        nxt.append(h)
+            frontier = nxt
+        if len(closure) == len(elements):
+            break
+    return tuple(gens)
+
+
+def stabilizer(code, semilinear=False):
+    """(sorted elements, generators) of the enumeration filtered by the
+    fix-the-code predicate."""
+    if isinstance(code, RankMetricCode):
+        maps = enumerate_rm_maps(code.tower, code.l, semilinear)
+        hit, compose = rm_image_equals, rm_compose
+        identity = RmMap.identity(code.tower, code.l)
+    else:
+        maps = enumerate_mat_maps(code.tower, code.l, code.m, semilinear)
+        hit, compose = mat_image_equals, mat_compose
+        identity = MatMap.identity(code.tower, code.l, code.m)
+    elements = sorted((f for f in maps if hit(f, code, code)), key=lambda f: f.key)
+    return elements, greedy_generators(elements, compose, identity)

@@ -128,8 +128,10 @@ class TestMalformedCodeFiles:
         f"gabidulin\n{F16}\nl=2,m=4,k=0\n",
         f"matrix\n{F16}\nl=2,m=2,k=1\n1,0,1;0,1,1\n",
         f"matrix\n{F16}\nl=2,m=2,k=2\n1,0;0,1\n",
+        "",
     ], ids=["row-longer-than-l", "no-k", "k-not-integer", "m-not-tower-m",
-            "gabidulin-k-0", "matrix-wrong-shape", "fewer-matrices-than-k"])
+            "gabidulin-k-0", "matrix-wrong-shape", "fewer-matrices-than-k",
+            "empty-file"])
     def test_mindist_rejects(self, capsys, tmp_path, text):
         path = tmp_path / "bad.code"
         path.write_text(text)
@@ -137,6 +139,37 @@ class TestMalformedCodeFiles:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert "d_R,min" not in out
+
+
+class TestMalformedArguments:
+    """Bad files, literals and option values end in one error line and
+    exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mindist", "--code", "{tmp}/missing.code"],
+        ["dist", "--field", F16, "--u", "g^x,0", "--v", "0,0"],
+        ["apply", "--field", F16, "--map", "rm[alpha=g^1]", "--x", "g^0,g^5"],
+        ["apply", "--field", F16, "--map", "rm[alpha=g^1; L=g^0,0;0,g^0; gamma=x]",
+         "--x", "g^0,g^5"],
+        ["lift", "--code", "{tmp}/mat.code", "--pivots", "1,b"],
+        ["field", "--field", "gf(2,1,30)"],
+    ], ids=["missing-file", "element-g^x", "map-without-L", "map-gamma-not-integer",
+            "pivots-not-integer", "field-too-large"])
+    def test_rejects(self, capsys, tmp_path, argv):
+        (tmp_path / "mat.code").write_text(f"matrix\n{F16}\nl=2,m=2,k=1\n1,0;0,1\n")
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--field", F16, "--seed", "1"],
+        ["field", "--field", F16, "--guard", "10"],
+        ["verify-paper", "--example", "f16-aut", "--guard", "10"],
+    ])
+    def test_options_only_where_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestMapVerbs:

@@ -9,6 +9,7 @@ from rmcodes import (
     NotPrime,
     NotPrimitiveModulus,
     ReducibleModulus,
+    TooLarge,
     find_normal_element,
     frobenius,
     is_normal,
@@ -75,6 +76,29 @@ class TestMakeTower:
 
     def test_interning(self):
         assert make_tower(2, 1, 4) is make_tower(2, 1, 4)
+
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 21), (2, 1, 30), (3, 2, 7),
+                                       (1048583, 1, 1), (2, 1, 10**9)])
+    def test_size_guard_before_any_table(self, monkeypatch, p, e, m):
+        from rmcodes import fields
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("guard must refuse before building anything")
+
+        for name in ("FieldTower", "_default_modulus", "_is_prime"):
+            monkeypatch.setattr(fields, name, no_tables)
+        with pytest.raises(TooLarge):
+            make_tower(p, e, m)
+
+    def test_size_guard_admits_two_to_the_twenty(self, monkeypatch):
+        from rmcodes import fields
+        built = []
+        monkeypatch.setattr(fields, "FieldTower",
+                            lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(fields, "_default_modulus", lambda p, degree: (1,) * 21)
+        monkeypatch.setattr(fields, "_tower_cache", {})
+        make_tower(2, 1, 20)
+        assert built == [(2, 1, 20, (1,) * 21)]
 
 
 class TestArith:

@@ -1,0 +1,195 @@
+"""The one equivalence scan against the map-by-map oracle in scan_oracle.
+
+are_equivalent, equivalence_maps, rm_aut_brute and mat_aut_brute must agree
+with the first form of the scan on verdict, witness key, checked, reason,
+every map found with its count, and brute group keys and generators.  The
+grid covers F_8, F_16, F_27 and F_16 over F_4 (e = 2, so mat-semilinear has
+gamma != 0), in linear and semilinear modes, with equal, equivalent and
+random (mostly inequivalent) pairs.
+"""
+
+import random
+
+import pytest
+
+import scan_oracle as oracle
+from rmcodes import (
+    BadParams,
+    DependentVector,
+    Mat,
+    MatMap,
+    MatrixCode,
+    RankMetricCode,
+    RmMap,
+    are_equivalent,
+    enumerate_gl,
+    enumerate_mat_maps,
+    enumerate_rm_maps,
+    equivalence_maps,
+    make_tower,
+    maps_onto,
+    mat_apply,
+    mat_aut_brute,
+    min_rank_distance,
+    rm_apply,
+    rm_aut_brute,
+)
+
+TOWERS = {
+    "F8": lambda: make_tower(2, 1, 3),
+    "F16": lambda: make_tower(2, 1, 4, [1, 1, 0, 0, 1]),
+    "F27": lambda: make_tower(3, 1, 3),
+    "F16-q4": lambda: make_tower(2, 2, 2),
+}
+
+# (tower, l, k): rank-metric codes of length l and dimension k
+RM_CASES = [("F8", 2, 1), ("F8", 3, 1), ("F16", 2, 1), ("F16", 3, 2),
+            ("F27", 2, 1), ("F16-q4", 2, 1)]
+# (tower, l, m, dim): matrix codes over the base field
+MAT_CASES = [("F8", 2, 3, 2), ("F8", 2, 2, 2), ("F16", 2, 2, 1),
+             ("F27", 2, 2, 2), ("F16-q4", 1, 2, 1), ("F16-q4", 1, 1, 1)]
+
+
+def _rm_code(tower, l, k, rnd):
+    while True:
+        rows = [[rnd.randrange(tower.order) for _ in range(l)] for _ in range(k)]
+        try:
+            return RankMetricCode(Mat(tower, rows, subdeg=tower.m))
+        except BadParams:
+            continue
+
+
+def _mat_code(tower, l, m, dim, rnd):
+    codes = tower.subfield_codes(1)
+    while True:
+        basis = [Mat(tower, [[rnd.choice(codes) for _ in range(m)] for _ in range(l)])
+                 for _ in range(dim)]
+        try:
+            return MatrixCode(tower, l, m, basis)
+        except DependentVector:
+            continue
+
+
+def _rm_map(tower, l, semilinear, rnd):
+    L = rnd.choice(list(enumerate_gl(tower, l)))
+    gamma = rnd.randrange(tower.degree) if semilinear else 0
+    return RmMap(rnd.randrange(1, tower.order), L, gamma)
+
+
+def _mat_map(tower, l, m, semilinear, rnd):
+    L = rnd.choice(list(enumerate_gl(tower, l)))
+    M = rnd.choice(list(enumerate_gl(tower, m)))
+    flag = l == m and rnd.random() < 0.5
+    gamma = rnd.randrange(1, tower.e) if semilinear and tower.e > 1 else 0
+    return MatMap(flag, L, M, gamma)
+
+
+def _pairs(kind, case, semilinear, seed):
+    """Equal, two equivalent and two random pairs of one shape."""
+    rnd = random.Random(seed)
+    tower = TOWERS[case[0]]()
+    if kind == "rm":
+        _, l, k = case
+        draw = lambda: _rm_code(tower, l, k, rnd)
+        image = lambda c: rm_apply(_rm_map(tower, l, semilinear, rnd), c)
+    else:
+        _, l, m, dim = case
+        draw = lambda: _mat_code(tower, l, m, dim, rnd)
+        image = lambda c: mat_apply(_mat_map(tower, l, m, semilinear, rnd), c)
+    c1 = draw()
+    return [(c1, c1), (c1, image(c1)), (c1, image(c1)),
+            (c1, _twin(draw, c1)), (c1, _twin(draw, c1))]
+
+
+def _twin(draw, c1):
+    """A random code with the minimum distance of c1, so that the scan and
+    not a pre-filter decides the pair."""
+    d = min_rank_distance(c1)
+    for _ in range(50):
+        c2 = draw()
+        if min_rank_distance(c2) == d:
+            break
+    return c2
+
+
+def _result(res):
+    witness = res.witness.key if res.witness is not None else None
+    return res.equivalent, witness, res.checked, res.reason
+
+
+CASES = ([("rm", c, s) for c in RM_CASES for s in (False, True)]
+         + [("mat", c, s) for c in MAT_CASES for s in (False, True)])
+IDS = [f"{k}-{'-'.join(map(str, c))}-{'semi' if s else 'lin'}" for k, c, s in CASES]
+
+
+def _mode(kind, semilinear):
+    return f"{kind}-{'semilinear' if semilinear else 'linear'}"
+
+
+@pytest.mark.parametrize("seed,kind,case,semilinear",
+                         [(i, *c) for i, c in enumerate(CASES)], ids=IDS)
+def test_are_equivalent_matches_oracle(seed, kind, case, semilinear):
+    mode = _mode(kind, semilinear)
+    for c1, c2 in _pairs(kind, case, semilinear, seed):
+        assert _result(are_equivalent(c1, c2, mode)) == \
+            _result(oracle.are_equivalent(c1, c2, mode))
+
+
+@pytest.mark.parametrize("kind", ["rm", "mat"])
+def test_grid_reaches_every_outcome(kind):
+    """The pairs above end in a witness and in an exhausted group."""
+    reasons = {are_equivalent(c1, c2, _mode(k, s)).reason
+               for i, (k, c, s) in enumerate(CASES) if k == kind
+               for c1, c2 in _pairs(k, c, s, i)}
+    assert {"witness found", "group exhausted"} <= reasons
+
+
+@pytest.mark.parametrize("seed,kind,case,semilinear",
+                         [(i, *c) for i, c in enumerate(CASES)], ids=IDS)
+def test_every_map_found_matches_oracle(seed, kind, case, semilinear):
+    mode = _mode(kind, semilinear)
+    for c1, c2 in _pairs(kind, case, semilinear, seed)[1:4]:
+        found = [(f.key, n) for f, n in equivalence_maps(c1, c2, mode)]
+        assert found == oracle.witnesses(c1, c2, mode)
+        assert all(maps_onto(f, c1, c2) for f, _ in equivalence_maps(c1, c2, mode))
+
+
+@pytest.mark.parametrize("seed,kind,case,semilinear",
+                         [(i, *c) for i, c in enumerate(CASES)], ids=IDS)
+def test_brute_group_matches_oracle(seed, kind, case, semilinear):
+    c = _pairs(kind, case, semilinear, seed)[0][0]
+    group = (rm_aut_brute if kind == "rm" else mat_aut_brute)(c, semilinear)
+    elements, gens = oracle.stabilizer(c, semilinear)
+    assert [f.key for f in group.elements] == [f.key for f in elements]
+    assert [f.key for f in group.generators] == [f.key for f in gens]
+
+
+@pytest.mark.parametrize("kind,case,semilinear", CASES, ids=IDS)
+def test_enumeration_matches_oracle(kind, case, semilinear):
+    tower = TOWERS[case[0]]()
+    if kind == "rm":
+        new = enumerate_rm_maps(tower, case[1], semilinear)
+        old = oracle.enumerate_rm_maps(tower, case[1], semilinear)
+    else:
+        new = enumerate_mat_maps(tower, case[1], case[2], semilinear)
+        old = oracle.enumerate_mat_maps(tower, case[1], case[2], semilinear)
+    assert [f.key for f in new] == [f.key for f in old]
+
+
+def test_e2_grid_finds_frobenius_maps(f16_q4):
+    """The e = 2 matrix cases above do scan and find gamma = 1 maps, with
+    and without the transpose flag."""
+    rnd = random.Random(3)
+    found = []
+    for l, m in ((1, 2), (1, 1)):
+        c = _mat_code(f16_q4, l, m, 1, rnd)
+        found += [f for f, _ in equivalence_maps(c, c, "mat-semilinear")]
+    assert any(f.gamma == 1 and not f.transpose for f in found)
+    assert any(f.gamma == 1 and f.transpose for f in found)
+
+
+def test_maps_onto_rejects_other_sizes(f16):
+    c1 = _rm_code(f16, 2, 1, random.Random(1))
+    c2 = RankMetricCode(Mat(f16, [[1, 0], [0, 1]], subdeg=4))
+    assert not maps_onto(RmMap.identity(f16, 2), c1, c2)
+    assert list(equivalence_maps(c1, c2, "rm-linear")) == []
