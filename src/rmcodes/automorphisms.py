@@ -4,10 +4,11 @@ For a Gabidulin code the linear rank-metric automorphism group has a known
 analytic form: every member is [alpha, M_beta] where alpha is any nonzero
 top-field scalar and M_beta realises multiplication by beta on the span of
 the defining vector, with beta ranging over the largest subfield F_{q^d}
-over which that span is a vector space.  Brute-force stabilizer filters are
-provided alongside as oracles, and for the expanded matrix code the image
-of the analytic group is a (generally proper) subgroup of the full matrix
-stabilizer.
+over which that span is a vector space.  Exact stabilizers over the whole
+group are provided alongside as oracles (they solve for the L or M parts
+rather than test maps one by one), and for the expanded matrix code the
+image of the analytic group is a (generally proper) subgroup of the full
+matrix stabilizer.
 """
 
 from __future__ import annotations
@@ -185,7 +186,10 @@ def rm_aut_group(c: GabidulinCode, verify: bool = True) -> AutGroup:
 
 def _brute_group(kind: str, code, semilinear: bool, guard: int,
                  m: int | None = None) -> AutGroup:
-    """The stabilizer of code: its equivalence_maps onto itself, by key."""
+    """The stabilizer of code: its equivalence_maps onto itself, by key.
+
+    The guard bounds the group order, and so the GL lists read and the maps
+    built, and the code size."""
     mode = f"{kind}-{'semilinear' if semilinear else 'linear'}"
     order = group_order(code.tower, code.l, mode, m=m)
     if order > guard:
@@ -200,7 +204,9 @@ def _brute_group(kind: str, code, semilinear: bool, guard: int,
 
 def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
                  guard: int = 2**20) -> AutGroup:
-    """Exact stabilizer of a rank-metric code inside the equivalence group."""
+    """Exact stabilizer of a rank-metric code inside the equivalence group:
+    per gamma, the L with (C L)^(p^gamma) = C from one F_q-kernel (for
+    gamma = 0 the units of the right idealiser of C), with every scalar."""
     return _brute_group("rm", c, semilinear, guard)
 
 
@@ -226,5 +232,7 @@ def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis,
 
 def mat_aut_brute(mc: MatrixCode, semilinear: bool = False,
                   guard: int = 2**22) -> AutGroup:
-    """Exact stabilizer of a matrix code inside the matrix-equivalence group."""
+    """Exact stabilizer of a matrix code inside the matrix-equivalence group:
+    per (gamma, T?, L), the M with (L C^T? M)^(p^gamma) = C from one
+    F_q-kernel."""
     return _brute_group("mat", mc, semilinear, guard, m=mc.m)

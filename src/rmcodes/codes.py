@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .elimination import flatten, span
+from .elimination import flatten, nullspace, span
 from .errors import BadParams, DependentVector, NonlinearCode, TooLarge, TowerMismatch
 from .expansion import IndependentTuple, compress_codes, expand, expand_codes
 from .fields import FieldElement, FieldTower, OrderedBasis
-from .matrices import Mat, rank, rref
+from .matrices import Mat, rank
 
 DEFAULT_GUARD = 2**20
 
@@ -42,7 +42,8 @@ class RankMetricCode:
         return self.tower.order**self.k
 
     def contains_codes(self, vec: Sequence[int]) -> bool:
-        return self._span.contains(vec)
+        """Whether vec (codes) is a codeword; False for a length other than l."""
+        return len(vec) == self.l and self._span.contains(vec)
 
     def contains(self, vec: Sequence[FieldElement]) -> bool:
         return self.contains_codes([x.code for x in vec])
@@ -192,17 +193,11 @@ def parity_check(c: GabidulinCode) -> Mat:
     if d_rows == 0:
         return Mat(tower, [], subdeg=tower.m, ncols=l, check=False)
     gcodes = c.g.codes()
-    cond = []
-    for t_exp in range(-(d_rows - 1), k):
-        cond.append([tower.frob(gc, tower.e * t_exp) for gc in gcodes])
-    A = Mat(tower, cond, subdeg=tower.m, check=False)
-    res = rref(A)
-    pivset = set(p - 1 for p in res.pivots)
-    free = next(j for j in range(l) if j not in pivset)
-    h = [0] * l
-    h[free] = 1
-    for i, p in enumerate(res.pivots):
-        h[p - 1] = tower.neg(res.rref.rows[i][free])
+    cond = [[tower.frob(gc, tower.e * t_exp) for gc in gcodes]
+            for t_exp in range(-(d_rows - 1), k)]
+    # the conditions have rank l - 1: one kernel vector, one at its first
+    # column that depends on the columns before it
+    h = nullspace(tower, list(zip(*cond)), len(cond), tower.m)[0]
     IndependentTuple(tuple(FieldElement(tower, x) for x in h))
     rows = [tuple(h)]
     for _ in range(d_rows - 1):

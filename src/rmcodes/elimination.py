@@ -10,12 +10,13 @@ in a larger subfield) keeps lists of codes and combines them with
 FieldTower.add_scaled, which runs on the log/exp tables bound to locals.
 
 Each representation keeps a reduced echelon basis that grows one row at a
-time (a :class:`Span`), and echelon form, rank, inverse, row decomposition
-and membership are all read off it.  Those results are unique, so they are
-identical to the textbook Gauss-Jordan on the tower's arithmetic that the
-test suite keeps as its oracle.  The one free choice, the particular
-solution of a decomposition over dependent rows, uses only the rows that
-are independent of the rows before them.  Pivot columns are 1-based.
+time (a :class:`Span`), and echelon form, rank, inverse, row decomposition,
+nullspace and membership are all read off it.  Most of those results are
+unique, so they are identical to the textbook Gauss-Jordan on the tower's
+arithmetic that the test suite keeps as its oracle.  The free choices, the
+particular solution of a decomposition over dependent rows and the basis
+of a nullspace, use only the rows that are independent of the rows before
+them.  Pivot columns are 1-based.
 
 Only :mod:`rmcodes.errors` is imported, so :mod:`rmcodes.fields` can use
 this module too.
@@ -66,17 +67,19 @@ class Span:
         self._cols.append(col)
         rows.append(v)
 
-    def _insert(self, v) -> bool:
+    def _insert(self, v):
+        """Keep v reduced unless it is dependent; then return its residual
+        (zero in the first width columns), else None."""
         v = self._reduce(v)
         col = self._lead(v)
         if col is None:
-            return False
+            return v
         self._push(v, col)
-        return True
+        return None
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns False (and changes nothing) if it is dependent."""
-        return self._insert(self._pack(vec))
+        return self._insert(self._pack(vec)) is None
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """vec minus the combination of basis rows that clears their pivots."""
@@ -199,11 +202,15 @@ def flatten(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
     return tuple(x for r in rows for x in r)
 
 
+def _augmented(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The rows of [rows | I]: each row records itself as a combination."""
+    n = len(rows)
+    return [tuple(r) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, r in enumerate(rows)]
+
+
 def _solver(tower, rows: Sequence[Sequence[int]], width: int, subdeg: int) -> Span:
     """The span of [rows | I]: each basis row ends with its combination of rows."""
-    n = len(rows)
-    unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-    return span(tower, width, subdeg, [tuple(r) + u for r, u in zip(rows, unit)], n)
+    return span(tower, width, subdeg, _augmented(rows), len(rows))
 
 
 def inverse(tower, rows: Sequence[Sequence[int]],
@@ -214,6 +221,23 @@ def inverse(tower, rows: Sequence[Sequence[int]],
     if s.rank != n:
         raise Singular("matrix is singular")
     return [r[n:] for r in s.rows()]
+
+
+def nullspace(tower, rows: Sequence[Sequence[int]], width: int,
+              subdeg: int = 1) -> list[tuple[int, ...]]:
+    """A basis of the coefficient rows c with sum of c_i * rows[i] zero.
+
+    One reduction pass of [rows | I]: a row that reduces to zero leaves its
+    recorded combination, which has a one at the row's own index and zeros
+    after it, so the len(rows) - rank results are independent.
+    """
+    s = span(tower, width, subdeg, extra=len(rows))
+    out = []
+    for v in map(s._pack, _augmented(rows)):
+        rest = s._insert(v)
+        if rest is not None:
+            out.append(s._unpack(rest)[width:])
+    return out
 
 
 def decompose(tower, targets: Iterable[Sequence[int]],

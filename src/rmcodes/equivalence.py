@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .codes import MatrixCode, RankMetricCode, min_rank_distance
+from .elimination import flatten, nullspace, span
 from .errors import (
     BadParams,
     IllegalTranspose,
@@ -79,7 +82,7 @@ class RmMap:
 
     @classmethod
     def _canonical(cls, alpha: int, L: Mat, gamma: int) -> "RmMap":
-        """The map from canonical parts, unchecked (the scan builds many)."""
+        """The map from canonical parts, unchecked (equivalence_maps builds many)."""
         f = object.__new__(cls)
         f.tower, f.l, f.alpha, f.L, f.gamma = L.tower, L.nrows, alpha, L, gamma
         return f
@@ -200,8 +203,8 @@ class MatMap:
         if A.shape() != (self.l, self.m) or A.subdeg != 1:
             raise ShapeMismatch(
                 f"matrix shape {A.shape()} does not match map ({self.l}, {self.m})")
-        return _mat_image(self.L @ (A.transpose() if self.transpose else A),
-                          self.M, self.gamma)
+        image = self.L @ (A.transpose() if self.transpose else A) @ self.M
+        return image.frobenius(self.gamma) if self.gamma else image
 
     def __eq__(self, other):
         return (isinstance(other, MatMap) and self.tower is other.tower
@@ -212,11 +215,6 @@ class MatMap:
 
     def __repr__(self):
         return format_map(self)
-
-
-def _mat_image(LA: Mat, M: Mat, gamma: int) -> Mat:
-    """The image (L A^T? M)^(p^gamma) of A, given its left part L A^T?."""
-    return (LA @ M).frobenius(gamma) if gamma else LA @ M
 
 
 def mat_map(L: Mat, M: Mat, transpose: bool = False, gamma: int = 0) -> MatMap:
@@ -293,6 +291,9 @@ def rm_to_mat(f: RmMap, b: OrderedBasis) -> MatMap:
 # group enumeration and orders
 # ---------------------------------------------------------------------------
 
+_rows = attrgetter("rows")  # the sort key of the GL lists: lexicographic
+
+
 @functools.lru_cache(maxsize=None)
 def _gl_list(tower: FieldTower, n: int) -> tuple[Mat, ...]:
     return tuple(enumerate_gl(tower, n))
@@ -331,23 +332,24 @@ def group_order(tower: FieldTower, l: int, mode: str, m: int | None = None) -> i
     raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
 
 
-def _canonical_classes(tower: FieldTower, l: int, m: int | None, semilinear: bool):
-    """(gamma, flag, L, inner) per class of canonical maps, in enumeration
-    order: gamma, the transpose flag (l = m), L over the leading-one forms;
-    inner is alpha by code (rank-metric maps, m None) or M over GL_m."""
+def _canonical_parts(tower: FieldTower, l: int, m: int | None, semilinear: bool):
+    """(gammas, flags, Ls, inner): the canonical maps are their product, in
+    enumeration order: gamma, the transpose flag (l = m), L over the
+    leading-one forms, then inner, alpha by code (rank-metric maps, m None)
+    or M over GL_m."""
     rm = m is None
     gammas = range(tower.degree if rm else tower.e) if semilinear else (0,)
     flags = (False, True) if l == m else (False,)
     inner = range(1, tower.order) if rm else _gl_list(tower, m)
-    return ((gamma, flag, L, inner) for gamma in gammas for flag in flags
-            for L in _gl_leading_one(tower, l))
+    return gammas, flags, _gl_leading_one(tower, l), inner
 
 
 def enumerate_rm_maps(tower: FieldTower, l: int,
                       semilinear: bool = False) -> Iterator[RmMap]:
     """Every canonical coset once: gamma outer, then L (lexicographic among
     leading-one representatives), then alpha by code."""
-    for gamma, _, L, alphas in _canonical_classes(tower, l, None, semilinear):
+    *classes, alphas = _canonical_parts(tower, l, None, semilinear)
+    for gamma, _, L in itertools.product(*classes):
         for alpha in alphas:
             yield RmMap._canonical(alpha, L, gamma)
 
@@ -355,7 +357,8 @@ def enumerate_rm_maps(tower: FieldTower, l: int,
 def enumerate_mat_maps(tower: FieldTower, l: int, m: int,
                        semilinear: bool = False) -> Iterator[MatMap]:
     """Every canonical coset once: gamma, transpose flag, L (leading-one), M."""
-    for gamma, flag, L, ms in _canonical_classes(tower, l, m, semilinear):
+    *classes, ms = _canonical_parts(tower, l, m, semilinear)
+    for gamma, flag, L in itertools.product(*classes):
         for M in ms:
             yield MatMap(flag, L, M, gamma)
 
@@ -366,16 +369,16 @@ def enumerate_mat_maps(tower: FieldTower, l: int, m: int,
 
 @dataclass(frozen=True)
 class EquivResult:
-    """Outcome of an exhaustive equivalence search."""
+    """Outcome of an equivalence search over the whole group."""
 
     equivalent: bool
     witness: object | None
     checked: int
-    """Maps tested: 1 for the identity, which is tried first, plus the
-    non-identity maps of the canonical enumeration up to and including the
-    witness (a rank-metric scalar class that does not match counts all of
-    its maps); the group order when no witness exists; 0 when a size, shape
-    or distance pre-filter decided."""
+    """The witness's position in the canonical enumeration, counted from 1
+    with the identity moved to the front: 1 for the identity, else 1 plus
+    the non-identity maps up to and including the witness; the group order
+    when no witness exists; 0 when a size, shape or distance pre-filter
+    decided."""
     mode: str
     reason: str
 
@@ -405,55 +408,96 @@ def _common_space(c1, c2, mode: str) -> tuple | None:
     return space if c1.tower is c2.tower and space == (c2.l, None if rm else c2.m) else None
 
 
-def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
-    """Each canonical map f with f(C1) = C2 and the number of maps tested up
-    to and including f (EquivResult.checked for the witness f): the identity
-    first, then the rest of the order of enumerate_rm_maps/enumerate_mat_maps.
+def _positions(tower: FieldTower, basis: list, mats: tuple, n: int) -> list[int]:
+    """Ascending positions in mats, a GL list in its lexicographic order, of
+    the n x n matrices in the F_q-span of basis (rows of row-major entries)."""
+    if tower.q ** len(basis) > len(mats):  # fewer candidates than solutions
+        s = span(tower, n * n, 1, basis)
+        return [i for i, M in enumerate(mats) if s.contains(flatten(M.rows))]
+    found = []
+    for coeffs in itertools.product(tower.subfield_codes(1), repeat=len(basis)):
+        v = tower.add_scaled([0] * (n * n), coeffs, basis)
+        rows = tuple(tuple(v[r:r + n]) for r in range(0, n * n, n))
+        i = bisect_left(mats, rows, key=_rows)
+        if i < len(mats) and mats[i].rows == rows:
+            found.append(i)
+    return sorted(found)
 
-    Rank-metric modes test each class [., L, gamma] once: scalars act
-    trivially on an F_{q^m}-linear code.  Only maps yielded are built.
+
+def _rm_solve(c1, c2, gamma: int, Ls: tuple) -> list[int]:
+    """Positions in Ls of the L with x L in sigma^-gamma(C2) for each
+    generator row x of C1: a kernel over F_q in the l^2 entries of L."""
+    t, l = c1.tower, c1.l
+    target = span(t, l, t.m, ([t.frob(y, -gamma) for y in row] for row in c2.gen.rows))
+    units = [target.reduce((0,) * j + (1,) + (0,) * (l - 1 - j)) for j in range(l)]
+    # entry (i, j) of L adds x_i e_j, reduced modulo the target, for each x
+    conditions = [flatten(t.fq_coords(t.mul(x[i], y)) for x in c1.gen.rows for y in u)
+                  for i in range(l) for u in units]
+    return _positions(t, nullspace(t, conditions, len(conditions[0])), Ls, l)
+
+
+def _mat_solve(L: Mat, flag: bool, basis: tuple, target, Ms: tuple) -> list[int]:
+    """Positions in Ms of the M with L B^T? M in target for each B in basis:
+    a kernel over F_q in the m^2 entries of M."""
+    left, m = [L @ (B.transpose() if flag else B) for B in basis], Ms[0].nrows
+    conditions = [  # entry (a, b) of M adds L B^T? E_ab: column a moved to b
+        flatten(target.reduce(flatten((0,) * b + (r[a],) + (0,) * (m - 1 - b)
+                                      for r in LB.rows)) for LB in left)
+        for a in range(m) for b in range(m)]
+    t = target.tower
+    return _positions(t, nullspace(t, conditions, target.width * len(left)), Ms, m)
+
+
+def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
+    """Each canonical map f with f(C1) = C2 and its count (EquivResult.checked
+    for the witness f): the identity first, with count 1, then the rest in
+    the order of enumerate_rm_maps/enumerate_mat_maps.
+
+    Linear solves, no scan: C2 is F_q-linear, so the L (rank-metric modes,
+    one kernel per gamma; scalars act trivially on an F_{q^m}-linear code)
+    or the M (matrix modes, one kernel per gamma, T? and L) that carry C1
+    into sigma^-gamma(C2) form an F_q-space.  Its invertible canonical
+    members are looked up in the GL lists, and the counts are read off
+    their positions.  Only maps yielded are built.
     """
     space = _common_space(c1, c2, mode)
     if space is None or c1.size != c2.size:
         return
     (l, m), tower, rm = space, c1.tower, mode.startswith("rm")
     gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
-    same = all(map(contains, gens))  # the identity's test
-    if same:
+    if all(map(contains, gens)):  # the identity's test
         yield (RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)), 1
-    n, id_rows, frob = 1, Mat.identity(tower, l).rows, tower.frob
-    for gamma, flag, L, inner in _canonical_classes(tower, l, m, mode.endswith("semilinear")):
+    gammas, flags, Ls, inner = _canonical_parts(tower, l, m, mode.endswith("semilinear"))
+    n = len(inner)  # maps per class (gamma, T?, L)
+    # the identity's position: class (0, False, I), then alpha 1 or M = I
+    identity = bisect_left(Ls, Mat.identity(tower, l).rows, key=_rows) * n
+    if not rm:
+        identity += bisect_left(inner, Mat.identity(tower, m).rows, key=_rows)
+    for gamma in gammas:
         if rm:
-            if gamma or L.rows != id_rows:
-                # [1, L, gamma] maps row x to (x L)^(p^gamma)
-                images = (L.vec_mul(x) for x in gens)
-                if gamma:
-                    images = ([frob(y, gamma) for y in img] for img in images)
-                alphas, hit = inner, all(map(contains, images))
-            else:  # the identity's class; the identity leads it
-                alphas, hit = inner[1:], same
-            if hit:
-                for i, alpha in enumerate(alphas, n + 1):
-                    yield RmMap._canonical(alpha, L, gamma), i
-            n += len(alphas)
-            continue
-        left = [L @ (B.transpose() if flag else B) for B in gens]  # shared by every M
-        identity_row = not (gamma or flag) and L.rows == id_rows
-        for M in inner:
-            if identity_row and M.is_identity():
-                continue  # the identity, tested first
-            n += 1
-            if all(contains(_mat_image(LB, M, gamma)) for LB in left):
-                yield MatMap(flag, L, M, gamma), n
+            hits = ((False, i, range(n)) for i in _rm_solve(c1, c2, gamma, Ls))
+        else:
+            target = span(tower, l * m, 1,
+                          (flatten(B.frobenius(-gamma).rows) for B in c2.basis))
+            hits = ((flag, i, _mat_solve(L, flag, gens, target, inner))
+                    for flag in flags for i, L in enumerate(Ls))
+        for flag, i, js in hits:
+            base = ((gamma * len(flags) + flag) * len(Ls) + i) * n
+            for j in js:
+                pos = base + j
+                if pos != identity:
+                    f = (RmMap._canonical(inner[j], Ls[i], gamma) if rm
+                         else MatMap(flag, Ls[i], inner[j], gamma))
+                    yield f, pos + 2 - (pos > identity)
 
 
 def are_equivalent(c1, c2, mode: str, guard: int = 2**22) -> EquivResult:
-    """Exhaustive equivalence search returning the first canonical witness.
+    """Equivalence over the whole group, with the first canonical witness.
 
     Pre-filters on size and minimum distance (both are preserved by every
     equivalence map), refuses with TooLarge when the group order exceeds the
-    guard, then takes the first map of equivalence_maps: equal codes always
-    get the identity as their witness.
+    guard, then takes the first map of equivalence_maps, which solves for
+    it class by class: equal codes always get the identity as their witness.
     """
     space = _common_space(c1, c2, mode)
     if space is None:

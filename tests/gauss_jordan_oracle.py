@@ -65,6 +65,22 @@ def inverse(M: Mat) -> Mat:
     return Mat(t, [row[n:] for row in work], M.subdeg, check=False)
 
 
+def nullspace(M: Mat) -> list[tuple[int, ...]]:
+    """A basis of the coefficient rows c with c @ M = 0, read off the RREF
+    of M^T: one vector per free column, one there, minus the pivot rows'
+    entries of that column at their pivots."""
+    t, n = M.tower, M.nrows
+    R = rref(Mat(t, list(zip(*M.rows)), M.subdeg, check=False, ncols=n))
+    out = []
+    for free in (j for j in range(n) if j + 1 not in R.pivots):
+        v = [0] * n
+        v[free] = 1
+        for row, p in zip(R.rref.rows, R.pivots):
+            v[p - 1] = t.neg(row[free])
+        out.append(tuple(v))
+    return out
+
+
 def row_decompose(targets: Sequence[Sequence[int]], M: Mat) -> Mat:
     """Solve C with C @ M = targets over M's field; NotInSpan if impossible.
 

@@ -1,16 +1,29 @@
-"""The exhaustive equivalence scan and brute stabilizers in their first form.
+"""The exhaustive equivalence scans that rmcodes.equivalence once ran.
 
-This is the reference oracle for ``rmcodes.equivalence.equivalence_maps``
-and everything built on it; keep it.  It enumerates the canonical cosets
-itself (leading-one L from ``enumerate_gl``), builds a checked ``RmMap`` /
-``MatMap`` for every candidate and applies it to every generator of the
-code: no scalar-class shortcut, no shared left factors.
+These are the reference oracles for ``rmcodes.equivalence.equivalence_maps``
+and everything built on it; keep them.
+
+* ``scan``, ``are_equivalent``, ``witnesses`` and ``stabilizer``: the first
+  form.  It enumerates the canonical cosets itself (leading-one L from
+  ``enumerate_gl``), builds a checked ``RmMap`` / ``MatMap`` for every
+  candidate and applies it to every generator of the code: no scalar-class
+  shortcut, no shared left factors.
+* ``class_scan``: the second form, the body of ``equivalence_maps`` before
+  it solved for L and M.  It tests each rank-metric class [., L, gamma]
+  once and every M of each matrix class (gamma, T?, L) one at a time.  Only
+  its imports differ: its own GL lists and private helpers, and checked
+  ``RmMap`` constructors for the maps it yields.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Iterator
+
 from rmcodes import (
+    BadParams,
     EquivResult,
+    Mat,
     MatMap,
     RmMap,
     TooLarge,
@@ -171,3 +184,93 @@ def stabilizer(code, semilinear=False):
         identity = MatMap.identity(code.tower, code.l, code.m)
     elements = sorted((f for f in maps if hit(f, code, code)), key=lambda f: f.key)
     return elements, greedy_generators(elements, compose, identity)
+
+
+# ---------------------------------------------------------------------------
+# the class scan: equivalence_maps before the linear solves
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _gl_list(tower, n):
+    return tuple(enumerate_gl(tower, n))
+
+
+@functools.lru_cache(maxsize=None)
+def _gl_leading_one(tower, n):
+    return tuple(M for M in _gl_list(tower, n) if _first_nonzero(M) == 1)
+
+
+def _canonical_classes(tower, l, m, semilinear):
+    """(gamma, flag, L, inner) per class of canonical maps, in enumeration
+    order: gamma, the transpose flag (l = m), L over the leading-one forms;
+    inner is alpha by code (rank-metric maps, m None) or M over GL_m."""
+    rm = m is None
+    gammas = range(tower.degree if rm else tower.e) if semilinear else (0,)
+    flags = (False, True) if l == m else (False,)
+    inner = range(1, tower.order) if rm else _gl_list(tower, m)
+    return ((gamma, flag, L, inner) for gamma in gammas for flag in flags
+            for L in _gl_leading_one(tower, l))
+
+
+def _mat_image(LA, M, gamma):
+    """The image (L A^T? M)^(p^gamma) of A, given its left part L A^T?."""
+    return (LA @ M).frobenius(gamma) if gamma else LA @ M
+
+
+def _common_space(c1, c2, mode):
+    """(l, m) shared by both codes (m is None in rank-metric modes), else None."""
+    if mode not in MODES:
+        raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
+    rm = mode.startswith("rm")
+    name, kind = ("rank-metric", RankMetricCode) if rm else ("matrix", MatrixCode)
+    if not (isinstance(c1, kind) and isinstance(c2, kind)):
+        raise BadParams(f"{name} modes need {name} codes")
+    space = (c1.l, None if rm else c1.m)
+    return space if c1.tower is c2.tower and space == (c2.l, None if rm else c2.m) else None
+
+
+def class_scan(c1, c2, mode: str) -> Iterator[tuple]:
+    """Each canonical map f with f(C1) = C2 and the number of maps tested up
+    to and including f (EquivResult.checked for the witness f): the identity
+    first, then the rest of the order of enumerate_rm_maps/enumerate_mat_maps.
+
+    Rank-metric modes test each class [., L, gamma] once: scalars act
+    trivially on an F_{q^m}-linear code.  Only maps yielded are built.
+    """
+    space = _common_space(c1, c2, mode)
+    if space is None or c1.size != c2.size:
+        return
+    (l, m), tower, rm = space, c1.tower, mode.startswith("rm")
+    gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
+    same = all(map(contains, gens))  # the identity's test
+    if same:
+        yield (RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)), 1
+    n, id_rows, frob = 1, Mat.identity(tower, l).rows, tower.frob
+    for gamma, flag, L, inner in _canonical_classes(tower, l, m, mode.endswith("semilinear")):
+        if rm:
+            if gamma or L.rows != id_rows:
+                # [1, L, gamma] maps row x to (x L)^(p^gamma)
+                images = (L.vec_mul(x) for x in gens)
+                if gamma:
+                    images = ([frob(y, gamma) for y in img] for img in images)
+                alphas, hit = inner, all(map(contains, images))
+            else:  # the identity's class; the identity leads it
+                alphas, hit = inner[1:], same
+            if hit:
+                for i, alpha in enumerate(alphas, n + 1):
+                    yield RmMap(alpha, L, gamma), i
+            n += len(alphas)
+            continue
+        left = [L @ (B.transpose() if flag else B) for B in gens]  # shared by every M
+        identity_row = not (gamma or flag) and L.rows == id_rows
+        for M in inner:
+            if identity_row and M.is_identity():
+                continue  # the identity, tested first
+            n += 1
+            if all(contains(_mat_image(LB, M, gamma)) for LB in left):
+                yield MatMap(flag, L, M, gamma), n
+
+
+def class_witnesses(c1, c2, mode):
+    """[(key, maps tested up to it)] of every map class_scan finds."""
+    return [(f.key, n) for f, n in class_scan(c1, c2, mode)]

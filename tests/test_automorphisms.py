@@ -234,3 +234,22 @@ class TestMatAutBrute:
     def test_guard(self, f16):
         with pytest.raises(TooLarge):
             mat_aut_brute(MatrixCode(f16, 3, 4, []), guard=100)
+
+    def test_worked_example_full_stabilizer(self, f16):
+        """The expanded F_16 worked example (power basis): the full matrix
+        stabilizer has order 1080 and holds the translated analytic group."""
+        code = gabidulin(1, (f16.one, f16.generator**5))
+        b = power_basis(f16)
+        group = mat_aut_brute(expand_code(code, b))
+        assert group.order == 1080
+        swap = ((0, 1), (1, 0))
+        assert [f.key for f in group.generators] == [
+            (False, swap, ((0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0)), 0),
+            (False, swap, ((0, 0, 0, 1), (0, 0, 1, 1), (1, 0, 0, 0), (1, 1, 0, 0)), 0),
+            (False, swap, ((0, 0, 0, 1), (0, 1, 0, 0), (1, 1, 1, 1), (1, 0, 0, 0)), 0),
+            (False, ((0, 1), (1, 1)),
+             ((0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 1)), 0),
+        ]
+        sub = mat_aut_subgroup(code, b)
+        assert sub.order == 45
+        assert sub.keys <= group.keys

@@ -250,6 +250,18 @@ class TestCodeEquality:
         assert c1 != c2
 
 
+class TestMembership:
+    def test_wrong_length_is_not_a_codeword(self, f16):
+        """A vector of another length than l is no codeword, whatever its
+        entries: no IndexError, and no match on a codeword prefix."""
+        code = gabidulin(1, (f16.one, f16.generator**5))
+        word = code.gen.rows[0]
+        assert code.contains_codes(word)
+        for vec in ((1,), (1, 2, 3), word + (1,), ()):
+            assert not code.contains_codes(vec)
+            assert not code.contains([FieldElement(f16, c) for c in vec])
+
+
 class TestCodeFiles:
     def test_gabidulin_round_trip(self, f16):
         w = f16.generator

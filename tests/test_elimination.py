@@ -1,9 +1,10 @@
 """The elimination kernel against the Gauss-Jordan oracle it replaced.
 
-Every fast path is compared with the slow path on random matrices of every
-row representation: packed F_2 rows, plain ints mod 3, F_4 inside F_16
-(e = 2, tower arithmetic) and the top fields of F_16 and F_81.  Shapes
-include empty, zero-column, all-zero, wide, tall and rank-deficient
+Every fast path is compared with the slow path (the nullspace with one
+read off the oracle's RREF) on random matrices of every row
+representation: packed F_2 rows, plain ints mod 3, F_4 inside F_16 (e = 2,
+tower arithmetic) and the top fields of F_16 and F_81.  Shapes include
+empty, zero-column, all-zero, full-rank, wide, tall and rank-deficient
 matrices.
 """
 
@@ -18,6 +19,7 @@ from rmcodes.elimination import (
     _PrimeSpan,
     _TowerSpan,
     flatten,
+    nullspace,
     span,
 )
 from rmcodes.errors import NotInSpan, Singular
@@ -126,6 +128,27 @@ def test_row_decompose_matches_oracle(field):
             else:
                 assert (got @ M).rows == tuple(tuple(t) for t in targets)
     assert outside
+
+
+def test_nullspace_matches_oracle(field):
+    """Every vector annihilates the rows, there are n - rank of them, and
+    they span the oracle's nullspace."""
+    tower, subdeg, _ = field
+    rnd = random.Random(6)
+    deficient = full = 0
+    for M in _matrices(tower, subdeg, rnd):
+        got = nullspace(tower, M.rows, M.ncols, subdeg)
+        r = oracle.rank(M)
+        assert len(got) == M.nrows - r
+        deficient += r < M.nrows
+        full += r == M.nrows > 0
+        for c in got:
+            assert len(c) == M.nrows
+            assert tower.add_scaled([0] * M.ncols, c, M.rows) == [0] * M.ncols
+        basis = [Mat(tower, vs, subdeg, check=False, ncols=M.nrows)
+                 for vs in (got, oracle.nullspace(M))]
+        assert oracle.rref(basis[0]) == oracle.rref(basis[1])
+    assert deficient and full
 
 
 def test_span_matches_reducer(field):

@@ -1,11 +1,14 @@
-"""The one equivalence scan against the map-by-map oracle in scan_oracle.
+"""equivalence_maps, solved for L and M, against the scans in scan_oracle.
 
 are_equivalent, equivalence_maps, rm_aut_brute and mat_aut_brute must agree
 with the first form of the scan on verdict, witness key, checked, reason,
-every map found with its count, and brute group keys and generators.  The
-grid covers F_8, F_16, F_27 and F_16 over F_4 (e = 2, so mat-semilinear has
-gamma != 0), in linear and semilinear modes, with equal, equivalent and
-random (mostly inequivalent) pairs.
+every map found with its count, and brute group keys and generators; and
+equivalence_maps must yield the class scan's sequence, map by map with its
+count.  The grid covers F_8, F_16, F_27 and F_16 over F_4 (e = 2, so
+mat-semilinear has gamma != 0), in linear and semilinear modes, with equal,
+equivalent and random (mostly inequivalent) pairs.  Further cases reach the
+list filter (solution spaces larger than the GL list), gamma != 0 with
+sigma^-gamma(C2) != C2, the transpose flag and the F_16 worked example.
 """
 
 import random
@@ -26,11 +29,15 @@ from rmcodes import (
     enumerate_mat_maps,
     enumerate_rm_maps,
     equivalence_maps,
+    expand_code,
+    gabidulin,
+    group_order,
     make_tower,
     maps_onto,
     mat_apply,
     mat_aut_brute,
     min_rank_distance,
+    power_basis,
     rm_apply,
     rm_aut_brute,
 )
@@ -126,6 +133,10 @@ def _mode(kind, semilinear):
     return f"{kind}-{'semilinear' if semilinear else 'linear'}"
 
 
+def _found(c1, c2, mode):
+    return [(f.key, n) for f, n in equivalence_maps(c1, c2, mode)]
+
+
 @pytest.mark.parametrize("seed,kind,case,semilinear",
                          [(i, *c) for i, c in enumerate(CASES)], ids=IDS)
 def test_are_equivalent_matches_oracle(seed, kind, case, semilinear):
@@ -147,10 +158,12 @@ def test_grid_reaches_every_outcome(kind):
 @pytest.mark.parametrize("seed,kind,case,semilinear",
                          [(i, *c) for i, c in enumerate(CASES)], ids=IDS)
 def test_every_map_found_matches_oracle(seed, kind, case, semilinear):
+    """Every map with its count, against both scans, on all five pairs."""
     mode = _mode(kind, semilinear)
-    for c1, c2 in _pairs(kind, case, semilinear, seed)[1:4]:
-        found = [(f.key, n) for f, n in equivalence_maps(c1, c2, mode)]
+    for c1, c2 in _pairs(kind, case, semilinear, seed):
+        found = _found(c1, c2, mode)
         assert found == oracle.witnesses(c1, c2, mode)
+        assert found == oracle.class_witnesses(c1, c2, mode)
         assert all(maps_onto(f, c1, c2) for f, _ in equivalence_maps(c1, c2, mode))
 
 
@@ -193,3 +206,63 @@ def test_maps_onto_rejects_other_sizes(f16):
     c2 = RankMetricCode(Mat(f16, [[1, 0], [0, 1]], subdeg=4))
     assert not maps_onto(RmMap.identity(f16, 2), c1, c2)
     assert list(equivalence_maps(c1, c2, "rm-linear")) == []
+
+
+@pytest.mark.parametrize("mode", ["mat-linear", "mat-semilinear"])
+def test_zero_code_takes_every_map(f4, mode):
+    """The solution space is every M, more than GL_m holds: the GL list is
+    filtered by membership instead of enumerating the space."""
+    c = MatrixCode(f4, 2, 2, [])
+    found = _found(c, c, mode)
+    assert found == oracle.class_witnesses(c, c, mode)
+    assert len(found) == group_order(f4, 2, mode, m=2)
+
+
+@pytest.mark.parametrize("mode", ["rm-linear", "rm-semilinear"])
+def test_full_length_code_takes_every_map(f8, f16_q4, mode):
+    """k = l: every L solves, more than the leading-one list holds."""
+    rnd = random.Random(5)
+    for tower, l in ((f8, 2), (f16_q4, 2), (f8, 1)):
+        c1, c2 = _rm_code(tower, l, l, rnd), _rm_code(tower, l, l, rnd)
+        found = _found(c1, c2, mode)
+        assert found == oracle.class_witnesses(c1, c2, mode)
+        assert len(found) == group_order(tower, l, mode)
+
+
+def _frobenius_code(c, gamma):
+    t = c.tower
+    if isinstance(c, RankMetricCode):
+        rows = [[t.frob(x, gamma) for x in row] for row in c.gen.rows]
+        return RankMetricCode(Mat(t, rows, subdeg=t.m))
+    return MatrixCode(t, c.l, c.m, [B.frobenius(gamma) for B in c.basis])
+
+
+@pytest.mark.parametrize("kind", ["rm", "mat"])
+def test_frobenius_moves_the_target(f16_q4, kind):
+    """On the e = 2 tower sigma^-gamma(C2) != C2 for these codes, and maps
+    with gamma != 0 are found, with the transpose flag in matrix mode."""
+    rnd = random.Random(11)
+    mode = _mode(kind, True)
+    if kind == "rm":
+        w = f16_q4.generator.code
+        c1 = RankMetricCode(Mat(f16_q4, [[1, w]], subdeg=f16_q4.m))
+        c2 = rm_apply(RmMap(3, Mat(f16_q4, [[1, 1], [0, 1]]), 1), c1)
+    else:
+        _, one, a, b = f16_q4.subfield_codes(1)  # F_4 = {0, 1, a, b}
+        c1 = _mat_code(f16_q4, 2, 2, 2, rnd)
+        c2 = mat_apply(MatMap(True, Mat(f16_q4, [[one, a], [0, one]]),
+                              Mat(f16_q4, [[0, one], [one, b]]), 1), c1)
+    assert _frobenius_code(c2, -1) != c2
+    found = _found(c1, c2, mode)
+    assert found == oracle.class_witnesses(c1, c2, mode)
+    maps = [f for f, _ in equivalence_maps(c1, c2, mode)]
+    assert any(f.gamma for f in maps)
+    if kind == "mat":
+        assert any(f.transpose and f.gamma for f in maps)
+
+
+def test_worked_example_stabilizer_matches_class_scan(f16):
+    """The expanded F_16 worked example: 1080 maps out of 120960."""
+    mc = expand_code(gabidulin(1, (f16.one, f16.generator**5)), power_basis(f16))
+    group = mat_aut_brute(mc)
+    assert group.keys == {key for key, _ in oracle.class_witnesses(mc, mc, "mat-linear")}
