@@ -98,16 +98,10 @@ from .equivalence import (
     group_order,
     maps_onto,
     mat_apply,
-    mat_compose,
-    mat_invert,
     mat_map,
-    mat_order,
     rank_preserving_vec_maps,
     rm_apply,
-    rm_compose,
-    rm_invert,
     rm_map,
-    rm_order,
     rm_to_mat,
     vec_map_table,
     vec_matrix,

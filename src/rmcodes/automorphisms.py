@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .codes import GabidulinCode, MatrixCode, RankMetricCode, expand_code
 from .errors import BadParams, NotInSpan, TooLarge
@@ -28,8 +28,6 @@ from .equivalence import (
     equivalence_maps,
     group_order,
     maps_onto,
-    mat_compose,
-    rm_compose,
     rm_to_mat,
 )
 
@@ -111,10 +109,9 @@ class AutGroup:
 
     def is_closed(self) -> bool:
         """Exhaustive closure check under composition and inverse."""
-        compose = rm_compose if self.kind == "rm" else mat_compose
         for f1 in self.elements:
             for f2 in self.elements:
-                if compose(f1, f2).key not in self.keys:
+                if f1.compose(f2).key not in self.keys:
                     return False
         return True
 
@@ -123,7 +120,7 @@ class AutGroup:
                 f"d={self.d}, complete={self.complete})")
 
 
-def _greedy_generators(elements: Sequence, compose: Callable) -> tuple:
+def _greedy_generators(elements: Sequence) -> tuple:
     """A small generating set, grown greedily from the identity."""
     if len(elements) > 4096:
         return tuple(elements)
@@ -138,7 +135,7 @@ def _greedy_generators(elements: Sequence, compose: Callable) -> tuple:
             nxt = []
             for a in frontier:
                 for g in gens:
-                    h = compose(a, g)
+                    h = a.compose(g)
                     if h.key not in closure:
                         closure[h.key] = h
                         nxt.append(h)
@@ -154,7 +151,7 @@ def _alpha_reps(tower: FieldTower) -> list[int]:
     return [tower._exp[i] for i in range(n_reps)]
 
 
-def rm_aut_group(c: GabidulinCode, verify: bool = True) -> AutGroup:
+def rm_aut_group(c: GabidulinCode) -> AutGroup:
     """The analytic linear rank-metric automorphism group of a Gabidulin code.
 
     Elements are the canonical cosets [alpha, M_beta] for alpha over the
@@ -171,7 +168,7 @@ def rm_aut_group(c: GabidulinCode, verify: bool = True) -> AutGroup:
     elements = []
     for beta in betas:
         Mb = m_beta(c.g, beta)
-        if verify and not maps_onto(RmMap(1, Mb), c, c):
+        if not maps_onto(RmMap(1, Mb), c, c):
             raise BadParams("analytic automorphism failed to fix the code")
         for alpha in reps:
             elements.append(RmMap(alpha, Mb))
@@ -198,7 +195,7 @@ def _brute_group(kind: str, code, semilinear: bool, guard: int,
         raise TooLarge(f"|code| = {code.size} exceeds guard {guard}")
     elements = sorted((f for f, _ in equivalence_maps(code, code, mode)),
                       key=lambda f: f.key)
-    gens = _greedy_generators(elements, rm_compose if kind == "rm" else mat_compose)
+    gens = _greedy_generators(elements)
     return AutGroup(kind, code.tower, gens, tuple(elements))
 
 
@@ -210,20 +207,19 @@ def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
     return _brute_group("rm", c, semilinear, guard)
 
 
-def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis,
-                     verify: bool = True) -> AutGroup:
+def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis) -> AutGroup:
     """Image of the analytic rank-metric group under translation to matrix maps.
 
     A subgroup of the full matrix stabilizer of the expanded code, not
     claimed maximal (complete=False).  Each image map is verified to fix
-    the expanded code when verify is set.
+    the expanded code.
     """
     rm_group = rm_aut_group(c)
     elements = sorted((rm_to_mat(f, b) for f in rm_group.elements), key=lambda g: g.key)
     if len({g.key for g in elements}) != len(elements):
         raise BadParams("translation collided on canonical cosets")
-    mc = expand_code(c, b) if verify else None
-    if verify and not all(maps_onto(g, mc, mc) for g in elements):
+    mc = expand_code(c, b)
+    if not all(maps_onto(g, mc, mc) for g in elements):
         raise BadParams("translated automorphism failed to fix the code")
     gens = tuple(rm_to_mat(f, b) for f in rm_group.generators)
     return AutGroup("mat", c.tower, gens, tuple(elements), d=rm_group.d,

@@ -9,6 +9,7 @@ take an explicit --seed (default 0) so runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -31,12 +32,8 @@ from .equivalence import (
     are_equivalent,
     format_map,
     mat_apply,
-    mat_compose,
-    mat_order,
     parse_map,
     rm_apply,
-    rm_compose,
-    rm_order,
 )
 from .errors import BadParams, RmcodesError
 from .fields import (
@@ -251,9 +248,7 @@ def _cmd_compose(args) -> int:
         raise BadParams("compose needs at least two --map arguments")
     acc = maps[0]
     for f in maps[1:]:
-        if isinstance(acc, RmMap) != isinstance(f, RmMap):
-            raise BadParams("cannot compose rm and mat maps")
-        acc = rm_compose(acc, f) if isinstance(acc, RmMap) else mat_compose(acc, f)
+        acc = acc.compose(f)
     print(format_map(acc))
     return 0
 
@@ -262,7 +257,7 @@ def _cmd_order(args) -> int:
     tower = parse_field_spec(args.field)
     print(f"field: {tower.spec_string()}")
     f = parse_map(tower, args.map)
-    print(f"order = {rm_order(f) if isinstance(f, RmMap) else mat_order(f)}")
+    print(f"order = {f.order()}")
     return 0
 
 
@@ -316,7 +311,9 @@ def _cmd_verify_paper(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main reuses it."""
     parser = argparse.ArgumentParser(
         prog="rmcodes",
         description="rank-metric, matrix and lifted subspace codes: "

@@ -9,9 +9,13 @@ first nonzero entry of L (row-major) equals one, which pins one
 representative per coset of N = {(lambda, lambda^-1 I)} resp.
 {(lambda I_l, lambda^-1 I_m)}.
 
-Conventions are right-action throughout: compose(f1, f2) applies f1 first,
+Conventions are right-action throughout: f1.compose(f2) applies f1 first,
 and the semi-linear group law (A1; g1)(A2; g2) = (A1 A2^(g1^-1); g1 g2) is
 verified by an action-comparison property test rather than assumed.
+
+Parts from outside the library enter through rm_map, mat_map and
+parse_map, which check them once; the constructors trust their parts, so
+products, inverses, enumerations and solves build maps without a re-check.
 """
 
 from __future__ import annotations
@@ -57,35 +61,60 @@ def _scaled(M: Mat, c: int) -> Mat:
     return Mat(t, [[t.mul(c, x) for x in r] for r in M.rows], subdeg=1, check=False)
 
 
-class RmMap:
+class _Map:
+    """What both map kinds share: equality by canonical key, and the group
+    law's entry checks and order loop.  A kind supplies key, shape,
+    is_identity, _compose and inverse."""
+
+    __slots__ = ()
+
+    def compose(self, other):
+        """The map applying self first, then other."""
+        if type(other) is not type(self):
+            raise BadParams("cannot compose rm and mat maps")
+        if other.tower is not self.tower:
+            raise TowerMismatch("maps from different towers")
+        if other.shape != self.shape:
+            raise ShapeMismatch("maps on different spaces")
+        return self._compose(other)
+
+    def order(self) -> int:
+        """The least k >= 1 with f^k the identity."""
+        acc, k = self, 1
+        while not acc.is_identity():
+            acc, k = acc._compose(self), k + 1
+        return k
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.tower is other.tower
+                and self.key == other.key)
+
+    def __hash__(self):
+        return hash((id(self.tower), self.key))
+
+    def __repr__(self):
+        return format_map(self)
+
+
+class RmMap(_Map):
     """Canonical coset [alpha, L] with an optional Frobenius power gamma.
 
     Acts on row vectors of length l over the top field by
-    x -> (alpha * x * L)^(p^gamma); gamma = 0 is the linear case.
+    x -> (alpha * x * L)^(p^gamma); gamma = 0 is the linear case.  The
+    constructor only scales the parts to canonical form: parts from outside
+    enter through rm_map or parse_map, which check them, and products and
+    inverses of maps are maps.
     """
 
     __slots__ = ("tower", "l", "alpha", "L", "gamma")
 
     def __init__(self, alpha: int, L: Mat, gamma: int = 0):
         tower = L.tower
-        if L.nrows != L.ncols or L.subdeg != 1:
-            raise BadParams("L must be square over the base field")
-        if alpha == 0:
-            raise BadParams("alpha must be nonzero")
-        if rank(L) != L.nrows:
-            raise BadParams("L must be invertible")
         c = _first_nonzero(L)
         if c != 1:
             L, alpha = _scaled(L, tower.inv(c)), tower.mul(alpha, c)
         self.tower, self.l, self.alpha, self.L = tower, L.nrows, alpha, L
         self.gamma = gamma % tower.degree
-
-    @classmethod
-    def _canonical(cls, alpha: int, L: Mat, gamma: int) -> "RmMap":
-        """The map from canonical parts, unchecked (equivalence_maps builds many)."""
-        f = object.__new__(cls)
-        f.tower, f.l, f.alpha, f.L, f.gamma = L.tower, L.nrows, alpha, L, gamma
-        return f
 
     @classmethod
     def identity(cls, tower: FieldTower, l: int) -> "RmMap":
@@ -94,6 +123,10 @@ class RmMap:
     @property
     def key(self) -> tuple:
         return (self.alpha, self.L.rows, self.gamma)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.l,)
 
     def is_identity(self) -> bool:
         return self.alpha == 1 and self.gamma == 0 and self.L.is_identity()
@@ -105,20 +138,41 @@ class RmMap:
         alpha, gamma = self.alpha, self.gamma
         return tuple([t.frob(t.mul(alpha, s), gamma) for s in self.L.vec_mul(vec)])
 
-    def __eq__(self, other):
-        return (isinstance(other, RmMap) and self.tower is other.tower
-                and self.l == other.l and self.key == other.key)
+    def _compose(self, other: "RmMap") -> "RmMap":
+        t, r = self.tower, self.gamma
+        alpha = t.mul(self.alpha, t.frob(other.alpha, -r))
+        return RmMap(alpha, self.L @ other.L.frobenius(-r), r + other.gamma)
 
-    def __hash__(self):
-        return hash((id(self.tower), self.l, self.key))
+    def inverse(self) -> "RmMap":
+        t, r = self.tower, self.gamma
+        return RmMap(t.frob(t.inv(self.alpha), r), inverse(self.L).frobenius(r), -r)
 
-    def __repr__(self):
-        return format_map(self)
+
+def _check_parts(alpha: FieldElement | None, transpose: bool, **parts: Mat) -> None:
+    """The one check on map parts from outside: one tower, alpha nonzero,
+    every part square, over the base field and invertible, and the
+    transpose flag only when l = m."""
+    tower = parts["L"].tower
+    if any(x.tower is not tower for x in (alpha, *parts.values()) if x is not None):
+        raise TowerMismatch("map parts from different towers")
+    if alpha is not None and alpha.code == 0:
+        raise BadParams("alpha must be nonzero")
+    for name, P in parts.items():
+        if P.nrows != P.ncols:
+            raise BadParams(f"{name} must be square")
+        if P.subdeg != 1:
+            raise BadParams(f"{name} must be over the base field")
+    if transpose and parts["L"].nrows != parts["M"].nrows:
+        raise IllegalTranspose("transpose flag requires l = m")
+    for name, P in parts.items():
+        if rank(P) != P.nrows:
+            raise BadParams(f"{name} must be invertible")
 
 
 def rm_map(alpha: FieldElement, L: Mat, gamma: int = 0) -> RmMap:
-    if alpha.tower is not L.tower:
-        raise TowerMismatch("alpha and L from different towers")
+    """The rank-metric map [alpha, L] with Frobenius power gamma, from
+    checked parts."""
+    _check_parts(alpha, False, L=L)
     return RmMap(alpha.code, L, gamma)
 
 
@@ -134,53 +188,19 @@ def rm_apply(f: RmMap, x):
     return tuple(FieldElement(f.tower, c) for c in out)
 
 
-def rm_compose(f1: RmMap, f2: RmMap) -> RmMap:
-    """The map applying f1 first, then f2."""
-    if f1.tower is not f2.tower or f1.l != f2.l:
-        raise ShapeMismatch("maps on different spaces")
-    t = f1.tower
-    alpha = t.mul(f1.alpha, t.frob(f2.alpha, -f1.gamma))
-    L = f1.L @ f2.L.frobenius(-f1.gamma)
-    return RmMap(alpha, L, f1.gamma + f2.gamma)
-
-
-def rm_invert(f: RmMap) -> RmMap:
-    t = f.tower
-    alpha = t.frob(t.inv(f.alpha), f.gamma)
-    L = inverse(f.L).frobenius(f.gamma)
-    return RmMap(alpha, L, -f.gamma)
-
-
-def rm_order(f: RmMap) -> int:
-    acc = f
-    k = 1
-    while not acc.is_identity():
-        acc = rm_compose(acc, f)
-        k += 1
-    return k
-
-
-class MatMap:
+class MatMap(_Map):
     """Canonical coset (transpose?, [L, M]) with a Frobenius power gamma.
 
     Acts on l x m matrices over F_q by A -> (L A^T? M)^(p^gamma); the
-    transpose flag is legal only for l = m, and gamma runs modulo e.
+    transpose flag is legal only for l = m, and gamma runs modulo e.  As
+    for RmMap, the constructor only scales the parts to canonical form;
+    mat_map and parse_map check parts from outside.
     """
 
     __slots__ = ("tower", "l", "m", "transpose", "L", "M", "gamma")
 
     def __init__(self, transpose: bool, L: Mat, M: Mat, gamma: int = 0):
         tower = L.tower
-        if M.tower is not tower:
-            raise TowerMismatch("L and M from different towers")
-        if L.nrows != L.ncols or M.nrows != M.ncols:
-            raise BadParams("L and M must be square")
-        if L.subdeg != 1 or M.subdeg != 1:
-            raise BadParams("L and M must be over the base field")
-        if transpose and L.nrows != M.nrows:
-            raise IllegalTranspose("transpose flag requires l = m")
-        if rank(L) != L.nrows or rank(M) != M.nrows:
-            raise BadParams("L and M must be invertible")
         c = _first_nonzero(L)
         if c != 1:
             L, M = _scaled(L, tower.inv(c)), _scaled(M, c)
@@ -195,6 +215,10 @@ class MatMap:
     def key(self) -> tuple:
         return (self.transpose, self.L.rows, self.M.rows, self.gamma)
 
+    @property
+    def shape(self) -> tuple:
+        return (self.l, self.m)
+
     def is_identity(self) -> bool:
         return (not self.transpose and self.gamma == 0
                 and self.L.is_identity() and self.M.is_identity())
@@ -206,18 +230,28 @@ class MatMap:
         image = self.L @ (A.transpose() if self.transpose else A) @ self.M
         return image.frobenius(self.gamma) if self.gamma else image
 
-    def __eq__(self, other):
-        return (isinstance(other, MatMap) and self.tower is other.tower
-                and (self.l, self.m) == (other.l, other.m) and self.key == other.key)
+    def _compose(self, other: "MatMap") -> "MatMap":
+        """Transpose flags compose by XOR."""
+        r = self.gamma
+        L2, M2 = other.L.frobenius(-r), other.M.frobenius(-r)
+        if not other.transpose:
+            return MatMap(self.transpose, L2 @ self.L, self.M @ M2, r + other.gamma)
+        return MatMap(not self.transpose, L2 @ self.M.transpose(),
+                      self.L.transpose() @ M2, r + other.gamma)
 
-    def __hash__(self):
-        return hash((id(self.tower), self.l, self.m, self.key))
-
-    def __repr__(self):
-        return format_map(self)
+    def inverse(self) -> "MatMap":
+        r = self.gamma
+        Li, Mi = inverse(self.L), inverse(self.M)
+        if not self.transpose:
+            return MatMap(False, Li.frobenius(r), Mi.frobenius(r), -r)
+        return MatMap(True, Mi.transpose().frobenius(r),
+                      Li.transpose().frobenius(r), -r)
 
 
 def mat_map(L: Mat, M: Mat, transpose: bool = False, gamma: int = 0) -> MatMap:
+    """The matrix map (T?, [L, M]) with Frobenius power gamma, from checked
+    parts."""
+    _check_parts(None, transpose, L=L, M=M)
     return MatMap(transpose, L, M, gamma)
 
 
@@ -227,42 +261,6 @@ def mat_apply(f: MatMap, A):
         basis = [f.apply_mat(B) for B in A.basis]
         return MatrixCode(A.tower, A.l, A.m, basis)
     return f.apply_mat(A)
-
-
-def mat_compose(f1: MatMap, f2: MatMap) -> MatMap:
-    """The map applying f1 first, then f2; transpose flags compose by XOR."""
-    if f1.tower is not f2.tower:
-        raise TowerMismatch("maps from different towers")
-    if (f1.l, f1.m) != (f2.l, f2.m):
-        raise ShapeMismatch("maps on different spaces")
-    r1 = f1.gamma
-    if not f2.transpose:
-        L = f2.L.frobenius(-r1) @ f1.L
-        M = f1.M @ f2.M.frobenius(-r1)
-        t = f1.transpose
-    else:
-        L = f2.L.frobenius(-r1) @ f1.M.transpose()
-        M = f1.L.transpose() @ f2.M.frobenius(-r1)
-        t = not f1.transpose
-    return MatMap(t, L, M, f1.gamma + f2.gamma)
-
-
-def mat_invert(f: MatMap) -> MatMap:
-    r = f.gamma
-    Li, Mi = inverse(f.L), inverse(f.M)
-    if not f.transpose:
-        return MatMap(False, Li.frobenius(r), Mi.frobenius(r), -r)
-    return MatMap(True, Mi.transpose().frobenius(r),
-                  Li.transpose().frobenius(r), -r)
-
-
-def mat_order(f: MatMap) -> int:
-    acc = f
-    k = 1
-    while not acc.is_identity():
-        acc = mat_compose(acc, f)
-        k += 1
-    return k
 
 
 def rm_to_mat(f: RmMap, b: OrderedBasis) -> MatMap:
@@ -351,7 +349,7 @@ def enumerate_rm_maps(tower: FieldTower, l: int,
     *classes, alphas = _canonical_parts(tower, l, None, semilinear)
     for gamma, _, L in itertools.product(*classes):
         for alpha in alphas:
-            yield RmMap._canonical(alpha, L, gamma)
+            yield RmMap(alpha, L, gamma)
 
 
 def enumerate_mat_maps(tower: FieldTower, l: int, m: int,
@@ -486,7 +484,7 @@ def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
             for j in js:
                 pos = base + j
                 if pos != identity:
-                    f = (RmMap._canonical(inner[j], Ls[i], gamma) if rm
+                    f = (RmMap(inner[j], Ls[i], gamma) if rm
                          else MatMap(flag, Ls[i], inner[j], gamma))
                     yield f, pos + 2 - (pos > identity)
 
@@ -626,6 +624,6 @@ def parse_map(tower: FieldTower, text: str):
         raise BadParams(f"gamma must be an integer in {text!r}") from None
     if kind == "rm":
         alpha = parse_element(tower, fields["alpha"])
-        return RmMap(alpha.code, parse_matrix(tower, fields["L"], subdeg=1), gamma)
+        return rm_map(alpha, parse_matrix(tower, fields["L"], subdeg=1), gamma)
     L = parse_matrix(tower, fields["L"], subdeg=1)
-    return MatMap(transpose, L, parse_matrix(tower, fields["M"], subdeg=1), gamma)
+    return mat_map(L, parse_matrix(tower, fields["M"], subdeg=1), transpose, gamma)

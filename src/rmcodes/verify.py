@@ -14,7 +14,7 @@ from math import gcd, lcm
 from .automorphisms import m_beta, rm_aut_group, stabilizer_degree
 from .codes import expand_code, gabidulin, is_extension_linear, min_rank_distance
 from .elimination import flatten, span
-from .equivalence import MatMap, RmMap, maps_onto, mat_apply, rm_apply, rm_order
+from .equivalence import RmMap, maps_onto, mat_apply, mat_map, rm_apply, rm_map
 from .errors import UnknownExample
 from .expansion import IndependentTuple, compress
 from .fields import find_normal_element, make_tower, normal_basis_from, power_basis
@@ -65,9 +65,9 @@ class ExampleReport:
 def _berger_counterexample() -> ExampleReport:
     tower = make_tower(3, 1, 4)
     lines = []
-    f = RmMap(tower.generator.code, Mat.identity(tower, 2))
+    f = rm_map(tower.generator, Mat.identity(tower, 2))
     lines.append(CheckLine("order of [alpha, I_2] in the coset group", 80,
-                           rm_order(f)))
+                           f.order()))
     gl = list(enumerate_gl(tower, 2))
     lines.append(CheckLine("|GL_2(F_3)|", 48, len(gl)))
     orders = [element_order(B) for B in gl]
@@ -138,7 +138,7 @@ def _f64_not_gabidulin() -> ExampleReport:
     L = Mat(tower, _L_IMAGE)
     M = Mat(tower, _M_IMAGE)
     lines.append(CheckLine("rank of the 6x6 matrix M", 6, rank(M)))
-    f = MatMap(False, L, M)
+    f = mat_map(L, M)
     image_code = mat_apply(f, expanded)
     lines.append(CheckLine("|image code|", 4096, image_code.size))
     compressed = [compress(B, basis) for B in image_code.basis]
@@ -161,13 +161,13 @@ def _f64_not_direct_product() -> ExampleReport:
     lines = []
     L = Mat(tower, _L_STAB)
     M = Mat(tower, _M_STAB)
-    f = MatMap(False, L, M)
+    f = mat_map(L, M)
     lines.append(CheckLine("[L, M] fixes the expanded code", True,
                            maps_onto(f, expanded, expanded)))
-    f_l_only = MatMap(False, L, Mat.identity(tower, 6))
+    f_l_only = mat_map(L, Mat.identity(tower, 6))
     lines.append(CheckLine("[L, I_6] fixes the expanded code", False,
                            maps_onto(f_l_only, expanded, expanded)))
-    moved = rm_apply(RmMap(1, L), g.elements)
+    moved = rm_apply(rm_map(tower.one, L), g.elements)
     expect = (w, w**14, w**37, w**16)
     lines.append(CheckLine("g L", "(g^1, g^14, g^37, g^16)",
                            "(" + ", ".join(str(x) for x in moved) + ")"))

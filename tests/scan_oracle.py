@@ -5,14 +5,14 @@ and everything built on it; keep them.
 
 * ``scan``, ``are_equivalent``, ``witnesses`` and ``stabilizer``: the first
   form.  It enumerates the canonical cosets itself (leading-one L from
-  ``enumerate_gl``), builds a checked ``RmMap`` / ``MatMap`` for every
+  ``enumerate_gl``), builds an ``RmMap`` / ``MatMap`` for every
   candidate and applies it to every generator of the code: no scalar-class
   shortcut, no shared left factors.
 * ``class_scan``: the second form, the body of ``equivalence_maps`` before
   it solved for L and M.  It tests each rank-metric class [., L, gamma]
   once and every M of each matrix class (gamma, T?, L) one at a time.  Only
-  its imports differ: its own GL lists and private helpers, and checked
-  ``RmMap`` constructors for the maps it yields.
+  its imports differ: its own GL lists and private helpers, and the
+  ``RmMap`` constructor for the maps it yields.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from rmcodes import (
     enumerate_gl,
     group_order,
     min_rank_distance,
-    mat_compose,
-    rm_compose,
 )
 from rmcodes.codes import MatrixCode, RankMetricCode
 
@@ -146,7 +144,7 @@ def witnesses(c1, c2, mode):
     return [(f.key, n) for f, n, hit in scan(c1, c2, mode) if hit]
 
 
-def greedy_generators(elements, compose, identity):
+def greedy_generators(elements, identity):
     """A small generating set, grown greedily with closure bookkeeping."""
     if len(elements) > 4096:
         return tuple(elements)
@@ -161,7 +159,7 @@ def greedy_generators(elements, compose, identity):
             nxt = []
             for a in frontier:
                 for g in gens:
-                    h = compose(a, g)
+                    h = a.compose(g)
                     if h.key not in closure:
                         closure[h.key] = h
                         nxt.append(h)
@@ -176,14 +174,14 @@ def stabilizer(code, semilinear=False):
     fix-the-code predicate."""
     if isinstance(code, RankMetricCode):
         maps = enumerate_rm_maps(code.tower, code.l, semilinear)
-        hit, compose = rm_image_equals, rm_compose
+        hit = rm_image_equals
         identity = RmMap.identity(code.tower, code.l)
     else:
         maps = enumerate_mat_maps(code.tower, code.l, code.m, semilinear)
-        hit, compose = mat_image_equals, mat_compose
+        hit = mat_image_equals
         identity = MatMap.identity(code.tower, code.l, code.m)
     elements = sorted((f for f in maps if hit(f, code, code)), key=lambda f: f.key)
-    return elements, greedy_generators(elements, compose, identity)
+    return elements, greedy_generators(elements, identity)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ MRD check of criterion 9, which is why both draw from one fixture.
 
 import itertools
 import random
-from math import lcm
 
 import pytest
 
@@ -15,19 +14,15 @@ from rmcodes import (
     DependentVector,
     IndependentTuple,
     Mat,
-    MatMap,
     MatrixCode,
-    RmMap,
     enumerate_gl,
     enumerate_rm_maps,
     expand,
-    expand_code,
     frobenius_matrix,
     gabidulin,
     group_order,
     k_subgroup,
     make_tower,
-    maps_onto,
     mat_apply,
     min_rank_distance,
     mult_matrix,
@@ -36,15 +31,14 @@ from rmcodes import (
     rm_apply,
     rm_aut_brute,
     rm_aut_group,
-    rm_order,
     rm_to_mat,
+    run_example,
     semilinear_matrix,
     vec_map_table,
     verify_distance_law,
 )
 from rmcodes.elimination import flatten, span
 from rmcodes.fields import FieldElement
-from rmcodes.matrices import element_order, rank
 
 
 def _random_gab_vector(tower, l, rnd):
@@ -76,26 +70,22 @@ def gabidulin_grid():
     return codes
 
 
+def _checked_values(example):
+    """label -> actual value of every CheckLine of a passing worked example;
+    verify.py builds each worked example, the tests pin its numbers."""
+    report = run_example(example)
+    assert report.passed, report.render()
+    return {line.label: line.actual for line in report.lines}
+
+
 def test_criterion_1_berger_counterexample(f81):
-    f = RmMap(f81.generator.code, Mat.identity(f81, 2))
-    assert rm_order(f) == 80
-    gl = list(enumerate_gl(f81, 2))
-    assert len(gl) == 48
-    orders = [element_order(B) for B in gl]
-    assert orders.count(16) == 0
-    n_quot = f81.mult_order // (f81.q - 1)
-    assert n_quot == 40
-    from math import gcd
-    pairs = 0
-    order80 = 0
-    for i in range(n_quot):
-        oi = n_quot // gcd(i, n_quot) if i else 1
-        for ob in orders:
-            pairs += 1
-            if lcm(oi, ob) == 80:
-                order80 += 1
-    assert pairs == 1920
-    assert order80 == 0
+    got = _checked_values("berger-counterexample")
+    assert got["order of [alpha, I_2] in the coset group"] == 80
+    assert got["|GL_2(F_3)|"] == 48
+    assert got["elements of order 16 in GL_2(F_3)"] == 0
+    assert f81.mult_order // (f81.q - 1) == 40
+    assert got["pairs scanned in (F_81*/F_3*) x GL_2(F_3)"] == 1920
+    assert got["elements of order 80 in the direct product"] == 0
     print("criterion 1: PASS — coset order 80; no order-16 element in "
           "GL_2(F_3); no order-80 element among 1920 direct-product pairs")
 
@@ -112,52 +102,30 @@ def test_criterion_2_analytic_equals_brute(gabidulin_grid):
           f" stabilizer on all {len(gabidulin_grid)} grid codes")
 
 
-def test_criterion_3_f16_automorphism(f16):
-    w = f16.generator
-    g = IndependentTuple((f16.one, w**5))
-    from rmcodes import m_beta, stabilizer_degree
-    sd = stabilizer_degree(g)
-    assert sd.d == 2
-    Mb = m_beta(g, w**5)
-    assert Mb.rows == ((0, 1), (1, 1))
-    code = gabidulin(1, g)
-    assert rm_apply(RmMap(1, Mb), code) == code
+def test_criterion_3_f16_automorphism():
+    got = _checked_values("f16-aut")
+    assert got["stabilizer degree d"] == 2
+    assert got["M_beta for beta = g^5"] == ((0, 1), (1, 1))
+    assert got["[1, M_beta] fixes the code"] is True
     print("criterion 3: PASS — d = 2, M_beta = [[0,1],[1,1]], and "
           "[1, M_beta] fixes the code")
 
 
-def test_criterion_4_f64_examples(f64):
-    from rmcodes import find_normal_element, is_extension_linear, normal_basis_from
-    from rmcodes.expansion import compress
-    w = f64.generator
-    basis = normal_basis_from(find_normal_element(f64))
-    g = IndependentTuple((w**37, w**42, w**16, w))
-    code = gabidulin(2, g)
-    expanded = expand_code(code, basis)
-
+def test_criterion_4_f64_examples():
     # first example: an equivalent image that is not an expanded Gabidulin code
-    L1 = Mat(f64, [[0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 1, 1, 0]])
-    M1 = Mat(f64, [[1, 0, 0, 0, 1, 0], [1, 1, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1],
-                   [0, 1, 1, 0, 0, 0], [1, 1, 1, 0, 1, 1], [1, 0, 0, 1, 0, 0]])
-    image = mat_apply(MatMap(False, L1, M1), expanded)
-    assert image.size == 4096
-    compressed = [[x.code for x in compress(B, basis)] for B in image.basis]
-    span_rank = rank(Mat(f64, compressed, subdeg=6, check=False))
-    assert f64.order**span_rank == 16777216
-    assert not is_extension_linear(image, basis)
+    got = _checked_values("f64-not-gabidulin")
+    assert got["|image code|"] == 4096
+    assert got["|span over F_64 of the compressed image|"] == 16777216
+    assert got["image is F_64-linear"] is False
 
     # second example: a stabilizer member whose left factor alone is not one
-    L2 = Mat(f64, [[0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
-    M2 = Mat(f64, [[0, 1, 0, 1, 0, 1], [0, 1, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0],
-                   [1, 1, 1, 1, 1, 1], [0, 1, 0, 0, 0, 0], [1, 1, 0, 1, 1, 0]])
-    # membership in the brute matrix stabilizer = the stabilizer predicate
-    # (the full group has ~2*10^10 cosets, far beyond enumeration guards)
-    assert maps_onto(MatMap(False, L2, M2), expanded, expanded)
-    assert not maps_onto(
-        MatMap(False, L2, Mat.identity(f64, 6)), expanded, expanded)
-    moved = rm_apply(RmMap(1, L2), g.elements)
-    assert moved == (w, w**14, w**37, w**16)
-    assert not code.contains(moved)
+    # (membership by the stabilizer predicate maps_onto: the full group has
+    # ~2*10^10 cosets, far beyond enumeration guards)
+    got = _checked_values("f64-not-direct-product")
+    assert got["[L, M] fixes the expanded code"] is True
+    assert got["[L, I_6] fixes the expanded code"] is False
+    assert got["g L"] == "(g^1, g^14, g^37, g^16)"
+    assert got["g L in the code"] is False
     print("criterion 4: PASS — 16777216 > 4096 span blow-up; [L,M] in the "
           "matrix stabilizer; g L = (g^1, g^14, g^37, g^16) outside the code")
 

@@ -145,7 +145,6 @@ class TestRmAutGroup:
         assert rm_aut_group(code).is_closed()
 
     def test_generators_generate(self, f16):
-        from rmcodes import rm_compose
         code = gabidulin(1, (f16.one, f16.generator**5))
         group = rm_aut_group(code)
         seen = {RmMap.identity(f16, 2).key}
@@ -154,7 +153,7 @@ class TestRmAutGroup:
             nxt = []
             for a in frontier:
                 for gmap in group.generators:
-                    h = rm_compose(a, gmap)
+                    h = a.compose(gmap)
                     if h.key not in seen:
                         seen.add(h.key)
                         nxt.append(h)

@@ -153,8 +153,16 @@ class TestMalformedArguments:
          "--x", "g^0,g^5"],
         ["lift", "--code", "{tmp}/mat.code", "--pivots", "1,b"],
         ["field", "--field", "gf(2,1,30)"],
+        ["apply", "--field", F16, "--map", "rm[alpha=g^0; L=g^0,g^0;g^0,g^0; gamma=0]",
+         "--x", "g^0,g^5"],
+        ["apply", "--field", F16, "--map", "rm[alpha=0; L=g^0,0;0,g^0; gamma=0]",
+         "--x", "g^0,g^5"],
+        ["apply", "--field", F16, "--map",
+         "mat[T; L=g^0,0;0,g^0; M=g^0,0,0;0,g^0,0;0,0,g^0; gamma=0]",
+         "--x", "g^0,0,0;0,g^0,0"],
     ], ids=["missing-file", "element-g^x", "map-without-L", "map-gamma-not-integer",
-            "pivots-not-integer", "field-too-large"])
+            "pivots-not-integer", "field-too-large", "map-singular-L", "map-alpha-zero",
+            "map-transpose-not-square"])
     def test_rejects(self, capsys, tmp_path, argv):
         (tmp_path / "mat.code").write_text(f"matrix\n{F16}\nl=2,m=2,k=1\n1,0;0,1\n")
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -170,6 +178,23 @@ class TestMalformedArguments:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestRepeatedMain:
+    def test_main_called_repeatedly(self, capsys):
+        # one process, one parser: verbs, a usage error and a domain error in turn
+        code, first, _ = run(capsys, "field", "--field", F16)
+        assert code == 0
+        code, out, _ = run(capsys, "order", "--field", F16,
+                           "--map", "rm[alpha=g^1; L=g^0,0;0,g^0; gamma=0]")
+        assert code == 0 and "order = 15" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["field"])
+        assert exc.value.code == 2 and "--field" in capsys.readouterr().err
+        code, out, err = run(capsys, "gab", "--field", F16, "--g", "g^0,g^0", "--k", "1")
+        assert code == 1 and err.startswith("error:")
+        code, again, _ = run(capsys, "field", "--field", F16)
+        assert code == 0 and again == first
 
 
 class TestMapVerbs:

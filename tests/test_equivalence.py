@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rmcodes import (
+    BadParams,
     IllegalTranspose,
     Mat,
     MatMap,
@@ -13,6 +14,7 @@ from rmcodes import (
     RmMap,
     ShapeMismatch,
     TooLarge,
+    TowerMismatch,
     are_equivalent,
     enumerate_gl,
     enumerate_mat_maps,
@@ -22,16 +24,12 @@ from rmcodes import (
     gabidulin,
     group_order,
     mat_apply,
-    mat_compose,
-    mat_invert,
-    mat_order,
+    mat_map,
     power_basis,
     rank,
     rank_preserving_vec_maps,
     rm_apply,
-    rm_compose,
-    rm_invert,
-    rm_order,
+    rm_map,
     rm_to_mat,
     vec_map_table,
     vec_matrix,
@@ -82,21 +80,21 @@ class TestRmAction:
 class TestRmGroup:
     def test_order_80(self, f81):
         f = RmMap(f81.generator.code, Mat.identity(f81, 2))
-        assert rm_order(f) == 80
+        assert f.order() == 80
 
     def test_compose_invert_random(self, f16):
         rnd = random.Random(0)
         for _ in range(50):
             f = random_rm_map(f16, 2, rnd, semilinear=True)
-            assert rm_compose(f, rm_invert(f)).is_identity()
-            assert rm_compose(rm_invert(f), f).is_identity()
+            assert f.compose(f.inverse()).is_identity()
+            assert f.inverse().compose(f).is_identity()
 
     def test_linear_composition_merges_parts(self, f16):
         rnd = random.Random(1)
         for _ in range(20):
             f1 = random_rm_map(f16, 2, rnd)
             f2 = random_rm_map(f16, 2, rnd)
-            g = rm_compose(f1, f2)
+            g = f1.compose(f2)
             for _ in range(3):
                 v = tuple(rnd.randrange(16) for _ in range(2))
                 assert g.apply_codes(v) == f2.apply_codes(f1.apply_codes(v))
@@ -107,7 +105,7 @@ class TestRmGroup:
         for _ in range(25):
             f1 = random_rm_map(f16, 2, rnd, semilinear=True)
             f2 = random_rm_map(f16, 2, rnd, semilinear=True)
-            g = rm_compose(f1, f2)
+            g = f1.compose(f2)
             assert g.gamma == (f1.gamma + f2.gamma) % f16.degree
             for _ in range(4):
                 v = tuple(rnd.randrange(16) for _ in range(2))
@@ -118,8 +116,16 @@ class TestRmGroup:
         for _ in range(15):
             f1, f2, f3 = (random_rm_map(f16, 2, rnd, semilinear=True)
                           for _ in range(3))
-            assert (rm_compose(rm_compose(f1, f2), f3)
-                    == rm_compose(f1, rm_compose(f2, f3)))
+            assert f1.compose(f2).compose(f3) == f1.compose(f2.compose(f3))
+
+    def test_compose_refuses_maps_on_other_spaces(self, f16, f4):
+        f = RmMap.identity(f16, 2)
+        with pytest.raises(BadParams):
+            f.compose(MatMap.identity(f16, 2, 2))
+        with pytest.raises(TowerMismatch):
+            f.compose(RmMap.identity(f4, 2))
+        with pytest.raises(ShapeMismatch):
+            f.compose(RmMap.identity(f16, 3))
 
     def test_canonical_coset_collapse(self, f16):
         # [alpha, L] and [lambda alpha, lambda^-1 L] are the same coset;
@@ -141,11 +147,11 @@ class TestMatAction:
 
     def test_transpose_squares_to_identity(self, f4):
         T = MatMap(True, Mat.identity(f4, 2), Mat.identity(f4, 2))
-        assert mat_order(T) == 2
+        assert T.order() == 2
 
     def test_illegal_transpose(self, f4):
         with pytest.raises(IllegalTranspose):
-            MatMap(True, Mat.identity(f4, 2), Mat.identity(f4, 3))
+            mat_map(Mat.identity(f4, 2), Mat.identity(f4, 3), transpose=True)
 
     def test_rank_preserved_all_maps(self, f4):
         mats = [Mat(f4, [entries[:3], entries[3:]])
@@ -161,15 +167,52 @@ class TestMatAction:
         for _ in range(30):
             f = MatMap(rnd.random() < 0.5, rnd.choice(gl), rnd.choice(gl),
                        rnd.randrange(2))
-            assert mat_compose(f, mat_invert(f)).is_identity()
+            assert f.compose(f.inverse()).is_identity()
             g = MatMap(rnd.random() < 0.5, rnd.choice(gl), rnd.choice(gl),
                        rnd.randrange(2))
-            h = mat_compose(f, g)
+            h = f.compose(g)
             for _ in range(3):
                 A = Mat(f16_q4, [[rnd.choice(f16_q4.subfield_codes(1))
                                   for _ in range(2)] for _ in range(2)],
                         check=False)
                 assert h.apply_mat(A) == g.apply_mat(f.apply_mat(A))
+
+
+def _top(t):
+    """A matrix over the top field of t, not over its base field."""
+    return Mat(t, [[t.generator.code, 0], [0, 1]], subdeg=t.m)
+
+
+class TestEdgeCheck:
+    """Parts from outside enter through rm_map, mat_map and parse_map, which
+    refuse every part that makes no group element (the CLI tests cover
+    parse_map); the map constructors only canonicalise."""
+
+    @pytest.mark.parametrize("build, error", [
+        pytest.param(lambda t, u: rm_map(FieldElement(t, 0), Mat.identity(t, 2)),
+                     BadParams, id="rm-alpha-zero"),
+        pytest.param(lambda t, u: rm_map(t.one, Mat(t, [[1, 1], [1, 1]])),
+                     BadParams, id="rm-singular-L"),
+        pytest.param(lambda t, u: rm_map(t.one, Mat(t, [[1, 0, 0], [0, 1, 0]])),
+                     BadParams, id="rm-non-square-L"),
+        pytest.param(lambda t, u: rm_map(t.one, _top(t)),
+                     BadParams, id="rm-L-not-over-base-field"),
+        pytest.param(lambda t, u: rm_map(u.one, Mat.identity(t, 2)),
+                     TowerMismatch, id="rm-two-towers"),
+        pytest.param(lambda t, u: mat_map(Mat(t, [[1, 1], [1, 1]]), Mat.identity(t, 2)),
+                     BadParams, id="mat-singular-L"),
+        pytest.param(lambda t, u: mat_map(Mat.identity(t, 2), Mat(t, [[1, 1], [1, 1]])),
+                     BadParams, id="mat-singular-M"),
+        pytest.param(lambda t, u: mat_map(Mat.identity(t, 2), Mat(t, [[1, 0, 1]])),
+                     BadParams, id="mat-non-square-M"),
+        pytest.param(lambda t, u: mat_map(Mat.identity(t, 2), _top(t)),
+                     BadParams, id="mat-M-not-over-base-field"),
+        pytest.param(lambda t, u: mat_map(Mat.identity(t, 2), Mat.identity(u, 2)),
+                     TowerMismatch, id="mat-two-towers"),
+    ])
+    def test_rejects(self, f16, f4, build, error):
+        with pytest.raises(error):
+            build(f16, f4)
 
 
 class TestGroupOrders:
