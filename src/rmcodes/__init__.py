@@ -31,16 +31,15 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldTower,
+    IndependentTuple,
     OrderedBasis,
     find_normal_element,
-    frobenius,
     is_normal,
     make_tower,
     normal_basis_from,
     parse_element,
     parse_field_spec,
     power_basis,
-    subfield,
 )
 from .matrices import (
     Mat,
@@ -54,13 +53,11 @@ from .matrices import (
     rref,
 )
 from .expansion import (
-    IndependentTuple,
     KSubgroup,
     compress,
     coords,
     expand,
     frobenius_matrix,
-    k_subgroup,
     mult_matrix,
     semilinear_matrix,
 )
@@ -94,7 +91,6 @@ from .equivalence import (
     enumerate_mat_maps,
     enumerate_rm_maps,
     equivalence_maps,
-    factor_vec_map,
     group_order,
     maps_onto,
     mat_apply,

@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .codes import GabidulinCode, MatrixCode, RankMetricCode, expand_code
 from .errors import BadParams, NotInSpan, TooLarge
-from .expansion import IndependentTuple, coords
-from .fields import FieldElement, FieldTower, OrderedBasis
+from .expansion import coords
+from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
 from .matrices import Mat
 from .equivalence import (
     RmMap,
@@ -108,7 +108,11 @@ class AutGroup:
         return self.kind == other.kind and self.keys == other.keys
 
     def is_closed(self) -> bool:
-        """Exhaustive closure check under composition and inverse."""
+        """Exhaustive closure check under composition.
+
+        For a finite nonempty set of invertible maps that is the whole group
+        test: the inverse of f is a power of f, so it lies in the set too.
+        """
         for f1 in self.elements:
             for f2 in self.elements:
                 if f1.compose(f2).key not in self.keys:

@@ -15,8 +15,8 @@ from typing import Iterator, Sequence
 
 from .elimination import flatten, nullspace, span
 from .errors import BadParams, DependentVector, NonlinearCode, TooLarge, TowerMismatch
-from .expansion import IndependentTuple, compress_codes, expand, expand_codes
-from .fields import FieldElement, FieldTower, OrderedBasis
+from .expansion import compress_codes, expand, expand_codes
+from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
 from .matrices import Mat, rank
 
 DEFAULT_GUARD = 2**20
@@ -93,7 +93,7 @@ class GabidulinCode(RankMetricCode):
                 f"{self.tower.spec_string()})")
 
 
-def gabidulin(k: int, g, tower: FieldTower | None = None) -> GabidulinCode:
+def gabidulin(k: int, g) -> GabidulinCode:
     """Build the Gabidulin code of dimension k on the vector g.
 
     g may be an IndependentTuple or a sequence of field elements; entries
@@ -104,9 +104,9 @@ def gabidulin(k: int, g, tower: FieldTower | None = None) -> GabidulinCode:
         els = tuple(g)
         if not els:
             raise BadParams("empty Gabidulin vector")
-        tw = tower or els[0].tower
-        if len(els) >= tw.m:
-            raise BadParams(f"need l < m, got l={len(els)}, m={tw.m}")
+        m = els[0].tower.m
+        if len(els) >= m:
+            raise BadParams(f"need l < m, got l={len(els)}, m={m}")
         g = IndependentTuple(els)
     return GabidulinCode(g, k)
 

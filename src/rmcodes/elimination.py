@@ -176,7 +176,7 @@ class _TowerSpan(Span):
     def _sub(self, v, coeffs, rows):
         t = self.tower
         if t.p != 2:
-            coeffs = [t.mul(t.p - 1, c) for c in coeffs]  # -c; -1 has code p - 1
+            coeffs = [t.neg(c) for c in coeffs]
         return t.add_scaled(v, coeffs, rows)
 
     def _scale(self, v, c):

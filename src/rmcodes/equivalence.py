@@ -568,14 +568,6 @@ def vec_map_table(tower: FieldTower, l: int, m: int) -> dict[tuple, MatMap]:
     return table
 
 
-def factor_vec_map(G: Mat, l: int, m: int,
-                   table: dict[tuple, MatMap] | None = None) -> MatMap | None:
-    """Match a vector-action matrix against the canonical (T?, L, M) forms."""
-    if table is None:
-        table = vec_map_table(G.tower, l, m)
-    return table.get(G.rows)
-
-
 # ---------------------------------------------------------------------------
 # map text form
 # ---------------------------------------------------------------------------

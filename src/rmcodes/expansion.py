@@ -11,44 +11,11 @@ first two.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import BadParams, DependentVector, TooLarge, TowerMismatch
-from .fields import FieldElement, FieldTower, OrderedBasis
+from .errors import BadParams, TooLarge, TowerMismatch
+from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
 from .matrices import Mat, inverse, row_decompose
-
-
-@dataclass(frozen=True)
-class IndependentTuple:
-    """l <= m elements of the top field, linearly independent over F_q."""
-
-    elements: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        els = self.elements
-        if not els:
-            raise BadParams("empty tuple")
-        tower = els[0].tower
-        for x in els:
-            if x.tower is not tower:
-                raise TowerMismatch("tuple elements from different towers")
-        rows = [tower.fq_coords(x.code) for x in els]
-        if tower.fq_rank(rows) != len(els):
-            raise DependentVector("tuple entries dependent over F_q")
-
-    @property
-    def tower(self) -> FieldTower:
-        return self.elements[0].tower
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def codes(self) -> tuple[int, ...]:
-        return tuple(x.code for x in self.elements)
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,7 +170,3 @@ class KSubgroup:
             Mg = mult_matrix(tower.gen_power(i), self.basis)
             for j in range(tower.m):
                 yield Mg @ self._q_powers[j]
-
-
-def k_subgroup(b: OrderedBasis, guard: int = 2**20) -> KSubgroup:
-    return KSubgroup(b, guard)

@@ -39,14 +39,7 @@ _ADD_TABLE_LIMIT = 2048  # full addition table only for small odd-p fields
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]  # [] for n < 2
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -142,6 +135,8 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 
 def _root_is_primitive(f: Sequence[int], p: int) -> bool:
     """Multiplicative order of t modulo irreducible f equals p^deg(f) - 1."""
+    if f[0] == 0:  # f = t, whose root is zero
+        return False
     n = len(f) - 1
     order = p**n - 1
     for ell in _prime_factors(order):
@@ -155,14 +150,13 @@ def _root_is_primitive(f: Sequence[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class FieldTower:
-    """The chain F_p <= F_q = F_{p^e} <= F_{q^m}, with log tables and a
-    primitive generator.
+    """The chain F_p <= F_q = F_{p^e} <= F_{q^m}, with log tables on the
+    generator t, the root of a primitive modulus.
 
     Do not instantiate directly; use :func:`make_tower`.
     """
 
-    def __init__(self, p: int, e: int, m: int, modulus: tuple[int, ...],
-                 generator_code: int):
+    def __init__(self, p: int, e: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.e = e
         self.m = m
@@ -171,7 +165,7 @@ class FieldTower:
         self.degree = e * m          # over F_p
         self.order = p**self.degree  # size of the top field
         self.mult_order = self.order - 1
-        self._build_tables(generator_code)
+        self._build_tables()
         self._subfield_cache: dict[int, tuple[int, ...]] = {}
         self._fq_solver: list[tuple[int, ...]] | None = None
         self._gen = FieldElement(self, self._exp[1] if self.mult_order > 1 else 1)
@@ -192,35 +186,17 @@ class FieldTower:
             digits = [(d - top * mi) % p for d, mi in zip(digits, self.modulus)]
         return self._encode(digits)
 
-    def _build_tables(self, generator_code: int):
-        p, deg = self.p, self.degree
+    def _build_tables(self):
+        p = self.p
         self._modcode = sum(c * p**i for i, c in enumerate(self.modulus))
         n = self.mult_order
         exp = [0] * max(n, 1)
         log = [-1] * self.order
-        if generator_code == p:  # generator is t: cheap shift-and-reduce walk
-            v = 1
-            for i in range(n):
-                if log[v] != -1:
-                    raise NotPrimitiveModulus(
-                        "root of the modulus has multiplicative order "
-                        f"{i} < {n}")
-                exp[i] = v
-                log[v] = i
-                v = self._code_times_t(v)
-            if v != 1:
-                raise NotPrimitiveModulus("modulus root order check failed")
-        else:
-            gd = self._digits(generator_code)
-            v = [1]
-            for i in range(n):
-                code = self._encode(v + [0] * (deg - len(v)))
-                if log[code] != -1:
-                    raise NotPrimitiveModulus(
-                        f"generator candidate has order {i} < {n}")
-                exp[i] = code
-                log[code] = i
-                v = _poly_mod(_poly_mul(v, gd, p), list(self.modulus), p)
+        v = 1  # walk the powers of t by shift-and-reduce
+        for i in range(n):
+            exp[i] = v
+            log[v] = i
+            v = self._code_times_t(v)
         self._exp = exp
         self._log = log
         if p != 2 and self.order <= _ADD_TABLE_LIMIT:
@@ -266,16 +242,7 @@ class FieldTower:
         return self._add_slow(a, b)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        out = 0
-        mul = 1
-        while a:
-            a, r = divmod(a, p)
-            out += ((-r) % p) * mul
-            mul *= p
-        return out
+        return self.mul(a, self.p - 1)  # -1 lies in F_p, with code p - 1
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -484,9 +451,6 @@ class FieldElement:
         """The p^r-power map sigma_p^r applied to this element."""
         return FieldElement(self.tower, self.tower.frob(self.code, r))
 
-    def log(self) -> int:
-        return self.tower.log(self.code)
-
     def __bool__(self):
         return self.code != 0
 
@@ -497,39 +461,29 @@ class FieldElement:
         return f"<{format_element(self)} in {self.tower.spec_string()}>"
 
 
-def frobenius(x: FieldElement, r: int) -> FieldElement:
-    """x^(p^r); the identity for r = 0 mod e*m, F_p-linear and multiplicative."""
-    return x.frobenius(r)
-
-
-def subfield(tower: FieldTower, d: int) -> tuple[FieldElement, ...]:
-    """All q^d elements of F_{q^d} inside the tower, sorted by code."""
-    return tower.subfield(d)
-
-
 # ---------------------------------------------------------------------------
 # bases
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OrderedBasis:
-    """An ordered basis of F_{q^m} over F_q; length m, independence verified."""
+class IndependentTuple:
+    """l <= m elements of the top field, linearly independent over F_q."""
 
     elements: tuple[FieldElement, ...]
 
     def __post_init__(self):
         els = self.elements
         if not els:
-            raise BadParams("empty basis")
+            raise BadParams("empty tuple")
         tower = els[0].tower
         for x in els:
             if x.tower is not tower:
-                raise TowerMismatch("basis elements from different towers")
-        if len(els) != tower.m:
+                raise TowerMismatch("tuple elements from different towers")
+        if isinstance(self, OrderedBasis) and len(els) != tower.m:
             raise BadParams(f"basis needs m={tower.m} elements, got {len(els)}")
         rows = [tower.fq_coords(x.code) for x in els]
-        if tower.fq_rank(rows) != tower.m:
-            raise DependentVector("basis elements dependent over F_q")
+        if tower.fq_rank(rows) != len(els):
+            raise DependentVector("tuple entries dependent over F_q")
 
     @property
     def tower(self) -> FieldTower:
@@ -541,8 +495,15 @@ class OrderedBasis:
     def __len__(self):
         return len(self.elements)
 
+    def codes(self) -> tuple[int, ...]:
+        return tuple(x.code for x in self.elements)
+
     def __str__(self):
         return "(" + ", ".join(format_element(x) for x in self.elements) + ")"
+
+
+class OrderedBasis(IndependentTuple):
+    """An ordered basis of F_{q^m} over F_q: the independent tuple of length m."""
 
 
 def power_basis(tower: FieldTower) -> OrderedBasis:
@@ -612,16 +573,14 @@ _TOWER_GUARD = 2**20  # largest top field: log/exp tables hold an entry per elem
 
 
 def make_tower(p: int, e: int, m: int,
-               modulus: Sequence[int] | None = None,
-               require_primitive: bool = True) -> FieldTower:
+               modulus: Sequence[int] | None = None) -> FieldTower:
     """Build the tower F_p <= F_{p^e} <= F_{p^(e*m)}.
 
     With no modulus, the lexicographically least monic primitive polynomial
     of degree e*m is searched for, so construction is deterministic.  A
-    supplied modulus is verified irreducible; its root becomes the tower
-    generator when primitive.  If the root is not primitive, the default is
-    to reject (NotPrimitiveModulus); pass require_primitive=False to keep the
-    modulus and search for the least primitive element instead.
+    supplied modulus must be irreducible (ReducibleModulus otherwise) and
+    primitive (NotPrimitiveModulus otherwise); its root is the tower
+    generator.
 
     Towers are interned: equal parameters return the identical instance, so
     elements parsed from files interoperate with programmatic ones.  Top
@@ -637,7 +596,6 @@ def make_tower(p: int, e: int, m: int,
         raise NotPrime(f"{p} is not prime")
     if modulus is None:
         mod = _default_modulus(p, degree)
-        gen_code = p
     else:
         mod = tuple(c % p for c in modulus)
         if len(mod) != degree + 1:
@@ -646,37 +604,15 @@ def make_tower(p: int, e: int, m: int,
             raise BadParams("modulus must be monic")
         if not _is_irreducible(mod, p):
             raise ReducibleModulus(f"{list(mod)} factors over F_{p}")
-        if _root_is_primitive(mod, p):
-            gen_code = p
-        elif require_primitive:
+        if not _root_is_primitive(mod, p):
             raise NotPrimitiveModulus(
                 "modulus is irreducible but its root is not primitive")
-        else:
-            gen_code = _find_primitive_code(mod, p)
-    key = (p, e, m, mod, gen_code)
+    key = (p, e, m, mod)
     tower = _tower_cache.get(key)
     if tower is None:
-        tower = FieldTower(p, e, m, mod, generator_code=gen_code)
+        tower = FieldTower(p, e, m, mod)
         _tower_cache[key] = tower
     return tower
-
-
-def _find_primitive_code(mod: tuple[int, ...], p: int) -> int:
-    degree = len(mod) - 1
-    order = p**degree - 1
-    fac = _prime_factors(order)
-    for code in range(2, p**degree):
-        digits = []
-        c = code
-        for _ in range(degree):
-            c, r = divmod(c, p)
-            digits.append(r)
-        poly = _poly_trim(list(digits))
-        if not poly:
-            continue
-        if all(_poly_powmod(poly, order // ell, mod, p) != [1] for ell in fac):
-            return code
-    raise BadParams("no primitive element found")  # unreachable
 
 
 _FIELD_SPEC_RE = re.compile(

@@ -49,32 +49,14 @@ class Mat:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_elements(cls, rows: Sequence[Sequence[FieldElement]],
-                      subdeg: int = 1) -> "Mat":
-        tower = rows[0][0].tower
-        for r in rows:
-            for x in r:
-                if x.tower is not tower:
-                    raise TowerMismatch("entries from different towers")
-        return cls(tower, [[x.code for x in r] for r in rows], subdeg)
-
-    @classmethod
     def identity(cls, tower: FieldTower, n: int, subdeg: int = 1) -> "Mat":
         return cls(tower, [[1 if i == j else 0 for j in range(n)] for i in range(n)],
                    subdeg, check=False)
-
-    @classmethod
-    def zero(cls, tower: FieldTower, nrows: int, ncols: int, subdeg: int = 1) -> "Mat":
-        return cls(tower, [[0] * ncols for _ in range(nrows)], subdeg, check=False)
 
     # -- basic structure ------------------------------------------------------
 
     def shape(self) -> tuple[int, int]:
         return self.nrows, self.ncols
-
-    def retag(self, subdeg: int) -> "Mat":
-        """Same entries viewed in a larger (or verified smaller) subfield."""
-        return Mat(self.tower, self.rows, subdeg)
 
     def _same_space(self, other: "Mat"):
         if self.tower is not other.tower:
@@ -211,15 +193,15 @@ def gl_order(field_size: int, n: int) -> int:
     return out
 
 
-def enumerate_gl(tower: FieldTower, n: int, subdeg: int = 1) -> Iterator[Mat]:
-    """Every invertible n x n matrix over F_(q^subdeg), exactly once.
+def enumerate_gl(tower: FieldTower, n: int) -> Iterator[Mat]:
+    """Every invertible n x n matrix over F_q, exactly once.
 
     Order is lexicographic by the row-major entry list, entries compared by
-    their position in the sorted subfield code list.  Generation walks rows
+    their position in the sorted code list of F_q.  Generation walks rows
     and skips spans, so the cost is |GL| and not |F|^(n^2); the guard still
     uses the candidate count |F|^(n^2) as the documented desk-scale limit.
     """
-    codes = tower.subfield_codes(subdeg)
+    codes = tower.subfield_codes(1)
     size = len(codes)
     if size ** (n * n) > _GL_CANDIDATE_GUARD:
         raise TooLarge(
@@ -228,9 +210,9 @@ def enumerate_gl(tower: FieldTower, n: int, subdeg: int = 1) -> Iterator[Mat]:
 
     def rec():
         if len(rows) == n:
-            yield Mat(tower, list(rows), subdeg, check=False)
+            yield Mat(tower, list(rows), check=False)
             return
-        span = elimination.span(tower, n, subdeg, rows)
+        span = elimination.span(tower, n, 1, rows)
         for cand in itertools.product(codes, repeat=n):
             if not span.contains(cand):
                 rows.append(cand)

@@ -111,13 +111,10 @@ def _interspersed(tower: FieldTower, A: Mat, pivots: Sequence[int], n: int) -> M
     return Mat(tower, rows, subdeg=1, check=False)
 
 
-def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = 2**20) -> SubspaceCode:
-    """Lift a matrix code to a subspace code with the chosen pivot columns.
-
-    Codeword A maps to the row span of the l x (l+m) matrix whose pivot
-    columns form the identity and whose remaining columns are A's columns
-    in order.  The map is injective, so the subspace code has |mc| words.
-    """
+def _lifted(mc: MatrixCode, pivots: Sequence[int],
+            guard: int) -> tuple[list[Mat], list[Subspace]]:
+    """The codewords of mc and their lifts; the pivots are checked first
+    (BadPivots), then the code size (TooLarge)."""
     n = mc.l + mc.m
     pivots = tuple(pivots)
     if (len(pivots) != mc.l or any(not 1 <= p <= n for p in pivots)
@@ -125,9 +122,18 @@ def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = 2**20) -> SubspaceC
         raise BadPivots(f"need {mc.l} ascending pivot columns in [1, {n}]")
     if mc.size > guard:
         raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
-    words = [Subspace(_interspersed(mc.tower, A, pivots, n))
-             for A in mc.codewords()]
-    sc = SubspaceCode(mc.tower, n, words)
+    mats = list(mc.codewords())
+    return mats, [Subspace(_interspersed(mc.tower, A, pivots, n)) for A in mats]
+
+
+def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = 2**20) -> SubspaceCode:
+    """Lift a matrix code to a subspace code with the chosen pivot columns.
+
+    Codeword A maps to the row span of the l x (l+m) matrix whose pivot
+    columns form the identity and whose remaining columns are A's columns
+    in order.  The map is injective, so the subspace code has |mc| words.
+    """
+    sc = SubspaceCode(mc.tower, mc.l + mc.m, _lifted(mc, pivots, guard)[1])
     if sc.size != mc.size:
         raise BadParams("lift lost codewords")  # unreachable: lifting is injective
     return sc
@@ -171,22 +177,11 @@ class DistanceLawReport:
     dr_min: int | None
     distance_multiset: tuple[int, ...]
 
-    def summary(self) -> str:
-        if self.pairs_checked == 0:
-            return "vacuous pass (fewer than two codewords); d_S,min = none"
-        status = "PASS" if self.all_match else "FAIL"
-        return (f"{status}: {self.pairs_checked} pairs, "
-                f"d_S,min = {self.ds_min} = 2 * {self.dr_min} = 2 * d_R,min")
-
 
 def verify_distance_law(mc: MatrixCode, pivots: Sequence[int],
                         guard: int = 2**20) -> DistanceLawReport:
     """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs."""
-    if mc.size > guard:
-        raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
-    n = mc.l + mc.m
-    mats = list(mc.codewords())
-    lifted = [Subspace(_interspersed(mc.tower, A, tuple(pivots), n)) for A in mats]
+    mats, lifted = _lifted(mc, pivots, guard)
     all_match = True
     multiset = []
     dr_min = None

@@ -16,8 +16,14 @@ from .codes import expand_code, gabidulin, is_extension_linear, min_rank_distanc
 from .elimination import flatten, span
 from .equivalence import RmMap, maps_onto, mat_apply, mat_map, rm_apply, rm_map
 from .errors import UnknownExample
-from .expansion import IndependentTuple, compress
-from .fields import find_normal_element, make_tower, normal_basis_from, power_basis
+from .expansion import compress
+from .fields import (
+    IndependentTuple,
+    find_normal_element,
+    make_tower,
+    normal_basis_from,
+    power_basis,
+)
 from .matrices import Mat, element_order, enumerate_gl, rank
 from .subspaces import verify_distance_law
 

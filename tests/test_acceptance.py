@@ -13,6 +13,7 @@ import pytest
 from rmcodes import (
     DependentVector,
     IndependentTuple,
+    KSubgroup,
     Mat,
     MatrixCode,
     enumerate_gl,
@@ -21,7 +22,6 @@ from rmcodes import (
     frobenius_matrix,
     gabidulin,
     group_order,
-    k_subgroup,
     make_tower,
     mat_apply,
     min_rank_distance,
@@ -181,9 +181,9 @@ def test_criterion_7_group_order_formulas(f4, f8, f16):
     assert group_order(f4, 2, "mat-linear", m=2) == 72
     from rmcodes import enumerate_mat_maps
     assert sum(1 for _ in enumerate_mat_maps(f4, 2, 2)) == 72
-    k4 = k_subgroup(power_basis(f4))
+    k4 = KSubgroup(power_basis(f4))
     assert k4.order() == 6 == len({M.rows for M in k4.enumerate()})
-    k16 = k_subgroup(power_basis(f16))
+    k16 = KSubgroup(power_basis(f16))
     assert k16.order() == 60 == len({M.rows for M in k16.enumerate()})
     print("criterion 7: PASS — group orders 42/18/72 and |K| = 6/60 all "
           "match enumeration")

@@ -167,7 +167,7 @@ class TestRmAutBrute:
         assert rm_aut_brute(code).same_elements(rm_aut_group(code))
 
     def test_full_ambient_space(self, f8):
-        code = RankMetricCode(Mat.identity(f8, 2).retag(3))
+        code = RankMetricCode(Mat.identity(f8, 2, subdeg=3))
         group = rm_aut_brute(code)
         assert group.order == group_order(f8, 2, "rm-linear") == 42
 

@@ -7,6 +7,7 @@ import pytest
 
 from rmcodes import (
     IndependentTuple,
+    KSubgroup,
     Mat,
     NotInSpan,
     OrderedBasis,
@@ -14,7 +15,6 @@ from rmcodes import (
     coords,
     expand,
     frobenius_matrix,
-    k_subgroup,
     mult_matrix,
     power_basis,
     rank,
@@ -58,7 +58,7 @@ class TestExpandCompress:
             for vec in itertools.islice(all_vectors(f16, l), 300):
                 X = expand(vec, b)
                 assert compress(X, b) == vec
-        zero = Mat.zero(f16, 2, 4)
+        zero = Mat(f16, [[0] * 4] * 2)
         assert all(x.code == 0 for x in compress(zero, b))
         assert compress(Mat.identity(f16, 4), b) == b.elements
 
@@ -211,13 +211,13 @@ class TestSemilinearMatrix:
 
 class TestKSubgroup:
     def test_f4_order(self, f4):
-        K = k_subgroup(power_basis(f4))
+        K = KSubgroup(power_basis(f4))
         mats = list(K.enumerate())
         assert K.order() == 6 == len(mats)
         assert len({M.rows for M in mats}) == 6
 
     def test_f16_order(self, f16):
-        K = k_subgroup(power_basis(f16))
+        K = KSubgroup(power_basis(f16))
         assert K.order() == 60
         assert len({M.rows for M in K.enumerate()}) == 60
 
@@ -230,7 +230,7 @@ class TestKSubgroup:
 
     def test_trivial_intersection_and_identity(self, f16):
         b = power_basis(f16)
-        K = k_subgroup(b)
+        K = KSubgroup(b)
         assert K.contains(Mat.identity(f16, 4))
         Q = frobenius_matrix(b)
         # <M_a> n <Q> = {I}: no Q power is a multiplication matrix except Q^0
@@ -242,7 +242,7 @@ class TestKSubgroup:
             acc = acc @ Q
 
     def test_unique_factorisation(self, f4):
-        K = k_subgroup(power_basis(f4))
+        K = KSubgroup(power_basis(f4))
         seen = {}
         for i in range(3):
             for j in range(2):
@@ -254,7 +254,7 @@ class TestKSubgroup:
 
     def test_closed_under_product_and_inverse(self, f4):
         from rmcodes import inverse
-        K = k_subgroup(power_basis(f4))
+        K = KSubgroup(power_basis(f4))
         mats = list(K.enumerate())
         for A in mats:
             assert K.contains(inverse(A))
@@ -262,7 +262,7 @@ class TestKSubgroup:
                 assert K.contains(A @ B)
 
     def test_membership_rejects_outside(self, f16):
-        K = k_subgroup(power_basis(f16))
+        K = KSubgroup(power_basis(f16))
         M = Mat(f16, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         assert not K.contains(M)
 
@@ -270,7 +270,7 @@ class TestKSubgroup:
         # K is the same set whichever primitive element generates <M_alpha>:
         # the cyclic group of multiplication matrices is all of F_16^*
         b = power_basis(f16)
-        K = k_subgroup(b)
+        K = KSubgroup(b)
         # g^7 is also primitive (gcd(7,15)=1); rebuild member set from it
         alt = set()
         base = f16.gen_power(7)

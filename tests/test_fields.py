@@ -2,23 +2,26 @@
 
 import pytest
 
+import rmcodes
 from rmcodes import (
+    BadParams,
     DependentVector,
     DivisionByZero,
     DoesNotDivide,
+    IndependentTuple,
     NotPrime,
     NotPrimitiveModulus,
+    OrderedBasis,
     ReducibleModulus,
     TooLarge,
+    TowerMismatch,
     find_normal_element,
-    frobenius,
     is_normal,
     make_tower,
     normal_basis_from,
     parse_element,
     parse_field_spec,
     power_basis,
-    subfield,
 )
 
 
@@ -62,10 +65,12 @@ class TestMakeTower:
         # t^4+t^3+t^2+t+1 divides t^5-1, so its root has order 5
         with pytest.raises(NotPrimitiveModulus):
             make_tower(2, 1, 4, [1, 1, 1, 1, 1])
-        tower = make_tower(2, 1, 4, [1, 1, 1, 1, 1], require_primitive=False)
-        gen = tower.generator
-        assert all((gen**k).code != 1 for k in range(1, 15))
-        assert (gen**15).code == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_modulus_t_has_root_zero(self, p):
+        # t is irreducible, but its root 0 generates nothing
+        with pytest.raises(NotPrimitiveModulus):
+            make_tower(p, 1, 1, [0, 1])
 
     def test_default_modulus_is_lex_least(self):
         # candidates below [1,1,0,0,1] fail: 1+t^4 = (1+t)^4 and t+t^4 = t(1+t^3)
@@ -132,35 +137,51 @@ class TestArith:
         assert w**-3 == (w**3).inverse()
 
     def test_tower_mismatch(self, f16, f4):
-        from rmcodes import TowerMismatch
         with pytest.raises(TowerMismatch):
             f16.one + f4.one
+
+    @pytest.mark.parametrize("p,e,m", [(3, 2, 1), (5, 1, 2), (3, 1, 3), (7, 1, 2),
+                                       (3, 1, 4)])
+    def test_neg_matches_digit_negation(self, p, e, m):
+        def neg_by_digits(a):
+            # reference: negate each base-p coefficient on its own
+            out, mul = 0, 1
+            while a:
+                a, r = divmod(a, p)
+                out += ((-r) % p) * mul
+                mul *= p
+            return out
+
+        tower = make_tower(p, e, m)
+        for a in range(tower.order):
+            assert tower.neg(a) == neg_by_digits(a)
+            assert tower.add(a, tower.neg(a)) == 0
 
 
 class TestFrobenius:
     def test_fixes_one(self, f16):
         for r in range(8):
-            assert frobenius(f16.one, r) == f16.one
+            assert f16.one.frobenius(r) == f16.one
 
     def test_square_in_coefficient_form(self, f16):
         # oracle: square w^5 directly as a polynomial
         mod = list(f16.modulus)
         w5 = (f16.generator**5).coeffs
         sq = tuple(polymul_mod(list(w5), list(w5), mod, 2))
-        assert frobenius(f16.generator**5, 1).coeffs == sq
-        assert frobenius(f16.generator**5, 1) == f16.generator**10
+        assert (f16.generator**5).frobenius(1).coeffs == sq
+        assert (f16.generator**5).frobenius(1) == f16.generator**10
 
     def test_f64_normal_basis_listing(self, f64):
         # the published normal-basis chain: squaring steps 38 -> 13 -> 26 -> ...
-        assert frobenius(f64.gen_power(38), 1) == f64.gen_power(13)
-        assert frobenius(f64.gen_power(13), 1) == f64.gen_power(26)
+        assert f64.gen_power(38).frobenius(1) == f64.gen_power(13)
+        assert f64.gen_power(13).frobenius(1) == f64.gen_power(26)
 
     def test_ring_homomorphism_exhaustive(self, f16):
         for x in f16.elements():
-            assert frobenius(x, f16.degree) == x
+            assert x.frobenius(f16.degree) == x
             for y in f16.elements():
-                assert frobenius(x * y, 1) == frobenius(x, 1) * frobenius(y, 1)
-                assert frobenius(x + y, 1) == frobenius(x, 1) + frobenius(y, 1)
+                assert (x * y).frobenius(1) == x.frobenius(1) * y.frobenius(1)
+                assert (x + y).frobenius(1) == x.frobenius(1) + y.frobenius(1)
 
     def test_generator_order_exact(self, f81):
         n = f81.mult_order
@@ -170,34 +191,34 @@ class TestFrobenius:
 
 class TestSubfield:
     def test_prime_subfield(self, f16):
-        assert [x.code for x in subfield(f16, 1)] == [0, 1]
+        assert [x.code for x in f16.subfield(1)] == [0, 1]
 
     def test_f4_inside_f16(self, f16):
         w = f16.generator
-        assert set(subfield(f16, 2)) == {f16.zero, f16.one, w**5, w**10}
+        assert set(f16.subfield(2)) == {f16.zero, f16.one, w**5, w**10}
 
     def test_f8_inside_f64_fixed_points(self, f64):
         # oracle: fixed-point scan of x -> x^8 over all 64 elements
-        fixed = {x for x in f64.elements() if frobenius(x, 3) == x}
+        fixed = {x for x in f64.elements() if x.frobenius(3) == x}
         assert len(fixed) == 8
-        assert set(subfield(f64, 3)) == fixed
+        assert set(f64.subfield(3)) == fixed
 
     def test_does_not_divide(self, f16):
         with pytest.raises(DoesNotDivide):
-            subfield(f16, 3)
+            f16.subfield(3)
 
     def test_closure(self, f64):
         for d in (1, 2, 3):
-            els = set(subfield(f64, d))
+            els = set(f64.subfield(d))
             for x in els:
                 for y in els:
                     assert x + y in els
                     assert x * y in els
 
     def test_sigma_q_power_m_is_identity(self, f16_q4):
-        # sigma_q = frobenius(., e); its m-th power fixes everything
+        # sigma_q = x.frobenius(e); its m-th power fixes everything
         for x in f16_q4.elements():
-            assert frobenius(x, f16_q4.e * f16_q4.m) == x
+            assert x.frobenius(f16_q4.e * f16_q4.m) == x
 
 
 class TestNormalElements:
@@ -255,3 +276,38 @@ class TestTextForms:
     def test_power_basis(self, f16):
         b = power_basis(f16)
         assert [x.code for x in b] == [1, 2, 4, 8]
+
+
+class TestIndependentTuple:
+    def test_one_type_under_every_name(self):
+        assert rmcodes.expansion.IndependentTuple is IndependentTuple
+        assert rmcodes.fields.IndependentTuple is IndependentTuple
+        assert issubclass(OrderedBasis, IndependentTuple)
+
+    def test_tuple_rejects(self, f16, f4):
+        w = f16.generator
+        with pytest.raises(BadParams):
+            IndependentTuple(())
+        with pytest.raises(TowerMismatch):
+            IndependentTuple((f16.one, f4.generator))
+        with pytest.raises(DependentVector):
+            IndependentTuple((w, w))
+        with pytest.raises(DependentVector):  # more than m entries is a dependence
+            IndependentTuple(tuple(w**k for k in range(5)))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_basis_length_before_rank(self, f16, monkeypatch, n):
+        def no_rank(rows):
+            raise AssertionError("the length is checked before any rank test")
+
+        monkeypatch.setattr(f16, "fq_rank", no_rank)
+        with pytest.raises(BadParams):
+            OrderedBasis(tuple(f16.gen_power(k) for k in range(n)))
+
+    def test_basis_rejects(self, f16, f4):
+        w = f16.generator
+        with pytest.raises(DependentVector):
+            OrderedBasis((f16.one, w, w**2, f16.one + w))
+        with pytest.raises(TowerMismatch):  # towers are checked before the length
+            OrderedBasis((f16.one, f4.generator))
+        assert len(OrderedBasis((f16.one, w, w**2, w**3))) == 4

@@ -160,7 +160,17 @@ class TestDistanceLaw:
         report = verify_distance_law(mc, (1, 2))
         assert report.pairs_checked == 0
         assert report.ds_min is None
-        assert "none" in report.summary()
+        assert report.dr_min is None
+        assert report.all_match
+
+    @pytest.mark.parametrize("bad", [(0, 1), (1, 1), (1, 9), (1,), (2, 1)])
+    def test_bad_pivots(self, f8, bad):
+        # the same pivot check as lift, before any codeword is lifted
+        mc = _random_matrix_code(f8, 2, 3, 2, random.Random(6))
+        with pytest.raises(BadPivots):
+            verify_distance_law(mc, bad)
+        with pytest.raises(BadPivots):
+            lift(mc, bad)
 
     def test_expanded_gabidulin(self, f16):
         b = power_basis(f16)
