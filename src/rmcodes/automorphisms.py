@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .codes import GabidulinCode, MatrixCode, RankMetricCode, expand_code
+from .codes import DEFAULT_GUARD, GabidulinCode, MatrixCode, RankMetricCode, expand_code
 from .errors import BadParams, NotInSpan, TooLarge
 from .expansion import coords
 from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
@@ -204,7 +204,7 @@ def _brute_group(kind: str, code, semilinear: bool, guard: int,
 
 
 def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
-                 guard: int = 2**20) -> AutGroup:
+                 guard: int = DEFAULT_GUARD) -> AutGroup:
     """Exact stabilizer of a rank-metric code inside the equivalence group:
     per gamma, the L with (C L)^(p^gamma) = C from one F_q-kernel (for
     gamma = 0 the units of the right idealiser of C), with every scalar."""

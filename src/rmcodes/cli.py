@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .automorphisms import mat_aut_brute, rm_aut_brute, rm_aut_group
 from .codes import (
+    DEFAULT_GUARD,
     GabidulinCode,
     MatrixCode,
     RankMetricCode,
@@ -56,8 +57,6 @@ from .subspaces import (
     unlift,
 )
 from .verify import EXAMPLE_IDS, run_example
-
-DEFAULT_GUARD = 2**20
 
 # options several verbs read; each verb registers only those it reads
 _SHARED_OPTIONS = {

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .elimination import flatten, nullspace, span
 from .errors import BadParams, DependentVector, NonlinearCode, TooLarge, TowerMismatch
-from .expansion import compress_codes, expand, expand_codes
+from .expansion import compress_codes, coords_codes, expand
 from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
 from .matrices import Mat, rank
 
@@ -257,46 +257,40 @@ def min_rank_distance(code, guard: int = DEFAULT_GUARD) -> int:
 def expand_code(c: RankMetricCode, b: OrderedBasis) -> MatrixCode:
     """The matrix code eps_b(C): expansions of an F_q-basis of C.
 
-    The m*k products of generator rows by basis elements already form an
-    F_q-basis when the generator has full rank; they are still passed
-    through a dependence filter for safety.
+    The m*k products of generator rows by basis elements form an F_q-basis
+    because the generator has full rank; MatrixCode checks it.
     """
     tower = c.tower
-    mats = []
-    s = span(tower, c.l * tower.m)
-    for row in c.gen.rows:
-        for e in b.elements:
-            M = expand_codes([tower.mul(e.code, x) for x in row], b)
-            if s.add(flatten(M.rows)):
-                mats.append(M)
+    mats = [coords_codes([tower.mul(e, x) for x in row], b)
+            for row in c.gen.rows for e in b.codes()]
     return MatrixCode(tower, c.l, tower.m, mats)
+
+
+def _compressed_rows(mc: MatrixCode, b: OrderedBasis) -> list | None:
+    """Compressed basis matrices of mc, each independent over F_{q^m} of the
+    ones before it, or None when eps_b^{-1}(mc) is not closed under scalars
+    from the top field.
+
+    The rows span q^(m*rank) words, a superset of the |mc| compressed words;
+    the two agree exactly when the compressed set is a top-field subspace.
+    """
+    tower = mc.tower
+    s = span(tower, mc.l, tower.m)
+    rows = [v for v in (compress_codes(B, b) for B in mc.basis) if s.add(v)]
+    return rows if tower.order**len(rows) == mc.size else None
 
 
 def compress_code(mc: MatrixCode, b: OrderedBasis) -> RankMetricCode:
     """eps_b^{-1}(mc) when that set is F_{q^m}-linear; NonlinearCode otherwise."""
-    if not is_extension_linear(mc, b):
+    rows = _compressed_rows(mc, b)
+    if rows is None:
         raise NonlinearCode("compressed set is not linear over the top field")
-    tower = mc.tower
-    s = span(tower, mc.l, tower.m)
-    rows = [v for v in (compress_codes(B, b) for B in mc.basis) if s.add(v)]
-    return RankMetricCode(Mat(tower, rows, subdeg=tower.m, check=False))
+    return RankMetricCode(Mat(mc.tower, rows, subdeg=mc.tower.m, check=False))
 
 
-def is_extension_linear(mc: MatrixCode, b: OrderedBasis,
-                        guard: int = 2**24) -> bool:
-    """Is eps_b^{-1}(mc) closed under scalars from the top field?
-
-    Compares |span over F_{q^m} of the compressed basis| with |mc|; the two
-    agree exactly when the compressed set is already a top-field subspace.
-    """
-    if mc.size > guard:
-        raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
-    tower = mc.tower
-    if mc.dim == 0:
-        return True
-    compressed = [compress_codes(B, b) for B in mc.basis]
-    r = rank(Mat(tower, compressed, subdeg=tower.m, check=False))
-    return tower.order**r == mc.size
+def is_extension_linear(mc: MatrixCode, b: OrderedBasis) -> bool:
+    """Is eps_b^{-1}(mc) closed under scalars from the top field?"""
+    return _compressed_rows(mc, b) is not None
 
 
 # ---------------------------------------------------------------------------

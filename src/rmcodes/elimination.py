@@ -208,8 +208,9 @@ def _augmented(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(r) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, r in enumerate(rows)]
 
 
-def _solver(tower, rows: Sequence[Sequence[int]], width: int, subdeg: int) -> Span:
-    """The span of [rows | I]: each basis row ends with its combination of rows."""
+def solver(tower, rows: Sequence[Sequence[int]], width: int, subdeg: int = 1) -> Span:
+    """The span of [rows | I]: each basis row ends with its combination of
+    rows, so its rank is the rank of rows and decompose() reads solves off it."""
     return span(tower, width, subdeg, _augmented(rows), len(rows))
 
 
@@ -217,7 +218,7 @@ def inverse(tower, rows: Sequence[Sequence[int]],
             subdeg: int = 1) -> list[tuple[int, ...]]:
     """Rows of the inverse of a square matrix; Singular if there is none."""
     n = len(rows)
-    s = _solver(tower, rows, n, subdeg)
+    s = solver(tower, rows, n, subdeg)
     if s.rank != n:
         raise Singular("matrix is singular")
     return [r[n:] for r in s.rows()]
@@ -240,17 +241,16 @@ def nullspace(tower, rows: Sequence[Sequence[int]], width: int,
     return out
 
 
-def decompose(tower, targets: Iterable[Sequence[int]],
-              rows: Sequence[Sequence[int]], width: int,
-              subdeg: int = 1) -> list[tuple[int, ...]]:
-    """Coefficient rows C with C times rows equal to targets; NotInSpan if
-    some target lies outside the row space."""
-    s = _solver(tower, rows, width, subdeg)
-    zeros = (0,) * len(rows)
+def decompose(s: Span, targets: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Coefficient rows C with C times the rows of solver s equal to targets;
+    NotInSpan if some target lies outside their row space."""
+    width, t = s.width, s.tower
+    zeros = (0,) * (s._len - width)
     out = []
     for w in targets:
         v = s.reduce(tuple(w) + zeros)
         if any(v[:width]):
             raise NotInSpan("target row outside the row space")
-        out.append(tuple(map(tower.neg, v[width:])))
+        # the extra columns hold -C, and -1 = 1 over F_2
+        out.append(v[width:] if t.p == 2 else tuple(map(t.neg, v[width:])))
     return out

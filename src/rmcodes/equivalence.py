@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .codes import MatrixCode, RankMetricCode, min_rank_distance
+from .codes import DEFAULT_GUARD, MatrixCode, RankMetricCode, min_rank_distance
 from .elimination import flatten, nullspace, span
 from .errors import (
     BadParams,
@@ -409,9 +409,6 @@ def _common_space(c1, c2, mode: str) -> tuple | None:
 def _positions(tower: FieldTower, basis: list, mats: tuple, n: int) -> list[int]:
     """Ascending positions in mats, a GL list in its lexicographic order, of
     the n x n matrices in the F_q-span of basis (rows of row-major entries)."""
-    if tower.q ** len(basis) > len(mats):  # fewer candidates than solutions
-        s = span(tower, n * n, 1, basis)
-        return [i for i, M in enumerate(mats) if s.contains(flatten(M.rows))]
     found = []
     for coeffs in itertools.product(tower.subfield_codes(1), repeat=len(basis)):
         v = tower.add_scaled([0] * (n * n), coeffs, basis)
@@ -505,7 +502,7 @@ def are_equivalent(c1, c2, mode: str, guard: int = 2**22) -> EquivResult:
     order = group_order(c1.tower, space[0], mode, m=space[1])
     if order > guard:
         raise TooLarge(f"group order {order} exceeds guard {guard}")
-    if c1.size <= 2**20 and min_rank_distance(c1) != min_rank_distance(c2):
+    if c1.size <= DEFAULT_GUARD and min_rank_distance(c1) != min_rank_distance(c2):
         return EquivResult(False, None, 0, mode, "minimum distance mismatch")
     for f, checked in equivalence_maps(c1, c2, mode):
         return EquivResult(True, f, checked, mode, "witness found")

@@ -10,19 +10,12 @@ first two.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator, Sequence
 
-from .errors import BadParams, TooLarge, TowerMismatch
+from .elimination import decompose
+from .errors import BadParams, TowerMismatch
 from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
-from .matrices import Mat, inverse, row_decompose
-
-
-@functools.lru_cache(maxsize=None)
-def _basis_inverse(b: OrderedBasis) -> Mat:
-    tower = b.tower
-    rows = [tower.fq_coords(x.code) for x in b.elements]
-    return inverse(Mat(tower, rows, subdeg=1, check=False))
+from .matrices import Mat
 
 
 def _as_codes(x) -> tuple[tuple[int, ...], FieldTower]:
@@ -39,18 +32,29 @@ def _as_codes(x) -> tuple[tuple[int, ...], FieldTower]:
     return tuple(e.code for e in els), tw
 
 
-def expand_codes(codes: Sequence[int], b: OrderedBasis) -> Mat:
-    tower = b.tower
-    rows = [tower.fq_coords(c) for c in codes]
-    return Mat(tower, rows, subdeg=1, check=False) @ _basis_inverse(b)
+def coords_codes(codes: Sequence[int], g: IndependentTuple) -> Mat:
+    """Row i holds the F_q-coefficients of the element with code codes[i]
+    in terms of g, read off the solver g kept; NotInSpan if there are none."""
+    tower = g.tower
+    return Mat(tower, decompose(g.solver, map(tower.fq_coords, codes)),
+               subdeg=1, check=False)
+
+
+def coords(w, g: IndependentTuple) -> Mat:
+    """Expansion of w with respect to the independent tuple g.
+
+    Row i holds the F_q-coefficients of w_i in terms of g; raises NotInSpan
+    when some entry falls outside span_{F_q}(g).
+    """
+    codes, tower = _as_codes(w)
+    if tower is not g.tower:
+        raise TowerMismatch("vector and tuple from different towers")
+    return coords_codes(codes, g)
 
 
 def expand(x, b: OrderedBasis) -> Mat:
     """eps_b: row i of the result is the F_q-coordinate row of x_i."""
-    codes, tower = _as_codes(x)
-    if tower is not b.tower:
-        raise TowerMismatch("vector and basis from different towers")
-    return expand_codes(codes, b)
+    return coords(x, b)
 
 
 def compress_codes(X: Mat, b: OrderedBasis) -> tuple[int, ...]:
@@ -75,34 +79,18 @@ def compress(X: Mat, b: OrderedBasis) -> tuple[FieldElement, ...]:
     return tuple(FieldElement(tower, c) for c in compress_codes(X, b))
 
 
-def coords(w, g: IndependentTuple) -> Mat:
-    """Expansion of w with respect to the independent tuple g.
-
-    Row i holds the F_q-coefficients of w_i in terms of g; raises NotInSpan
-    when some entry falls outside span_{F_q}(g).  Agrees with expand() when
-    g has full length m.
-    """
-    codes, tower = _as_codes(w)
-    if tower is not g.tower:
-        raise TowerMismatch("vector and tuple from different towers")
-    gmat = Mat(tower, [tower.fq_coords(c) for c in g.codes()], subdeg=1,
-               check=False)
-    targets = [tower.fq_coords(c) for c in codes]
-    return row_decompose(targets, gmat)
-
-
 def mult_matrix(alpha: FieldElement, b: OrderedBasis) -> Mat:
     """M_alpha with eps_b(alpha*x) = eps_b(x) M_alpha; invertible iff alpha != 0."""
     tower = b.tower
     if alpha.tower is not tower:
         raise TowerMismatch("scalar and basis from different towers")
-    return expand_codes([tower.mul(alpha.code, e.code) for e in b.elements], b)
+    return coords_codes([tower.mul(alpha.code, e.code) for e in b.elements], b)
 
 
 def frobenius_matrix(b: OrderedBasis) -> Mat:
     """Q with eps_b(x^q) = eps_b(x) Q; has multiplicative order m."""
     tower = b.tower
-    return expand_codes([tower.frob(e.code, tower.e) for e in b.elements], b)
+    return coords_codes([tower.frob(e.code, tower.e) for e in b.elements], b)
 
 
 def semilinear_matrix(b: OrderedBasis, r: int) -> Mat:
@@ -115,7 +103,7 @@ def semilinear_matrix(b: OrderedBasis, r: int) -> Mat:
     r %= tower.e
     if r == 0:
         return Mat.identity(tower, tower.m)
-    raised = expand_codes([tower.frob(e.code, r) for e in b.elements], b)
+    raised = coords_codes([tower.frob(e.code, r) for e in b.elements], b)
     return raised.frobenius(-r)
 
 
@@ -127,11 +115,8 @@ class KSubgroup:
     the remainder against a multiplication matrix.
     """
 
-    def __init__(self, basis: OrderedBasis, guard: int = 2**20):
+    def __init__(self, basis: OrderedBasis):
         tower = basis.tower
-        size = tower.m * tower.mult_order
-        if size > guard:
-            raise TooLarge(f"|K| = {size} exceeds guard {guard}")
         self.basis = basis
         self.tower = tower
         self._q_powers = [Mat.identity(tower, tower.m)]

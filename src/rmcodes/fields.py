@@ -19,7 +19,7 @@ Element text syntax (accepted everywhere, produced as the first two forms):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from . import elimination
@@ -467,9 +467,14 @@ class FieldElement:
 
 @dataclass(frozen=True)
 class IndependentTuple:
-    """l <= m elements of the top field, linearly independent over F_q."""
+    """l <= m elements of the top field, linearly independent over F_q.
+
+    solver is the span of [F_q-coordinates | I] whose rank proved the
+    independence; expansion.coords reads coefficients off it.
+    """
 
     elements: tuple[FieldElement, ...]
+    solver: elimination.Span = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         els = self.elements
@@ -482,7 +487,8 @@ class IndependentTuple:
         if isinstance(self, OrderedBasis) and len(els) != tower.m:
             raise BadParams(f"basis needs m={tower.m} elements, got {len(els)}")
         rows = [tower.fq_coords(x.code) for x in els]
-        if tower.fq_rank(rows) != len(els):
+        object.__setattr__(self, "solver", elimination.solver(tower, rows, tower.m))
+        if self.solver.rank != len(els):
             raise DependentVector("tuple entries dependent over F_q")
 
     @property

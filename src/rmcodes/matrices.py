@@ -228,9 +228,8 @@ def row_decompose(targets: Sequence[Sequence[int]], M: Mat) -> Mat:
     targets is a sequence of code rows of length M.ncols; the result C is
     len(targets) x M.nrows.
     """
-    return Mat(M.tower, elimination.decompose(M.tower, targets, M.rows, M.ncols,
-                                              M.subdeg),
-               M.subdeg, check=False)
+    s = elimination.solver(M.tower, M.rows, M.ncols, M.subdeg)
+    return Mat(M.tower, elimination.decompose(s, targets), M.subdeg, check=False)
 
 
 def format_matrix(M: Mat) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codes import MatrixCode, parse_shape
+from .codes import DEFAULT_GUARD, MatrixCode, parse_shape
 from .elimination import flatten, span
 from .errors import (
     AmbientMismatch,
@@ -126,7 +126,7 @@ def _lifted(mc: MatrixCode, pivots: Sequence[int],
     return mats, [Subspace(_interspersed(mc.tower, A, pivots, n)) for A in mats]
 
 
-def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = 2**20) -> SubspaceCode:
+def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = DEFAULT_GUARD) -> SubspaceCode:
     """Lift a matrix code to a subspace code with the chosen pivot columns.
 
     Codeword A maps to the row span of the l x (l+m) matrix whose pivot
@@ -179,7 +179,7 @@ class DistanceLawReport:
 
 
 def verify_distance_law(mc: MatrixCode, pivots: Sequence[int],
-                        guard: int = 2**20) -> DistanceLawReport:
+                        guard: int = DEFAULT_GUARD) -> DistanceLawReport:
     """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs."""
     mats, lifted = _lifted(mc, pivots, guard)
     all_match = True

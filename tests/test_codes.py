@@ -235,6 +235,15 @@ class TestExtensionLinearity:
         assert len(span) == 4
         assert not is_extension_linear(mc, b)
 
+    def test_full_f64_code_compresses(self, f64):
+        # the whole of F_64^5 (2^30 words): the test is one rank, no scan
+        b = power_basis(f64)
+        code = RankMetricCode(Mat.identity(f64, 5, subdeg=6))
+        mc = expand_code(code, b)
+        assert mc.size == 2**30
+        assert is_extension_linear(mc, b)
+        assert compress_code(mc, b) == code
+
 
 class TestCodeEquality:
     def test_same_span_different_generators(self, f16):

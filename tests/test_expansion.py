@@ -15,6 +15,7 @@ from rmcodes import (
     coords,
     expand,
     frobenius_matrix,
+    make_tower,
     mult_matrix,
     power_basis,
     rank,
@@ -220,6 +221,15 @@ class TestKSubgroup:
         K = KSubgroup(power_basis(f16))
         assert K.order() == 60
         assert len({M.rows for M in K.enumerate()}) == 60
+
+    def test_order_is_not_bounded(self):
+        # construction takes m - 1 products and enumerate() is lazy, so a
+        # group of 17 * (2^17 - 1) members is cheap to build and query
+        f = make_tower(2, 1, 17)
+        K = KSubgroup(power_basis(f))
+        assert K.order() == 17 * (2**17 - 1)
+        assert K.factor(K.M_gen @ K.Q) == (1, 1)
+        assert next(K.enumerate()).is_identity()
 
     def test_commutation_rule(self, f16):
         b = power_basis(f16)

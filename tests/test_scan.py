@@ -6,8 +6,8 @@ every map found with its count, and brute group keys and generators; and
 equivalence_maps must yield the class scan's sequence, map by map with its
 count.  The grid covers F_8, F_16, F_27 and F_16 over F_4 (e = 2, so
 mat-semilinear has gamma != 0), in linear and semilinear modes, with equal,
-equivalent and random (mostly inequivalent) pairs.  Further cases reach the
-list filter (solution spaces larger than the GL list), gamma != 0 with
+equivalent and random (mostly inequivalent) pairs.  Further cases cover
+solution spaces larger than the GL list (every map solves), gamma != 0 with
 sigma^-gamma(C2) != C2, the transpose flag and the F_16 worked example.
 """
 
@@ -210,8 +210,8 @@ def test_maps_onto_rejects_other_sizes(f16):
 
 @pytest.mark.parametrize("mode", ["mat-linear", "mat-semilinear"])
 def test_zero_code_takes_every_map(f4, mode):
-    """The solution space is every M, more than GL_m holds: the GL list is
-    filtered by membership instead of enumerating the space."""
+    """The solution space is every M, more than GL_m holds: enumerating it
+    still finds each invertible M exactly once."""
     c = MatrixCode(f4, 2, 2, [])
     found = _found(c, c, mode)
     assert found == oracle.class_witnesses(c, c, mode)
