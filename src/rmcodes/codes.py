@@ -151,9 +151,12 @@ class MatrixCode:
         return Mat(self.tower, [flat[i * m:(i + 1) * m] for i in range(self.l)],
                    subdeg=1, check=False, ncols=m)
 
+    def messages(self) -> Iterator[tuple[int, ...]]:
+        """Coordinate tuples (codes of F_q elements), in codewords() order."""
+        return itertools.product(self.tower.subfield_codes(1), repeat=self.dim)
+
     def codewords(self) -> Iterator[Mat]:
-        codes = self.tower.subfield_codes(1)
-        for msg in itertools.product(codes, repeat=self.dim):
+        for msg in self.messages():
             yield self._word(msg)
 
     def __eq__(self, other):
@@ -275,6 +278,8 @@ def _compressed_rows(mc: MatrixCode, b: OrderedBasis) -> list | None:
     the two agree exactly when the compressed set is a top-field subspace.
     """
     tower = mc.tower
+    if b.tower is not tower:  # compress_codes checks each matrix; mc may have none
+        raise TowerMismatch("code and basis from different towers")
     s = span(tower, mc.l, tower.m)
     rows = [v for v in (compress_codes(B, b) for B in mc.basis) if s.add(v)]
     return rows if tower.order**len(rows) == mc.size else None

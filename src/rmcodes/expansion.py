@@ -59,6 +59,8 @@ def expand(x, b: OrderedBasis) -> Mat:
 
 def compress_codes(X: Mat, b: OrderedBasis) -> tuple[int, ...]:
     tower = b.tower
+    if X.tower is not tower:
+        raise TowerMismatch("matrix and basis from different towers")
     if X.ncols != tower.m:
         raise BadParams(f"matrix has {X.ncols} columns, basis has {tower.m}")
     bcodes = [e.code for e in b.elements]

@@ -81,13 +81,21 @@ class SubspaceCode:
         return len(self.words)
 
     def min_distance(self) -> int | None:
+        """Least subspace distance over pairs of words; None below two words.
+
+        Pairwise, since a subspace code need not be linear.  The scan stops
+        at the first pair at distance 2: two distinct subspaces of one
+        dimension k have dim(U+V) >= k+1, so d_S = 2 dim(U+V) - 2k >= 2.
+        """
         words = sorted(self.words, key=lambda w: w.mat.rows)
         best = None
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                d = subspace_distance(words[i], words[j])
+        for i, u in enumerate(words):
+            for v in words[i + 1:]:
+                d = subspace_distance(u, v)
                 if best is None or d < best:
                     best = d
+                    if best == 2:
+                        return best
         return best
 
     def __eq__(self, other):
@@ -180,15 +188,24 @@ class DistanceLawReport:
 
 def verify_distance_law(mc: MatrixCode, pivots: Sequence[int],
                         guard: int = DEFAULT_GUARD) -> DistanceLawReport:
-    """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs."""
+    """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs.
+
+    The subspace side is pairwise: one subspace_distance per pair of lifts.
+    The rank side is per codeword: mc is F_q-linear, so A - B is the
+    codeword whose message is the difference of the two messages, and its
+    rank is looked up among the ranks taken once per codeword.
+    """
     mats, lifted = _lifted(mc, pivots, guard)
+    msgs = list(mc.messages())
+    weight = dict(zip(msgs, map(rank, mats)))
+    sub = mc.tower.sub
     all_match = True
     multiset = []
     dr_min = None
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            ds = subspace_distance(lifted[i], lifted[j])
-            dr = rank(mats[i] - mats[j])
+    for i, (u, mi) in enumerate(zip(lifted, msgs)):
+        for v, mj in zip(lifted[i + 1:], msgs[i + 1:]):
+            ds = subspace_distance(u, v)
+            dr = weight[tuple(map(sub, mi, mj))]
             if ds != 2 * dr:
                 all_match = False
             multiset.append(ds)

@@ -1,0 +1,150 @@
+"""verify_distance_law and SubspaceCode.min_distance against pairwise scans.
+
+verify_distance_law takes one rank per codeword and looks each pair up by
+its difference message; the oracle takes a rank per pair.  All five report
+fields must agree on criterion 5's 100 F_2 codes at both pivot sets, on
+F_3 codes in F_81, on F_4 codes in F_16 over F_4 (e = 2), on the zero code
+and on dimension 1.  A derandomized Hypothesis property checks that
+min_distance, which stops at the floor 2, equals the full pairwise minimum
+on random subspace codes, lifts or not, with None below two words.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import distance_law_oracle as oracle
+from rmcodes import (
+    BadParams,
+    Mat,
+    MatrixCode,
+    Subspace,
+    SubspaceCode,
+    make_tower,
+    subspace_distance,
+    verify_distance_law,
+)
+from rmcodes.elimination import flatten, span
+
+
+def _random_code(tower, l, m, dim, rnd):
+    """dim independent l x m matrices with entries drawn from F_q."""
+    base = tower.subfield_codes(1)
+    s = span(tower, l * m)
+    mats = []
+    while len(mats) < dim:
+        A = Mat(tower, [[rnd.choice(base) for _ in range(m)] for _ in range(l)],
+                subdeg=1, check=False)
+        if s.add(flatten(A.rows)):
+            mats.append(A)
+    return MatrixCode(tower, l, m, mats)
+
+
+def _criterion_5_cases(f16):
+    """The 100 codes and pivot pairs of acceptance criterion 5, same draws."""
+    rnd = random.Random(0)
+    for _ in range(100):
+        l = rnd.choice((2, 3))
+        m = rnd.choice((3, 4))
+        dim = rnd.randrange(1, 7)
+        s = span(f16, l * m)
+        mats = []
+        while len(mats) < dim:
+            A = Mat(f16, [[rnd.randrange(2) for _ in range(m)]
+                          for _ in range(l)], subdeg=1, check=False)
+            if s.add(flatten(A.rows)):
+                mats.append(A)
+        piv1 = tuple(range(1, l + 1))
+        piv2 = tuple(sorted(rnd.sample(range(1, l + m + 1), l)))
+        while piv2 == piv1:
+            piv2 = tuple(sorted(rnd.sample(range(1, l + m + 1), l)))
+        yield MatrixCode(f16, l, m, mats), piv1, piv2
+
+
+def _assert_same(mc, pivots):
+    got = verify_distance_law(mc, pivots)
+    assert got == oracle.verify_distance_law(mc, pivots)
+    return got
+
+
+def test_criterion_5_codes_match_oracle(f16):
+    for mc, piv1, piv2 in _criterion_5_cases(f16):
+        assert _assert_same(mc, piv1).all_match
+        assert _assert_same(mc, piv2).all_match
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_f3_codes_match_oracle(f81, dim):
+    rnd = random.Random(30 + dim)
+    for l, m in itertools.product((2, 3), (3, 4)):
+        mc = _random_code(f81, l, m, dim, rnd)
+        pivots = tuple(sorted(rnd.sample(range(1, l + m + 1), l)))
+        assert _assert_same(mc, pivots).all_match
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_e2_tower_codes_match_oracle(f16_q4, dim):
+    assert f16_q4.q == 4
+    rnd = random.Random(40 + dim)
+    for l, m in ((2, 2), (2, 3)):
+        mc = _random_code(f16_q4, l, m, dim, rnd)
+        pivots = tuple(sorted(rnd.sample(range(1, l + m + 1), l)))
+        assert _assert_same(mc, pivots).all_match
+
+
+def test_zero_and_one_dimensional_codes_match_oracle(f16, f81):
+    zero = _assert_same(MatrixCode(f16, 2, 3, []), (1, 2))
+    assert (zero.pairs_checked, zero.ds_min, zero.dr_min) == (0, None, None)
+    rnd = random.Random(50)
+    for tower in (f16, f81):
+        line = _assert_same(_random_code(tower, 2, 3, 1, rnd), (2, 4))
+        assert line.pairs_checked == tower.q * (tower.q - 1) // 2
+
+
+TOWERS = [make_tower(2, 1, 2), make_tower(3, 1, 2), make_tower(2, 2, 2)]
+
+
+def _pairwise_min(sc):
+    ds = [subspace_distance(u, v) for u, v in itertools.combinations(sc.words, 2)]
+    return min(ds, default=None)
+
+
+@st.composite
+def subspace_codes(draw):
+    """Words of one dimension k in F_q^n, each the row space of [I_k | X]
+    with its columns permuted, so that pivots differ between words and most
+    codes are not lifts; up to 6 words, so 0 and 1 occur."""
+    t = draw(st.sampled_from(TOWERS))
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    entry = st.sampled_from(t.subfield_codes(1))
+    words = []
+    for _ in range(draw(st.integers(0, 6))):
+        free = draw(st.lists(st.lists(entry, min_size=n - k, max_size=n - k),
+                             min_size=k, max_size=k))
+        rows = [[int(i == j) for j in range(k)] + free[i] for i in range(k)]
+        perm = draw(st.permutations(range(n)))
+        words.append(Subspace(Mat(t, [[r[c] for c in perm] for r in rows],
+                                  subdeg=1, ncols=n, check=False)))
+    return SubspaceCode(t, n, words)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(subspace_codes())
+def test_min_distance_equals_pairwise_minimum(sc):
+    got = sc.min_distance()
+    assert got == _pairwise_min(sc)
+    assert (got is None) == (sc.size < 2)
+
+
+def test_min_distance_of_empty_and_single_word_codes(f4):
+    assert SubspaceCode(f4, 2, []).min_distance() is None
+    assert SubspaceCode(f4, 2, [Subspace(Mat(f4, [[1, 1]]))]).min_distance() is None
+
+
+def test_words_of_two_dimensions_are_refused(f4):
+    with pytest.raises(BadParams):
+        SubspaceCode(f4, 2, [Subspace(Mat(f4, [[1, 1]])), Subspace(Mat(f4, [[1, 0], [0, 1]]))])

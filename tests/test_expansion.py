@@ -9,9 +9,15 @@ from rmcodes import (
     IndependentTuple,
     KSubgroup,
     Mat,
+    MatrixCode,
     NotInSpan,
     OrderedBasis,
+    TowerMismatch,
     compress,
+    compress_code,
+    expand_code,
+    gabidulin,
+    is_extension_linear,
     coords,
     expand,
     frobenius_matrix,
@@ -80,6 +86,21 @@ class TestExpandCompress:
             y = tuple(FieldElement(f16, rnd.randrange(16)) for _ in range(2))
             sx = tuple(a + b_ for a, b_ in zip(x, y))
             assert expand(sx, b) == expand(x, b) + expand(y, b)
+
+
+    def test_compress_refuses_a_basis_of_another_tower(self, f16):
+        # f16 and g16 share p, e, m and element codes, but not arithmetic
+        g16 = make_tower(2, 1, 4, [1, 0, 0, 1, 1])
+        mc = expand_code(gabidulin(1, (f16.one, f16.generator**5)), power_basis(f16))
+        other = power_basis(g16)
+        with pytest.raises(TowerMismatch):
+            compress(mc.basis[0], other)
+        with pytest.raises(TowerMismatch):
+            compress_code(mc, other)
+        with pytest.raises(TowerMismatch):
+            is_extension_linear(mc, other)
+        with pytest.raises(TowerMismatch):
+            is_extension_linear(MatrixCode(f16, 2, 4, []), other)
 
 
 class TestCoords:
