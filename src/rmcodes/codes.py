@@ -278,8 +278,11 @@ def _compressed_rows(mc: MatrixCode, b: OrderedBasis) -> list | None:
     the two agree exactly when the compressed set is a top-field subspace.
     """
     tower = mc.tower
-    if b.tower is not tower:  # compress_codes checks each matrix; mc may have none
+    # compress_codes checks each matrix, but mc may have none
+    if b.tower is not tower:
         raise TowerMismatch("code and basis from different towers")
+    if mc.m != tower.m:
+        raise BadParams(f"matrix has {mc.m} columns, basis has {tower.m}")
     s = span(tower, mc.l, tower.m)
     rows = [v for v in (compress_codes(B, b) for B in mc.basis) if s.add(v)]
     return rows if tower.order**len(rows) == mc.size else None

@@ -7,7 +7,8 @@ int per row, column 0 in the most significant bit, and combined with XOR;
 entries in another prime field (e = 1, subdeg = 1) are plain ints mod p, a
 base-field code being its own value; every other field (e > 1, or entries
 in a larger subfield) keeps lists of codes and combines them with
-FieldTower.add_scaled, which runs on the log/exp tables bound to locals.
+FieldTower.add_scaled, which runs on the log/exp tables bound to locals
+(and, for odd p, the Zech logarithm table that turns each sum into a lookup).
 
 Each representation keeps a reduced echelon basis that grows one row at a
 time (a :class:`Span`), and echelon form, rank, inverse, row decomposition,

@@ -6,8 +6,10 @@ x -> x^(q^d), or equivalently as {0} plus the cyclic group generated by an
 appropriate power of the primitive generator.  Elements are stored as integer
 codes: the base-p digits of the code are the polynomial coefficients in
 ascending degree.  Multiplication runs on discrete-log tables built at
-construction time, so a tower is cheap to use but pays an O(field size)
-set-up cost; this library deliberately targets desk-scale fields only.
+construction time; addition is XOR for p = 2 and, for odd p, a lookup in the
+Zech logarithm table log(1 + g^k) built beside them (a + b = a (1 + b/a)).
+So a tower is cheap to use but pays an O(field size) set-up cost; this
+library deliberately targets desk-scale fields only.
 
 Element text syntax (accepted everywhere, produced as the first two forms):
 
@@ -34,8 +36,6 @@ from .errors import (
     TooLarge,
     TowerMismatch,
 )
-
-_ADD_TABLE_LIMIT = 2048  # full addition table only for small odd-p fields
 
 
 def _is_prime(n: int) -> bool:
@@ -151,7 +151,8 @@ def _root_is_primitive(f: Sequence[int], p: int) -> bool:
 
 class FieldTower:
     """The chain F_p <= F_q = F_{p^e} <= F_{q^m}, with log tables on the
-    generator t, the root of a primitive modulus.
+    generator t, the root of a primitive modulus, and for odd p a Zech table
+    zech[k] = log(1 + t^k) (-1 at k = |F*|/2, where 1 + t^k = 0).
 
     Do not instantiate directly; use :func:`make_tower`.
     """
@@ -199,13 +200,8 @@ class FieldTower:
             v = self._code_times_t(v)
         self._exp = exp
         self._log = log
-        if p != 2 and self.order <= _ADD_TABLE_LIMIT:
-            self._addtab = [
-                [self._add_slow(a, b) for b in range(self.order)]
-                for a in range(self.order)
-            ]
-        else:
-            self._addtab = None
+        # adding 1 changes only the constant digit; log[0] = -1 marks 1 + t^k = 0
+        self._zech = [log[c - c % p + (c + 1) % p] for c in exp] if p != 2 else None
 
     def _digits(self, code: int) -> list[int]:
         p = self.p
@@ -223,23 +219,14 @@ class FieldTower:
 
     # -- code-level arithmetic (hot path) -----------------------------------
 
-    def _add_slow(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mul = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mul
-            mul *= p
-        return out
-
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._addtab is not None:
-            return self._addtab[a][b]
-        return self._add_slow(a, b)
+        if not a or not b:
+            return a or b
+        log, n = self._log, self.mult_order
+        z = self._zech[(log[b] - log[a]) % n]  # a + b = a * (1 + b/a)
+        return 0 if z < 0 else self._exp[(log[a] + z) % n]
 
     def neg(self, a: int) -> int:
         return self.mul(a, self.p - 1)  # -1 lies in F_p, with code p - 1
@@ -265,7 +252,7 @@ class FieldTower:
                    rows: Sequence[Sequence[int]]) -> list[int]:
         """v + sum of coeffs[i] * rows[i], for rows of codes: the row operation
         behind every linear combination over a tower field."""
-        exp, log, n, tab = self._exp, self._log, self.mult_order, self._addtab
+        exp, log, n, zech = self._exp, self._log, self.mult_order, self._zech
         for c, b in zip(coeffs, rows):
             if not c:
                 continue
@@ -273,10 +260,11 @@ class FieldTower:
             # the sum is spelled out per case: a call per entry would dominate
             if self.p == 2:
                 v = [x ^ exp[(lc + log[y]) % n] if y else x for x, y in zip(v, b)]
-            elif tab is not None:
-                v = [tab[x][exp[(lc + log[y]) % n]] if y else x for x, y in zip(v, b)]
-            else:
-                v = [self.add(x, exp[(lc + log[y]) % n]) if y else x
+            else:  # x + c*y = x * (1 + c*y/x), as in add
+                v = [x if not y else
+                     exp[(lc + log[y]) % n] if not x else
+                     0 if (z := zech[(lc + log[y] - log[x]) % n]) < 0 else
+                     exp[(log[x] + z) % n]
                      for x, y in zip(v, b)]
         return v
 

@@ -27,12 +27,15 @@ from .matrices import Mat, format_matrix, parse_matrix, rank
 
 
 class Subspace:
-    """A subspace of F_q^n, stored by its RREF basis matrix."""
+    """A subspace of F_q^n, stored by its RREF basis matrix (subdeg 1)."""
 
     __slots__ = ("tower", "n", "mat", "pivots", "_span")
 
     def __init__(self, mat: Mat):
-        s = span(mat.tower, mat.ncols, mat.subdeg, mat.rows)
+        if mat.subdeg != 1:
+            raise BadParams(f"subspace of F_q^n needs a matrix over F_q, "
+                            f"got subdeg {mat.subdeg}")
+        s = span(mat.tower, mat.ncols, 1, mat.rows)
         self.tower = mat.tower
         self.n = mat.ncols
         self.mat = Mat(mat.tower, s.rows(), subdeg=1, ncols=mat.ncols, check=False)

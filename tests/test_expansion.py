@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rmcodes import (
+    BadParams,
     IndependentTuple,
     KSubgroup,
     Mat,
@@ -101,6 +102,18 @@ class TestExpandCompress:
             is_extension_linear(mc, other)
         with pytest.raises(TowerMismatch):
             is_extension_linear(MatrixCode(f16, 2, 4, []), other)
+
+    def test_compress_refuses_a_width_other_than_m(self, f16):
+        # the empty code is checked as the code with a basis matrix is
+        b = power_basis(f16)
+        one = Mat(f16, [[1, 0, 0], [0, 0, 0]])
+        with pytest.raises(BadParams):
+            is_extension_linear(MatrixCode(f16, 2, 3, [one]), b)
+        for mc in (MatrixCode(f16, 2, 3, []), MatrixCode(f16, 2, 5, [])):
+            with pytest.raises(BadParams):
+                is_extension_linear(mc, b)
+            with pytest.raises(BadParams):
+                compress_code(mc, b)
 
 
 class TestCoords:

@@ -6,6 +6,7 @@ import pytest
 
 from rmcodes import (
     AmbientMismatch,
+    BadParams,
     BadPivots,
     Mat,
     MatrixCode,
@@ -48,6 +49,14 @@ class TestSubspaceDistance:
         V = Subspace(Mat(f4, [[1, 0, 0]]))
         with pytest.raises(AmbientMismatch):
             subspace_distance(U, V)
+
+    def test_top_field_matrix_rejected(self, f16):
+        # a matrix over a larger subfield spans no subspace of F_q^n
+        g = f16.generator.code
+        with pytest.raises(BadParams):
+            Subspace(Mat(f16, [[g, 1]], subdeg=4))
+        with pytest.raises(BadParams):
+            Subspace(Mat(f16, [[1, 0]], subdeg=2))
 
     def test_metric_axioms_sampled(self, f4):
         rnd = random.Random(0)
