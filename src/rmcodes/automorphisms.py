@@ -108,51 +108,48 @@ class AutGroup:
         return self.kind == other.kind and self.keys == other.keys
 
     def is_closed(self) -> bool:
-        """Exhaustive closure check under composition.
-
-        For a finite nonempty set of invertible maps that is the whole group
-        test: the inverse of f is a power of f, so it lies in the set too.
-        """
-        for f1 in self.elements:
-            for f2 in self.elements:
-                if f1.compose(f2).key not in self.keys:
-                    return False
-        return True
+        """True when the coset closure of the elements stays inside them: a
+        finite set of invertible maps closed under composition is a group,
+        since the inverse of f is a power of f."""
+        return _greedy_generators(self.elements) is not None
 
     def __repr__(self):
         return (f"AutGroup(kind={self.kind!r}, order={self.order}, "
                 f"d={self.d}, complete={self.complete})")
 
 
-def _greedy_generators(elements: Sequence) -> tuple:
-    """A small generating set, grown greedily from the identity."""
-    if len(elements) > 4096:
-        return tuple(elements)
+def _greedy_generators(elements: Sequence) -> tuple | None:
+    """The generators of the group on elements: in key order, each element
+    outside the subgroup H generated by those before it.
+
+    A new generator grows H by whole right cosets H r (Dimino's closure;
+    Butler 1991): each product r s of a representative and a generator that
+    falls outside the cosets so far is a new representative, so each element
+    is composed once.  None when a product falls outside elements or they
+    hold no identity.
+    """
+    keys = {f.key for f in elements}
+    closure = {f.key: f for f in elements if f.is_identity()}  # H
+    if not closure:
+        return None
     gens: list = []
-    closure = {f.key: f for f in elements if f.is_identity()}
-    for f in sorted(elements, key=lambda x: x.key):
-        if f.key in closure:
+    for g in sorted(elements, key=lambda x: x.key):
+        if g.key in closure:
             continue
-        gens.append(f)
-        frontier = list(closure.values())
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    h = a.compose(g)
-                    if h.key not in closure:
-                        closure[h.key] = h
-                        nxt.append(h)
-            frontier = nxt
-        if len(closure) == len(elements):
-            break
+        gens.append(g)
+        identity, *rest = closure.values()  # h = identity gives r itself
+        reps = [identity]
+        for r in reps:  # grows while it is walked; H s = H for the old s
+            for s in gens[-1:] if r is identity else gens:
+                rs = r.compose(s)
+                if rs.key in closure:
+                    continue
+                coset = [rs] + [h.compose(rs) for h in rest]
+                if any(f.key not in keys for f in coset):
+                    return None
+                reps.append(rs)
+                closure.update((f.key, f) for f in coset)
     return tuple(gens)
-
-
-def _alpha_reps(tower: FieldTower) -> list[int]:
-    """Coset representatives of F_{q^m}^* modulo F_q^*: g^0 .. g^(n'-1)."""
-    n_reps = tower.mult_order // (tower.q - 1)
-    return [tower._exp[i] for i in range(n_reps)]
 
 
 def rm_aut_group(c: GabidulinCode) -> AutGroup:
@@ -168,7 +165,8 @@ def rm_aut_group(c: GabidulinCode) -> AutGroup:
         return rm_aut_brute(c)
     sd = stabilizer_degree(c.g)
     betas = [x for x in tower.subfield(sd.d) if x.code]
-    reps = _alpha_reps(tower)
+    # g^0 .. g^(n-1) represent the n cosets of F_q^* in F_{q^m}^*
+    reps = tower._exp[:tower.mult_order // (tower.q - 1)]
     elements = []
     for beta in betas:
         Mb = m_beta(c.g, beta)
@@ -187,10 +185,10 @@ def rm_aut_group(c: GabidulinCode) -> AutGroup:
 
 def _brute_group(kind: str, code, semilinear: bool, guard: int,
                  m: int | None = None) -> AutGroup:
-    """The stabilizer of code: its equivalence_maps onto itself, by key.
-
-    The guard bounds the group order, and so the GL lists read and the maps
-    built, and the code size."""
+    """The stabilizer of code (its equivalence_maps onto itself, by key)
+    with greedy generators.  The guard bounds the group order, and so the GL
+    lists read, the maps built and the compositions (about one per element),
+    and the code size."""
     mode = f"{kind}-{'semilinear' if semilinear else 'linear'}"
     order = group_order(code.tower, code.l, mode, m=m)
     if order > guard:
@@ -231,7 +229,7 @@ def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis) -> AutGroup:
 
 
 def mat_aut_brute(mc: MatrixCode, semilinear: bool = False,
-                  guard: int = 2**22) -> AutGroup:
+                  guard: int = DEFAULT_GUARD) -> AutGroup:
     """Exact stabilizer of a matrix code inside the matrix-equivalence group:
     per (gamma, T?, L), the M with (L C^T? M)^(p^gamma) = C from one
     F_q-kernel."""

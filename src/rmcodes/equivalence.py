@@ -228,24 +228,21 @@ class MatMap(_Map):
             raise ShapeMismatch(
                 f"matrix shape {A.shape()} does not match map ({self.l}, {self.m})")
         image = self.L @ (A.transpose() if self.transpose else A) @ self.M
-        return image.frobenius(self.gamma) if self.gamma else image
+        return image.frobenius(self.gamma)
 
     def _compose(self, other: "MatMap") -> "MatMap":
         """Transpose flags compose by XOR."""
-        r = self.gamma
-        L2, M2 = other.L.frobenius(-r), other.M.frobenius(-r)
-        if not other.transpose:
-            return MatMap(self.transpose, L2 @ self.L, self.M @ M2, r + other.gamma)
-        return MatMap(not self.transpose, L2 @ self.M.transpose(),
-                      self.L.transpose() @ M2, r + other.gamma)
+        r, L1, M1 = self.gamma, self.L, self.M
+        if other.transpose:  # (L1 A M1)^T = M1^T A^T L1^T
+            L1, M1 = M1.transpose(), L1.transpose()
+        return MatMap(self.transpose != other.transpose, other.L.frobenius(-r) @ L1,
+                      M1 @ other.M.frobenius(-r), r + other.gamma)
 
     def inverse(self) -> "MatMap":
-        r = self.gamma
-        Li, Mi = inverse(self.L), inverse(self.M)
-        if not self.transpose:
-            return MatMap(False, Li.frobenius(r), Mi.frobenius(r), -r)
-        return MatMap(True, Mi.transpose().frobenius(r),
-                      Li.transpose().frobenius(r), -r)
+        r, Li, Mi = self.gamma, inverse(self.L), inverse(self.M)
+        if self.transpose:  # L A^T M = B gives A = M^-T B^T L^-T
+            Li, Mi = Mi.transpose(), Li.transpose()
+        return MatMap(self.transpose, Li.frobenius(r), Mi.frobenius(r), -r)
 
 
 def mat_map(L: Mat, M: Mat, transpose: bool = False, gamma: int = 0) -> MatMap:
@@ -486,7 +483,7 @@ def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
                     yield f, pos + 2 - (pos > identity)
 
 
-def are_equivalent(c1, c2, mode: str, guard: int = 2**22) -> EquivResult:
+def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult:
     """Equivalence over the whole group, with the first canonical witness.
 
     Pre-filters on size and minimum distance (both are preserved by every

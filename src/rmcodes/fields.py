@@ -173,31 +173,31 @@ class FieldTower:
 
     # -- construction ------------------------------------------------------
 
-    def _code_times_t(self, code: int) -> int:
-        p, deg = self.p, self.degree
-        if p == 2:
-            code <<= 1
-            if code >> deg & 1:
-                code ^= self._modcode
-            return code
-        digits = self._digits(code)
-        top = digits[-1]
-        digits = [0] + digits[:-1]
-        if top:
-            digits = [(d - top * mi) % p for d, mi in zip(digits, self.modulus)]
-        return self._encode(digits)
-
     def _build_tables(self):
-        p = self.p
-        self._modcode = sum(c * p**i for i, c in enumerate(self.modulus))
-        n = self.mult_order
+        p, deg, n = self.p, self.degree, self.mult_order
         exp = [0] * max(n, 1)
+        v = 1  # walk the powers of t: shift up one digit, reduce by the modulus
+        if p == 2:
+            modcode = sum(c << i for i, c in enumerate(self.modulus))
+            for i in range(n):
+                exp[i] = v
+                v <<= 1
+                if v >> deg:
+                    v ^= modcode
+        else:
+            top_unit = p ** (deg - 1)
+            low = [(p**i, c) for i, c in enumerate(self.modulus[:-1]) if c]
+            for i in range(n):
+                exp[i] = v
+                top, v = divmod(v, top_unit)
+                v *= p
+                if top:  # digit d at each nonzero c_i becomes d - top * c_i
+                    for unit, c in low:
+                        d = v // unit % p
+                        v += ((d - top * c) % p - d) * unit
         log = [-1] * self.order
-        v = 1  # walk the powers of t by shift-and-reduce
-        for i in range(n):
-            exp[i] = v
+        for i, v in enumerate(exp):
             log[v] = i
-            v = self._code_times_t(v)
         self._exp = exp
         self._log = log
         # adding 1 changes only the constant digit; log[0] = -1 marks 1 + t^k = 0
@@ -577,8 +577,9 @@ def make_tower(p: int, e: int, m: int,
     generator.
 
     Towers are interned: equal parameters return the identical instance, so
-    elements parsed from files interoperate with programmatic ones.  Top
-    fields of more than 2^20 elements raise TooLarge before any table.
+    elements parsed from files interoperate with programmatic ones, and a
+    request seen before skips the modulus search and checks.  Top fields of
+    more than 2^20 elements raise TooLarge before any table.
     """
     if e < 1 or m < 1:
         raise BadParams("e and m must be positive")
@@ -588,10 +589,13 @@ def make_tower(p: int, e: int, m: int,
         raise TooLarge(f"|F| = {p}^{degree} exceeds the tower guard {_TOWER_GUARD}")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if modulus is None:
+    mod = None if modulus is None else tuple(c % p for c in modulus)
+    request = (p, e, m, mod)
+    if request in _tower_cache:  # only requests that passed the checks below
+        return _tower_cache[request]
+    if mod is None:
         mod = _default_modulus(p, degree)
     else:
-        mod = tuple(c % p for c in modulus)
         if len(mod) != degree + 1:
             raise BadParams(f"modulus must have degree {degree} (length {degree + 1})")
         if mod[-1] != 1:
@@ -602,11 +606,10 @@ def make_tower(p: int, e: int, m: int,
             raise NotPrimitiveModulus(
                 "modulus is irreducible but its root is not primitive")
     key = (p, e, m, mod)
-    tower = _tower_cache.get(key)
-    if tower is None:
-        tower = FieldTower(p, e, m, mod)
-        _tower_cache[key] = tower
-    return tower
+    if key not in _tower_cache:
+        _tower_cache[key] = FieldTower(p, e, m, mod)
+    _tower_cache[request] = _tower_cache[key]
+    return _tower_cache[key]
 
 
 _FIELD_SPEC_RE = re.compile(

@@ -97,6 +97,8 @@ class Mat:
 
     def frobenius(self, r: int) -> "Mat":
         """Entrywise sigma_p^r; subfields are Frobenius-stable."""
+        if r % self.tower.degree == 0:
+            return self  # a Mat is immutable
         frob = self.tower.frob
         return Mat(self.tower, [[frob(x, r) for x in row] for row in self.rows],
                    self.subdeg, check=False)

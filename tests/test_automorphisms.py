@@ -1,6 +1,7 @@
 """Automorphism groups: stabilizer degree, analytic form, brute oracles."""
 
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -26,7 +27,25 @@ from rmcodes import (
     rm_aut_group,
     stabilizer_degree,
 )
+from rmcodes.automorphisms import _greedy_generators
+from rmcodes.equivalence import _Map
 from rmcodes.fields import FieldElement, make_tower
+
+
+def bfs_closure(identity, generators):
+    """Keys of the subgroup generated, breadth first from the identity."""
+    seen = {identity.key}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for gmap in generators:
+                h = a.compose(gmap)
+                if h.key not in seen:
+                    seen.add(h.key)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
 
 
 def random_gab_vector(tower, l, rnd):
@@ -147,18 +166,7 @@ class TestRmAutGroup:
     def test_generators_generate(self, f16):
         code = gabidulin(1, (f16.one, f16.generator**5))
         group = rm_aut_group(code)
-        seen = {RmMap.identity(f16, 2).key}
-        frontier = [RmMap.identity(f16, 2)]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gmap in group.generators:
-                    h = a.compose(gmap)
-                    if h.key not in seen:
-                        seen.add(h.key)
-                        nxt.append(h)
-            frontier = nxt
-        assert seen == group.keys
+        assert bfs_closure(RmMap.identity(f16, 2), group.generators) == group.keys
 
 
 class TestRmAutBrute:
@@ -252,3 +260,39 @@ class TestMatAutBrute:
         sub = mat_aut_subgroup(code, b)
         assert sub.order == 45
         assert sub.keys <= group.keys
+
+
+class TestGroupClosure:
+    @pytest.fixture(scope="class")
+    def f16_full(self, f16):
+        """The 1080-element matrix stabilizer of the expanded worked example."""
+        code = gabidulin(1, (f16.one, f16.generator**5))
+        return mat_aut_brute(expand_code(code, power_basis(f16)))
+
+    def test_full_space_gets_greedy_generators(self):
+        f32 = make_tower(2, 1, 5)
+        group = rm_aut_brute(RankMetricCode(Mat.identity(f32, 3, subdeg=5)))
+        assert group.order == 5208
+        assert len(group.generators) <= 10
+        identity = RmMap.identity(f32, 3)
+        assert bfs_closure(identity, group.generators) == group.keys
+        for i, gmap in enumerate(group.generators):
+            below = bfs_closure(identity, group.generators[:i])
+            assert gmap.key == min(group.keys - below)
+
+    def test_is_closed(self, f16_full):
+        els = f16_full.elements
+        assert f16_full.is_closed()
+        k = next(i for i, f in enumerate(els) if f.is_identity())
+        for i in (k, (k + 1) % len(els)):
+            assert not replace(f16_full, elements=els[:i] + els[i + 1:]).is_closed()
+
+    def test_each_element_composed_about_once(self, f16_full, monkeypatch):
+        calls = []
+        compose = _Map.compose
+        monkeypatch.setattr(_Map, "compose", lambda a, b: calls.append(1) or compose(a, b))
+        assert _greedy_generators(f16_full.elements) == f16_full.generators
+        assert len(calls) <= 2 * f16_full.order
+        calls.clear()
+        assert f16_full.is_closed()
+        assert len(calls) <= 2 * f16_full.order

@@ -83,6 +83,35 @@ class TestMakeTower:
     def test_interning(self):
         assert make_tower(2, 1, 4) is make_tower(2, 1, 4)
 
+    def test_request_checked_once(self, monkeypatch):
+        from rmcodes import fields
+        f81 = make_tower(3, 1, 4)
+        f16 = make_tower(2, 1, 4, iter([1, 1, 0, 0, 1]))
+
+        def no_checks(*args):
+            raise AssertionError("a request seen before is looked up, not checked")
+
+        for name in ("_default_modulus", "_is_irreducible", "_root_is_primitive"):
+            monkeypatch.setattr(fields, name, no_checks)
+        assert make_tower(3, 1, 4) is f81
+        assert make_tower(2, 1, 4, iter([1, 1, 0, 0, 1])) is f16
+
+    def test_bad_modulus_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ReducibleModulus):
+                make_tower(2, 1, 4, [1, 0, 0, 0, 1])
+            with pytest.raises(NotPrimitiveModulus):
+                make_tower(2, 1, 4, [1, 1, 1, 1, 1])
+
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 4), (2, 2, 3), (3, 1, 4), (3, 2, 3),
+                                       (7, 1, 1), (11, 1, 3)])
+    def test_exp_table_holds_the_powers_of_t(self, p, e, m):
+        from rmcodes.fields import _poly_powmod
+        tower = make_tower(p, e, m)
+        for i in range(tower.mult_order):
+            coeffs = _poly_powmod([0, 1], i, tower.modulus, p)
+            assert tower._exp[i] == sum(c * p**j for j, c in enumerate(coeffs))
+
     @pytest.mark.parametrize("p,e,m", [(2, 1, 21), (2, 1, 30), (3, 2, 7),
                                        (1048583, 1, 1), (2, 1, 10**9)])
     def test_size_guard_before_any_table(self, monkeypatch, p, e, m):
