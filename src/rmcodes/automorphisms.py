@@ -14,9 +14,8 @@ matrix stabilizer.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import gcd
-from typing import Sequence
 
 from .codes import DEFAULT_GUARD, GabidulinCode, MatrixCode, RankMetricCode, expand_code
 from .errors import BadParams, NotInSpan, TooLarge
@@ -81,17 +80,26 @@ def m_beta(g: IndependentTuple, beta: FieldElement) -> Mat:
 class AutGroup:
     """A finite group of equivalence maps fixing one code setwise.
 
-    elements is the full enumeration in canonical coset form, sorted by
-    key; complete=False marks groups that are only known to be a subgroup
-    of the full stabilizer.
+    elements: every member in canonical coset form, sorted here by key.
+    generators: the gens handed in, else picked greedily on first read.
+    complete=False: known only to be a subgroup of the full stabilizer.
     """
 
     kind: str                      # "rm" or "mat"
     tower: FieldTower
-    generators: tuple
     elements: tuple
     d: int | None = None
     complete: bool = True
+    gens: InitVar[tuple | None] = None
+
+    def __post_init__(self, gens):
+        vars(self)["elements"] = tuple(sorted(self.elements, key=lambda f: f.key))
+        if gens is not None:
+            vars(self)["generators"] = gens  # shadows the cached property
+
+    @functools.cached_property
+    def generators(self) -> tuple | None:
+        return _greedy_generators(self)
 
     @property
     def order(self) -> int:
@@ -111,29 +119,26 @@ class AutGroup:
         """True when the coset closure of the elements stays inside them: a
         finite set of invertible maps closed under composition is a group,
         since the inverse of f is a power of f."""
-        return _greedy_generators(self.elements) is not None
+        return _greedy_generators(self) is not None
 
     def __repr__(self):
         return (f"AutGroup(kind={self.kind!r}, order={self.order}, "
                 f"d={self.d}, complete={self.complete})")
 
 
-def _greedy_generators(elements: Sequence) -> tuple | None:
-    """The generators of the group on elements: in key order, each element
-    outside the subgroup H generated by those before it.
-
-    A new generator grows H by whole right cosets H r (Dimino's closure;
-    Butler 1991): each product r s of a representative and a generator that
-    falls outside the cosets so far is a new representative, so each element
-    is composed once.  None when a product falls outside elements or they
-    hold no identity.
+def _greedy_generators(group: AutGroup) -> tuple | None:
+    """The generators of group: in key order, each element outside the
+    subgroup H generated by those before it; None when a product leaves the
+    elements or they hold no identity.  H grows by whole right cosets H r
+    (Dimino's closure; Butler 1991): each product r s of a representative
+    and a generator that falls outside the cosets so far is a new
+    representative, so each element is composed once.
     """
-    keys = {f.key for f in elements}
-    closure = {f.key: f for f in elements if f.is_identity()}  # H
+    closure = {f.key: f for f in group.elements if f.is_identity()}  # H
     if not closure:
         return None
     gens: list = []
-    for g in sorted(elements, key=lambda x: x.key):
+    for g in group.elements:
         if g.key in closure:
             continue
         gens.append(g)
@@ -145,7 +150,7 @@ def _greedy_generators(elements: Sequence) -> tuple | None:
                 if rs.key in closure:
                     continue
                 coset = [rs] + [h.compose(rs) for h in rest]
-                if any(f.key not in keys for f in coset):
+                if any(f.key not in group.keys for f in coset):
                     return None
                 reps.append(rs)
                 closure.update((f.key, f) for f in coset)
@@ -177,28 +182,23 @@ def rm_aut_group(c: GabidulinCode) -> AutGroup:
     expected = (tower.mult_order * (tower.q**sd.d - 1)) // (tower.q - 1)
     if len({f.key for f in elements}) != expected:
         raise BadParams("canonical coset collapse went wrong")
-    elements.sort(key=lambda f: f.key)
     gens = (RmMap(tower.generator.code, Mat.identity(tower, c.l)),
             RmMap(1, m_beta(c.g, sd.witness_beta)))
-    return AutGroup("rm", tower, gens, tuple(elements), d=sd.d)
+    return AutGroup("rm", tower, elements, d=sd.d, gens=gens)
 
 
 def _brute_group(kind: str, code, semilinear: bool, guard: int,
                  m: int | None = None) -> AutGroup:
-    """The stabilizer of code (its equivalence_maps onto itself, by key)
-    with greedy generators.  The guard bounds the group order, and so the GL
-    lists read, the maps built and the compositions (about one per element),
-    and the code size."""
+    """The stabilizer of code: its equivalence_maps onto itself, generators
+    left to their first read.  The guard bounds the group order (and so the
+    GL lists read, the maps built and that read's compositions) and |code|."""
     mode = f"{kind}-{'semilinear' if semilinear else 'linear'}"
     order = group_order(code.tower, code.l, mode, m=m)
     if order > guard:
         raise TooLarge(f"group order {order} exceeds guard {guard}")
     if code.size > guard:
         raise TooLarge(f"|code| = {code.size} exceeds guard {guard}")
-    elements = sorted((f for f, _ in equivalence_maps(code, code, mode)),
-                      key=lambda f: f.key)
-    gens = _greedy_generators(elements)
-    return AutGroup(kind, code.tower, gens, tuple(elements))
+    return AutGroup(kind, code.tower, (f for f, _ in equivalence_maps(code, code, mode)))
 
 
 def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
@@ -217,15 +217,14 @@ def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis) -> AutGroup:
     the expanded code.
     """
     rm_group = rm_aut_group(c)
-    elements = sorted((rm_to_mat(f, b) for f in rm_group.elements), key=lambda g: g.key)
+    elements = [rm_to_mat(f, b) for f in rm_group.elements]
     if len({g.key for g in elements}) != len(elements):
         raise BadParams("translation collided on canonical cosets")
     mc = expand_code(c, b)
     if not all(maps_onto(g, mc, mc) for g in elements):
         raise BadParams("translated automorphism failed to fix the code")
-    gens = tuple(rm_to_mat(f, b) for f in rm_group.generators)
-    return AutGroup("mat", c.tower, gens, tuple(elements), d=rm_group.d,
-                    complete=False)
+    return AutGroup("mat", c.tower, elements, d=rm_group.d, complete=False,
+                    gens=tuple(rm_to_mat(f, b) for f in rm_group.generators))
 
 
 def mat_aut_brute(mc: MatrixCode, semilinear: bool = False,

@@ -116,6 +116,8 @@ class MatrixCode:
 
     def __init__(self, tower: FieldTower, l: int, m: int,
                  basis: Sequence[Mat] = ()):
+        if l < 1 or m < 1:
+            raise BadParams(f"need l, m >= 1, got l={l}, m={m}")
         self.tower = tower
         self.l = l
         self.m = m

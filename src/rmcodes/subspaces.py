@@ -68,6 +68,8 @@ class SubspaceCode:
     """A set of equal-dimension subspaces of one ambient space."""
 
     def __init__(self, tower: FieldTower, n: int, words: Iterable[Subspace]):
+        if n < 1:
+            raise BadParams(f"need n >= 1, got n={n}")
         self.tower = tower
         self.n = n
         self.words = frozenset(words)

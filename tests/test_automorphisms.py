@@ -280,6 +280,10 @@ class TestGroupClosure:
             below = bfs_closure(identity, group.generators[:i])
             assert gmap.key == min(group.keys - below)
 
+    def test_elements_kept_in_key_order(self, f16_full):
+        backwards = replace(f16_full, elements=f16_full.elements[::-1])
+        assert backwards.elements == f16_full.elements
+
     def test_is_closed(self, f16_full):
         els = f16_full.elements
         assert f16_full.is_closed()
@@ -287,12 +291,34 @@ class TestGroupClosure:
         for i in (k, (k + 1) % len(els)):
             assert not replace(f16_full, elements=els[:i] + els[i + 1:]).is_closed()
 
-    def test_each_element_composed_about_once(self, f16_full, monkeypatch):
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """A list that grows by one at every composition of two maps."""
         calls = []
         compose = _Map.compose
         monkeypatch.setattr(_Map, "compose", lambda a, b: calls.append(1) or compose(a, b))
-        assert _greedy_generators(f16_full.elements) == f16_full.generators
-        assert len(calls) <= 2 * f16_full.order
+        return calls
+
+    def test_each_element_composed_about_once(self, f16_full, calls):
+        group = replace(f16_full)  # generators not read yet
+        want = _greedy_generators(group)
         calls.clear()
-        assert f16_full.is_closed()
-        assert len(calls) <= 2 * f16_full.order
+        assert group.generators == want
+        assert len(calls) <= 2 * group.order
+        calls.clear()
+        assert group.is_closed()
+        assert len(calls) <= 2 * group.order
+
+    def test_generators_picked_on_first_read(self, f16, calls):
+        """Building a stabilizer composes no maps; the first generators read
+        runs one closure, and later reads reuse its result."""
+        code = gabidulin(1, (f16.one, f16.generator**5))
+        mc = expand_code(code, power_basis(f16))
+        assert rm_aut_brute(code).order == 45
+        group = mat_aut_brute(mc)
+        assert calls == [] and group.order == 1080
+        gens = group.generators
+        assert 0 < len(calls) <= 2 * group.order
+        calls.clear()
+        assert group.generators is gens
+        assert calls == []

@@ -5,6 +5,7 @@ import pytest
 from rmcodes.cli import main
 
 F16 = "gf(2,1,4;modulus=[1,1,0,0,1])"
+F8 = "gf(2,1,3;modulus=[1,1,0,1])"
 
 
 def run(capsys, *argv):
@@ -139,6 +140,60 @@ class TestMalformedCodeFiles:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert "d_R,min" not in out
+
+
+    @pytest.mark.parametrize("verb", [["aut"], ["lift", "--pivots", "1,2"], ["mindist"]],
+                             ids=["aut", "lift", "mindist"])
+    @pytest.mark.parametrize("shape", ["l=-2,m=2", "l=0,m=2", "l=2,m=0"])
+    def test_non_positive_matrix_shape(self, capsys, tmp_path, verb, shape):
+        path = tmp_path / "bad.code"
+        path.write_text(f"matrix\n{F16}\n{shape},k=0\n")
+        code, _, err = run(capsys, verb[0], "--code", str(path), *verb[1:])
+        assert code == 1
+        assert err.startswith("error:") and shape.replace(",", ", ") in err
+
+    @pytest.mark.parametrize("verb", ["mindist", "unlift"])
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_non_positive_subspace_shape(self, capsys, tmp_path, verb, n):
+        path = tmp_path / "bad.sub"
+        path.write_text(f"subspace\n{F16}\nn={n},l=0\n")
+        code, _, err = run(capsys, verb, "--code", str(path))
+        assert code == 1
+        assert err.startswith("error:") and f"n={n}" in err
+
+
+class TestAutGolden:
+    """The whole `aut` stdout: the analytic generators of a gabidulin file,
+    and the greedy ones (picked when first read) of a rankmetric file and a
+    matrix file."""
+
+    @pytest.mark.parametrize("text,want", [
+        (f"gabidulin\n{F16}\nl=2,m=4,k=1\ng^0,g^5\n",
+         f"field: {F16}\n"
+         "rank-metric automorphism group: order 45, d = 2\n"
+         "generators:\n"
+         "  rm[alpha=g^1; L=g^0,0;0,g^0; gamma=0]\n"
+         "  rm[alpha=g^0; L=0,g^0;g^0,g^0; gamma=0]\n"),
+        (f"rankmetric\n{F16}\nl=2,m=4,k=1\ng^0,g^5\n",
+         f"field: {F16}\n"
+         "rank-metric automorphism group (brute): order 45\n"
+         "generators:\n"
+         "  rm[alpha=g^0; L=0,g^0;g^0,g^0; gamma=0]\n"
+         "  rm[alpha=g^1; L=0,g^0;g^0,g^0; gamma=0]\n"),
+        (f"matrix\n{F8}\nl=2,m=3,k=3\n"
+         "g^0,0,0;0,g^0,0\n0,g^0,0;0,0,g^0\n0,0,g^0;g^0,g^0,0\n",
+         f"field: {F8}\n"
+         "matrix automorphism group: order 21\n"
+         "generators:\n"
+         "  mat[L=0,g^0;g^0,g^0; M=0,0,g^0;g^0,0,g^0;g^0,g^0,0; gamma=0]\n"
+         "  mat[L=0,g^0;g^0,g^0; M=0,g^0,0;g^0,g^0,g^0;0,0,g^0; gamma=0]\n"),
+    ], ids=["gabidulin-f16", "rankmetric-f16", "matrix-f8"])
+    def test_stdout(self, capsys, tmp_path, text, want):
+        path = tmp_path / "c.code"
+        path.write_text(text)
+        code, out, _ = run(capsys, "aut", "--code", str(path))
+        assert code == 0
+        assert out == want
 
 
 class TestMalformedArguments:

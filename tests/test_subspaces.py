@@ -162,6 +162,12 @@ class TestUnlift:
         with pytest.raises(NonlinearCode):
             unlift(sc)
 
+    def test_full_space_word_has_no_matrix_code(self, f4):
+        # words of dimension n leave no columns for the l x m matrices
+        sc = SubspaceCode(f4, 2, [Subspace(Mat(f4, [[1, 0], [0, 1]]))])
+        with pytest.raises(BadParams, match="m=0"):
+            unlift(sc)
+
 
 class TestDistanceLaw:
     def test_singleton_vacuous(self, f4):
