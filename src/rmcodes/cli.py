@@ -105,7 +105,8 @@ def _cmd_field(args) -> int:
     print(f"field: {tower.spec_string()}")
     print(f"p={tower.p} e={tower.e} m={tower.m} q={tower.q} |F|={tower.order}")
     print(f"modulus: {list(tower.modulus)}")
-    print(f"generator: {format_element(tower.generator)} "
+    # the generator is t = g^1 (g^0 in F_2); format_element would build the tables
+    print(f"generator: g^{1 % tower.mult_order} "
           f"(multiplicative order {tower.mult_order})")
     subs = [d for d in range(1, tower.m + 1) if tower.m % d == 0]
     print("subfields: " + ", ".join(f"F_{tower.q**d} (d={d})" for d in subs))

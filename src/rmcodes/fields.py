@@ -5,11 +5,12 @@ intermediate field F_{q^d} (d | m) is carved out of it as the fixed set of
 x -> x^(q^d), or equivalently as {0} plus the cyclic group generated by an
 appropriate power of the primitive generator.  Elements are stored as integer
 codes: the base-p digits of the code are the polynomial coefficients in
-ascending degree.  Multiplication runs on discrete-log tables built at
-construction time; addition is XOR for p = 2 and, for odd p, a lookup in the
-Zech logarithm table log(1 + g^k) built beside them (a + b = a (1 + b/a)).
-So a tower is cheap to use but pays an O(field size) set-up cost; this
-library deliberately targets desk-scale fields only.
+ascending degree.  Multiplication runs on discrete-log tables; addition is
+XOR for p = 2 and, for odd p, a lookup in the Zech logarithm table
+log(1 + g^k) built beside them (a + b = a (1 + b/a)).  The tables take
+O(field size) time and memory and are built by the tower's first
+arithmetic, so a tower that is only described or parsed never pays for
+them; this library deliberately targets desk-scale fields only.
 
 Element text syntax (accepted everywhere, produced as the first two forms):
 
@@ -149,10 +150,29 @@ def _root_is_primitive(f: Sequence[int], p: int) -> bool:
 # the tower
 # ---------------------------------------------------------------------------
 
+class _Unbuilt:
+    """Stands in for the tower table `name` until its first read, which
+    builds every table over the stand-ins; later reads go to the plain lists.
+    A stand-in kept from before the build reads the built list, and two
+    threads reading first may each build the same tables."""
+
+    __slots__ = ("tower", "name")
+
+    def __init__(self, tower: "FieldTower", name: str):
+        self.tower = tower
+        self.name = name
+
+    def __getitem__(self, i):
+        if getattr(self.tower, self.name) is self:
+            self.tower._build_tables()
+        return getattr(self.tower, self.name)[i]
+
+
 class FieldTower:
     """The chain F_p <= F_q = F_{p^e} <= F_{q^m}, with log tables on the
     generator t, the root of a primitive modulus, and for odd p a Zech table
-    zech[k] = log(1 + t^k) (-1 at k = |F*|/2, where 1 + t^k = 0).
+    zech[k] = log(1 + t^k) (-1 at k = |F*|/2, where 1 + t^k = 0).  The
+    tables are built on first read, see _Unbuilt.
 
     Do not instantiate directly; use :func:`make_tower`.
     """
@@ -166,14 +186,19 @@ class FieldTower:
         self.degree = e * m          # over F_p
         self.order = p**self.degree  # size of the top field
         self.mult_order = self.order - 1
-        self._build_tables()
+        self._exp = _Unbuilt(self, "_exp")
+        self._log = _Unbuilt(self, "_log")
+        self._zech = _Unbuilt(self, "_zech") if p != 2 else None
         self._subfield_cache: dict[int, tuple[int, ...]] = {}
         self._fq_solver: list[tuple[int, ...]] | None = None
-        self._gen = FieldElement(self, self._exp[1] if self.mult_order > 1 else 1)
+        # t has code p (the digit 1 at degree 1), unless the modulus t + c0
+        # is linear and t is the element -c0 of F_p
+        self._gen = FieldElement(self, p if self.degree > 1 else -modulus[0] % p)
 
     # -- construction ------------------------------------------------------
 
     def _build_tables(self):
+        """Build exp, log and (odd p) Zech, replacing the stand-ins."""
         p, deg, n = self.p, self.degree, self.mult_order
         exp = [0] * max(n, 1)
         v = 1  # walk the powers of t: shift up one digit, reduce by the modulus
@@ -563,7 +588,7 @@ def _default_modulus(p: int, degree: int) -> tuple[int, ...]:
 
 _tower_cache: dict[tuple, FieldTower] = {}
 
-_TOWER_GUARD = 2**20  # largest top field: log/exp tables hold an entry per element
+_TOWER_GUARD = 2**20  # largest top field: once built, each table holds an entry per element
 
 
 def make_tower(p: int, e: int, m: int,

@@ -243,11 +243,18 @@ def parse_subspace_file(text: str) -> SubspaceCode:
     if len(lines) < 3 or lines[0] != "subspace":
         raise BadParams("not a subspace code file")
     tower = parse_field_spec(lines[1])
-    n = parse_shape(lines[2], ("n",))["n"]
+    shape = parse_shape(lines[2], ("n", "l"))
+    n, l = shape["n"], shape["l"]
     words = []
     for ln in lines[3:]:
         M = parse_matrix(tower, ln, subdeg=1)
         if M.ncols != n:
             raise BadParams(f"word has {M.ncols} columns, ambient dim is {n}")
-        words.append(Subspace(M))
-    return SubspaceCode(tower, n, words)
+        word = Subspace(M)
+        if word.dim != l:
+            raise BadParams(f"word has dimension {word.dim}, shape says l={l}")
+        words.append(word)
+    sc = SubspaceCode(tower, n, words)
+    if not 0 <= l <= n:  # the words matched l above; a file with none still needs a fitting l
+        raise BadParams(f"need 0 <= l <= n, got l={l}, n={n}")
+    return sc

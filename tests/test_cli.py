@@ -1,7 +1,14 @@
 """CLI behaviour: verbs, file round trips, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rmcodes
+from rmcodes.fields import format_element, parse_field_spec
 from rmcodes.cli import main
 
 F16 = "gf(2,1,4;modulus=[1,1,0,0,1])"
@@ -20,6 +27,43 @@ class TestField:
         assert code == 0
         assert "modulus: [1, 1, 0, 0, 1]" in out
         assert "generator: g^1" in out
+
+    # stdout of `field --field "gf(2,1,20)"` from before the tables were lazy
+    F_2_20 = (
+        "field: gf(2,1,20;modulus=[1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1])\n"
+        "p=2 e=1 m=20 q=2 |F|=1048576\n"
+        "modulus: [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]\n"
+        "generator: g^1 (multiplicative order 1048575)\n"
+        "subfields: F_2 (d=1), F_4 (d=2), F_16 (d=4), F_32 (d=5), F_1024 (d=10), "
+        "F_1048576 (d=20)\n")
+
+    @staticmethod
+    def _python(*args):
+        env = {**os.environ, "PYTHONPATH": str(Path(rmcodes.__file__).parents[1])}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=60)
+
+    def test_large_field_in_fresh_process(self):
+        proc = self._python("-m", "rmcodes.cli", "field", "--field", "gf(2,1,20)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == self.F_2_20
+
+    def test_describing_builds_no_table(self):
+        proc = self._python("-c", (
+            "from rmcodes.cli import main\n"
+            "from rmcodes.fields import _Unbuilt, make_tower\n"
+            "assert main(['field', '--field', 'gf(2,1,20)']) == 0\n"
+            "t = make_tower(2, 1, 20)\n"
+            "assert type(t._exp) is _Unbuilt and type(t._log) is _Unbuilt\n"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == self.F_2_20
+
+    @pytest.mark.parametrize("spec", ["gf(2,1,1)", "gf(3,1,1)", "gf(11,1,1)", "gf(2,1,4)"])
+    def test_generator_line_matches_format_element(self, capsys, spec):
+        _, out, _ = run(capsys, "field", "--field", spec)
+        tower = parse_field_spec(spec)
+        line = f"generator: {format_element(tower.generator)} "  # builds the tables
+        assert line in out
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -151,6 +195,28 @@ class TestMalformedCodeFiles:
         code, _, err = run(capsys, verb[0], "--code", str(path), *verb[1:])
         assert code == 1
         assert err.startswith("error:") and shape.replace(",", ", ") in err
+
+    @pytest.mark.parametrize("verb", ["mindist", "unlift"])
+    @pytest.mark.parametrize("shape,word,dim", [("n=2,l=1", "0,0", 0),
+                                                ("n=3,l=2", "1,0,1", 1)],
+                             ids=["zero-word", "one-row-word"])
+    def test_subspace_word_dimension_not_l(self, capsys, tmp_path, verb, shape, word, dim):
+        path = tmp_path / "bad.sub"
+        path.write_text(f"subspace\n{F16}\n{shape}\n{word}\n")
+        code, out, err = run(capsys, verb, "--code", str(path))
+        assert code == 1
+        l = shape.partition("l=")[2]
+        assert err == f"error: word has dimension {dim}, shape says l={l}\n"
+        assert "d_S,min" not in out
+
+    @pytest.mark.parametrize("verb", ["mindist", "unlift"])
+    @pytest.mark.parametrize("l", [-1, 3])
+    def test_subspace_l_outside_0_n(self, capsys, tmp_path, verb, l):
+        path = tmp_path / "bad.sub"
+        path.write_text(f"subspace\n{F16}\nn=2,l={l}\n")
+        code, out, err = run(capsys, verb, "--code", str(path))
+        assert code == 1
+        assert err == f"error: need 0 <= l <= n, got l={l}, n=2\n"
 
     @pytest.mark.parametrize("verb", ["mindist", "unlift"])
     @pytest.mark.parametrize("n", [-1, 0])

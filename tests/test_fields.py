@@ -1,5 +1,7 @@
 """Field tower construction, arithmetic, Frobenius, subfields, normal bases."""
 
+import hashlib
+
 import pytest
 
 import rmcodes
@@ -111,6 +113,40 @@ class TestMakeTower:
         for i in range(tower.mult_order):
             coeffs = _poly_powmod([0, 1], i, tower.modulus, p)
             assert tower._exp[i] == sum(c * p**j for j, c in enumerate(coeffs))
+
+    # sha256 of repr((exp, log, zech)) as the tables were built when towers
+    # still built them at construction time
+    EAGER_TABLES = {
+        (2, 1, 20): "9b2d1a1a2d2a205095f5a4682594039cd994044592c519b9d590f9457f90423a",
+        (3, 1, 10): "45b099304d4ec5826a9a0a16b4392e3d842e8ad6403c2ff847773f221c518adb",
+        (11, 1, 3): "9612ad092adb3693e07f8d200339c6bbc4a3f9104b44a6b2820c8ed47c29a1f7",
+        (3, 2, 3): "34182b6f86ad5de3f8f3db6734f264f23bbe352e863b644e9e7eb259697f3f50",
+    }
+
+    @pytest.mark.parametrize("pem", list(EAGER_TABLES))
+    def test_tables_built_on_first_read_match_eager_build(self, pem):
+        tower = make_tower(*pem)
+        tower.inv(1)  # the first arithmetic builds the tables
+        tables = (tower._exp, tower._log, tower._zech)
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == self.EAGER_TABLES[pem]
+
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 4), (3, 1, 2), (3, 1, 1), (2, 1, 1), (2, 2, 2)])
+    def test_construction_builds_no_table(self, p, e, m):
+        from rmcodes.fields import FieldTower, _Unbuilt
+        interned = make_tower(p, e, m)
+        tower = FieldTower(p, e, m, interned.modulus)  # a fresh, unbuilt instance
+        assert type(tower._exp) is _Unbuilt and type(tower._log) is _Unbuilt
+        assert tower._zech is None if p == 2 else type(tower._zech) is _Unbuilt
+        stand_in = tower._exp
+        g = tower.generator.code
+        assert g == interned.generator.code == interned._exp[1 % interned.mult_order]
+        assert tower.mul(g, g) == interned.mul(g, g)
+        built = tower._exp
+        assert type(built) is list and type(tower._log) is list
+        assert tower._zech is None if p == 2 else type(tower._zech) is list
+        # a stand-in read after the build answers from the lists, building nothing
+        assert stand_in[:] == interned._exp
+        assert tower._exp is built
 
     @pytest.mark.parametrize("p,e,m", [(2, 1, 21), (2, 1, 30), (3, 2, 7),
                                        (1048583, 1, 1), (2, 1, 10**9)])

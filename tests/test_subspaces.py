@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmcodes import (
     AmbientMismatch,
@@ -11,11 +13,13 @@ from rmcodes import (
     Mat,
     MatrixCode,
     MixedPivots,
+    RmcodesError,
     Subspace,
     SubspaceCode,
     expand_code,
     gabidulin,
     lift,
+    make_tower,
     power_basis,
     subspace_distance,
     unlift,
@@ -217,3 +221,27 @@ class TestSubspaceFiles:
         mc = _random_matrix_code(f16, 2, 3, 3, rnd)
         sc = lift(mc, (1, 3))
         assert parse_subspace_file(format_subspace_file(sc)) == sc
+
+
+@st.composite
+def _lifted_codes(draw):
+    tower = make_tower(*draw(st.sampled_from([(2, 1, 2), (2, 1, 3), (3, 1, 2)])))
+    l, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    mc = _random_matrix_code(tower, l, m, draw(st.integers(0, min(l * m, 3))),
+                             random.Random(draw(st.integers(0, 2**32))))
+    pivots = sorted(draw(st.sets(st.integers(1, l + m), min_size=l, max_size=l)))
+    return lift(mc, pivots)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_lifted_codes(), st.sampled_from([
+    "n={n1},l={l}", "n={n0},l={l}", "n={n},l={l1}", "n={n},l={l0}",
+    "n={n}", "l={l}", "n={n},k={l}"]))
+def test_subspace_file_round_trip(sc, bad_shape):
+    text = format_subspace_file(sc)
+    assert parse_subspace_file(text) == sc
+    lines = text.splitlines()
+    lines[2] = bad_shape.format(n=sc.n, n1=sc.n + 1, n0=sc.n - 1,
+                                l=sc.dim, l1=sc.dim + 1, l0=sc.dim - 1)
+    with pytest.raises(RmcodesError):
+        parse_subspace_file("\n".join(lines))
