@@ -18,8 +18,8 @@ from dataclasses import InitVar, dataclass
 from math import gcd
 
 from .codes import DEFAULT_GUARD, GabidulinCode, MatrixCode, RankMetricCode, expand_code
-from .errors import BadParams, NotInSpan, TooLarge
-from .expansion import coords
+from .errors import BadParams, NotInSpan, TooLarge, TowerMismatch
+from .expansion import _image_matrix
 from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
 from .matrices import Mat
 from .equivalence import (
@@ -56,12 +56,11 @@ def stabilizer_degree(g: IndependentTuple) -> StabilizerDegree:
         beta = tower.gen_power(n // (tower.q**d - 1))
         if d == 1:
             return StabilizerDegree(1, beta)
-        scaled = tuple(beta * x for x in g.elements)
         try:
-            coords(scaled, g)
-            return StabilizerDegree(d, beta)
+            m_beta(g, beta)
         except NotInSpan:
             continue
+        return StabilizerDegree(d, beta)
     raise BadParams("unreachable: d = 1 always succeeds")
 
 
@@ -72,8 +71,9 @@ def m_beta(g: IndependentTuple, beta: FieldElement) -> Mat:
     NotInSpan when beta does not stabilise the span.  Invertible whenever
     beta is nonzero.
     """
-    scaled = tuple(beta * x for x in g.elements)
-    return coords(scaled, g).transpose()
+    if beta.tower is not g.tower:
+        raise TowerMismatch("scalar and tuple from different towers")
+    return _image_matrix(g, beta.code, 0).transpose()
 
 
 @dataclass(frozen=True)

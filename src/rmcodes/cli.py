@@ -278,14 +278,15 @@ def _cmd_aut(args) -> int:
     code = _load_code(args.code)
     tower = code.tower
     print(f"field: {tower.spec_string()}")
+    brute = None
     if isinstance(code, MatrixCode):
         group = mat_aut_brute(code, guard=args.guard)
         print(f"matrix automorphism group: order {group.order}")
-    elif isinstance(code, GabidulinCode):
+    elif isinstance(code, GabidulinCode) and code.k < code.l:
         group = rm_aut_group(code)
         print(f"rank-metric automorphism group: order {group.order}, d = {group.d}")
-    else:
-        group = rm_aut_brute(code, guard=args.guard)
+    else:  # no analytic form (k = l is the full space): the guard applies
+        group = brute = rm_aut_brute(code, guard=args.guard)
         print(f"rank-metric automorphism group (brute): order {group.order}")
     print("generators:")
     for f in group.generators:
@@ -294,7 +295,8 @@ def _cmd_aut(args) -> int:
         if isinstance(code, MatrixCode):
             print("oracle: brute enumeration is already exact; MATCH")
         else:
-            brute = rm_aut_brute(code, guard=args.guard)
+            if brute is None:
+                brute = rm_aut_brute(code, guard=args.guard)
             verdict = "MATCH" if group.same_elements(brute) else "MISMATCH"
             print(f"analytic order {group.order}; brute order {brute.order}; "
                   f"{verdict}")

@@ -36,7 +36,7 @@ from .errors import (
     TooLarge,
     TowerMismatch,
 )
-from .expansion import frobenius_matrix, mult_matrix, semilinear_matrix
+from .expansion import _image_matrix
 from .fields import FieldElement, FieldTower, OrderedBasis, format_element, parse_element
 from .matrices import (
     Mat,
@@ -263,23 +263,14 @@ def mat_apply(f: MatMap, A):
 def rm_to_mat(f: RmMap, b: OrderedBasis) -> MatMap:
     """Translate a rank-metric map to the matrix map it induces under eps_b.
 
-    For gamma = e*j + r the image is (L^T, M_alpha Q^j P_r) with the residual
-    Frobenius power r, making the square
+    The image is (L^T, M) with M the matrix of x -> (alpha x)^(p^gamma) in b
+    (for gamma = e*j + r this is M_alpha Q^j P_r) and the residual Frobenius
+    power r, making the square
     expand(rm_apply(f, x)) = mat_apply(rm_to_mat(f), expand(x)) commute.
     """
-    tower = f.tower
-    if b.tower is not tower:
+    if b.tower is not f.tower:
         raise TowerMismatch("basis from a different tower")
-    e = tower.e
-    j, r = divmod(f.gamma, e)
-    M = mult_matrix(FieldElement(tower, f.alpha), b)
-    if j:
-        Q = frobenius_matrix(b)
-        for _ in range(j):
-            M = M @ Q
-    if r:
-        M = M @ semilinear_matrix(b, r)
-    return MatMap(False, f.L.transpose(), M, r)
+    return MatMap(False, f.L.transpose(), _image_matrix(b, f.alpha, f.gamma), f.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The map eps_b writes each coordinate of a vector over the top field as an
 F_q-row with respect to an ordered basis b, and eps_b^{-1} reassembles it.
-The module also builds the structured m x m matrices that realise, under
-eps_b, multiplication by a scalar (M_alpha), the q-power Frobenius (Q), and
-the p^r-power twist (P_r), together with the subgroup K generated by the
-first two.
+The structured matrices that realise, under eps_b, multiplication by a
+scalar (M_alpha), the q-power Frobenius (Q) and the p^r-power twist (P_r),
+and the members of the subgroup K they generate, are all built by one rule:
+the matrix of x -> (alpha x)^(p^gamma) in a tuple g has row i
+coords((alpha g_i)^(p^gamma), g), twisted by sigma^-(gamma mod e).
 """
 
 from __future__ import annotations
@@ -81,51 +82,52 @@ def compress(X: Mat, b: OrderedBasis) -> tuple[FieldElement, ...]:
     return tuple(FieldElement(tower, c) for c in compress_codes(X, b))
 
 
+def _image_matrix(g: IndependentTuple, alpha: int, gamma: int) -> Mat:
+    """The matrix M of x -> (alpha x)^(p^gamma) on span(g), with
+    coords((alpha x)^(p^gamma), g) = (coords(x, g) M)^(p^r), r = gamma mod e.
+
+    Row i is coords((alpha g_i)^(p^gamma), g), twisted by sigma^-r since the
+    F_q-coefficients of x are raised to p^r; the matrix of a semilinear map
+    in a basis is unique, so every structured matrix here is one call.
+    NotInSpan when an image leaves span(g).
+    """
+    tower = g.tower
+    mul, frob = tower.mul, tower.frob
+    images = [frob(mul(alpha, x.code), gamma) for x in g.elements]
+    return coords_codes(images, g).frobenius(-(gamma % tower.e))
+
+
 def mult_matrix(alpha: FieldElement, b: OrderedBasis) -> Mat:
     """M_alpha with eps_b(alpha*x) = eps_b(x) M_alpha; invertible iff alpha != 0."""
-    tower = b.tower
-    if alpha.tower is not tower:
+    if alpha.tower is not b.tower:
         raise TowerMismatch("scalar and basis from different towers")
-    return coords_codes([tower.mul(alpha.code, e.code) for e in b.elements], b)
+    return _image_matrix(b, alpha.code, 0)
 
 
 def frobenius_matrix(b: OrderedBasis) -> Mat:
     """Q with eps_b(x^q) = eps_b(x) Q; has multiplicative order m."""
-    tower = b.tower
-    return coords_codes([tower.frob(e.code, tower.e) for e in b.elements], b)
+    return _image_matrix(b, 1, b.tower.e)
 
 
 def semilinear_matrix(b: OrderedBasis, r: int) -> Mat:
-    """P_r with eps_b(x^(p^r)) = (eps_b(x) P_r)^(p^r), for 0 <= r < e.
-
-    r is reduced modulo e; r = 0 yields the identity, matching the fact that
-    the q-power itself is already covered by Q.
-    """
-    tower = b.tower
-    r %= tower.e
-    if r == 0:
-        return Mat.identity(tower, tower.m)
-    raised = coords_codes([tower.frob(e.code, r) for e in b.elements], b)
-    return raised.frobenius(-r)
+    """P_r with eps_b(x^(p^r)) = (eps_b(x) P_r)^(p^r); r is reduced modulo e,
+    so r = 0 yields the identity (the q-power itself is covered by Q)."""
+    return _image_matrix(b, 1, r % b.tower.e)
 
 
 class KSubgroup:
     """K = <M_alpha> . <Q> inside GL_m(F_q), for alpha the tower generator.
 
     Every member factors uniquely as M_gamma Q^j with gamma nonzero and
-    0 <= j < m, so membership is decided by peeling Q powers and matching
-    the remainder against a multiplication matrix.
+    0 <= j < m: it is the matrix of x -> (gamma x)^(q^j), whose row 0 is
+    the expansion of (gamma b_0)^(q^j), so each j names one candidate gamma.
     """
 
     def __init__(self, basis: OrderedBasis):
         tower = basis.tower
         self.basis = basis
         self.tower = tower
-        self._q_powers = [Mat.identity(tower, tower.m)]
-        Q = frobenius_matrix(basis)
-        for _ in range(tower.m - 1):
-            self._q_powers.append(self._q_powers[-1] @ Q)
-        self.Q = Q
+        self.Q = frobenius_matrix(basis)
         self.M_gen = mult_matrix(tower.generator, basis)
 
     def order(self) -> int:
@@ -133,18 +135,17 @@ class KSubgroup:
 
     def factor(self, M: Mat) -> tuple[int, int] | None:
         """Return (i, j) with M = M_(g^i) Q^j, or None if M is not in K."""
-        tower = self.tower
-        m = tower.m
+        tower, b = self.tower, self.basis
+        m, e = tower.m, tower.e
         if M.shape() != (m, m) or M.tower is not tower:
             return None
+        y = compress_codes(Mat(tower, M.rows[:1], subdeg=1, check=False), b)[0]
+        if y == 0:
+            return None
+        b0 = b.elements[0].code
         for j in range(m):
-            N = M @ self._q_powers[(m - j) % m]
-            gamma = compress_codes(Mat(tower, [N.rows[0]], subdeg=1, check=False),
-                                   self.basis)[0]
-            gamma = tower.div(gamma, self.basis.elements[0].code)
-            if gamma == 0:
-                continue
-            if N == mult_matrix(FieldElement(tower, gamma), self.basis):
+            gamma = tower.div(tower.frob(y, -e * j), b0)
+            if M == _image_matrix(b, gamma, e * j):
                 return tower.log(gamma), j
         return None
 
@@ -152,8 +153,8 @@ class KSubgroup:
         return self.factor(M) is not None
 
     def enumerate(self) -> Iterator[Mat]:
-        tower = self.tower
+        tower, b = self.tower, self.basis
         for i in range(tower.mult_order):
-            Mg = mult_matrix(tower.gen_power(i), self.basis)
+            gamma = tower.gen_power(i).code
             for j in range(tower.m):
-                yield Mg @ self._q_powers[j]
+                yield _image_matrix(b, gamma, tower.e * j)

@@ -36,15 +36,17 @@ class Mat:
         if check:
             if any(len(r) != self.ncols for r in self.rows):
                 raise ShapeMismatch("ragged rows")
-            if tower.m % subdeg != 0:
+            if subdeg < 1 or tower.m % subdeg != 0:
                 raise BadParams(f"subfield degree {subdeg} does not divide m")
-            if subdeg < tower.m:
-                for r in self.rows:
-                    for c in r:
-                        if not tower.in_subfield(c, subdeg):
-                            raise BadParams(
-                                f"entry {format_element(FieldElement(tower, c))} "
-                                f"outside F_(q^{subdeg})")
+            order, sub = tower.order, subdeg < tower.m
+            for r in self.rows:
+                for c in r:
+                    if not 0 <= c < order:
+                        raise BadParams(f"entry code {c} outside [0, {order})")
+                    if sub and not tower.in_subfield(c, subdeg):
+                        raise BadParams(
+                            f"entry {format_element(FieldElement(tower, c))} "
+                            f"outside F_(q^{subdeg})")
 
     # -- constructors --------------------------------------------------------
 

@@ -191,16 +191,16 @@ class DistanceLawReport:
     distance_multiset: tuple[int, ...]
 
 
-def verify_distance_law(mc: MatrixCode, pivots: Sequence[int],
-                        guard: int = DEFAULT_GUARD) -> DistanceLawReport:
+def verify_distance_law(mc: MatrixCode, pivots: Sequence[int]) -> DistanceLawReport:
     """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs.
 
     The subspace side is pairwise: one subspace_distance per pair of lifts.
     The rank side is per codeword: mc is F_q-linear, so A - B is the
     codeword whose message is the difference of the two messages, and its
-    rank is looked up among the ranks taken once per codeword.
+    rank is looked up among the ranks taken once per codeword.  Codes of
+    more than DEFAULT_GUARD words raise TooLarge before any word is built.
     """
-    mats, lifted = _lifted(mc, pivots, guard)
+    mats, lifted = _lifted(mc, pivots, DEFAULT_GUARD)
     msgs = list(mc.messages())
     weight = dict(zip(msgs, map(rank, mats)))
     sub = mc.tower.sub

@@ -149,6 +149,34 @@ class TestPipeline:
         assert code == 0
         assert out.count("rm[alpha=") >= 45
 
+    @pytest.fixture()
+    def full_file(self, capsys, tmp_path):
+        # k = l: the code is all of F_16^2, with no analytic group
+        path = tmp_path / "full.code"
+        run(capsys, "gab", "--field", F16, "--g", "g^0,g^1", "--k", "2",
+            "--out", str(path))
+        return path
+
+    def test_aut_full_space_obeys_guard(self, capsys, full_file):
+        code, out, err = run(capsys, "aut", "--code", str(full_file), "--guard", "10")
+        assert code == 1
+        assert err == "error: group order 90 exceeds guard 10\n"
+
+    def test_aut_full_space_oracle_reuses_the_brute_group(self, capsys, monkeypatch,
+                                                          full_file):
+        import rmcodes.cli as cli
+        calls, real = [], cli.rm_aut_brute
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rm_aut_brute", counted)
+        code, out, _ = run(capsys, "aut", "--code", str(full_file), "--oracle")
+        assert code == 0 and len(calls) == 1
+        assert "rank-metric automorphism group (brute): order 90\n" in out
+        assert "analytic order 90; brute order 90; MATCH\n" in out
+
     def test_equiv(self, capsys, tmp_path, gab_file):
         other = tmp_path / "o.code"
         run(capsys, "apply", "--field", F16,

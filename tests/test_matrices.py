@@ -5,6 +5,7 @@ import random
 import pytest
 
 from rmcodes import (
+    BadParams,
     Mat,
     Singular,
     TooLarge,
@@ -204,3 +205,26 @@ class TestTextForm:
             assert parse_matrix(f16, format_matrix(M)) == M
         Mtop = Mat(f16, [[3, 7], [0, 1]], subdeg=4)
         assert parse_matrix(f16, format_matrix(Mtop), subdeg=4) == Mtop
+
+
+class TestCheckingConstructor:
+    """The checked path outside input takes (parse_matrix, code files)."""
+
+    @pytest.mark.parametrize("rows, subdeg, match", [
+        ([[-1]], 4, "code -1 outside"),
+        ([[99]], 1, "code 99 outside"),
+        ([[-15]], 1, "code -15 outside"),
+        ([[16]], 4, "code 16 outside"),
+        ([[1]], 0, "subfield degree 0"),
+        ([[1]], -2, "subfield degree -2"),
+    ])
+    def test_checking_constructor_refuses_bad_codes(self, f16, rows, subdeg, match):
+        with pytest.raises(BadParams, match=match):
+            Mat(f16, rows, subdeg=subdeg)
+
+    def test_parse_refuses_subfield_degree_zero(self, f16):
+        with pytest.raises(BadParams, match="subfield degree 0"):
+            parse_matrix(f16, "g^1", subdeg=0)
+
+    def test_unchecked_constructor_trusts_its_codes(self, f16):
+        assert Mat(f16, [[99]], check=False).rows == ((99,),)

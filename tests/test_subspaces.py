@@ -16,6 +16,7 @@ from rmcodes import (
     RmcodesError,
     Subspace,
     SubspaceCode,
+    TooLarge,
     expand_code,
     gabidulin,
     lift,
@@ -190,6 +191,21 @@ class TestDistanceLaw:
             verify_distance_law(mc, bad)
         with pytest.raises(BadPivots):
             lift(mc, bad)
+
+    def test_refuses_more_than_2_20_words_before_building_one(self, f8, monkeypatch):
+        # the 3 x 7 F_2 matrices with one entry 1 span all 2^21 words
+        units = [Mat(f8, [[int(k == 7 * i + j) for j in range(7)] for i in range(3)])
+                 for k in range(21)]
+        mc = MatrixCode(f8, 3, 7, units)
+        assert mc.size == 2**21
+
+        def no_words(self):
+            raise AssertionError("a codeword was built")
+
+        monkeypatch.setattr(MatrixCode, "codewords", no_words)
+        monkeypatch.setattr(MatrixCode, "messages", no_words)
+        with pytest.raises(TooLarge, match="2097152"):
+            verify_distance_law(mc, (1, 2, 3))
 
     def test_expanded_gabidulin(self, f16):
         b = power_basis(f16)
