@@ -48,7 +48,6 @@ from .matrices import (
     enumerate_gl,
     gl_order,
     inverse,
-    kronecker,
     rank,
     rref,
 )

@@ -25,7 +25,7 @@ from .matrices import Mat
 from .equivalence import (
     RmMap,
     equivalence_maps,
-    group_order,
+    guarded_order,
     maps_onto,
     rm_to_mat,
 )
@@ -162,12 +162,12 @@ def rm_aut_group(c: GabidulinCode) -> AutGroup:
 
     Elements are the canonical cosets [alpha, M_beta] for alpha over the
     scalar-quotient representatives and beta over F_{q^d}^*; the order is
-    (q^m - 1)(q^d - 1)/(q - 1).  Requires k < l (for k = l the code is the
-    full ambient space and the brute-force stabilizer is returned instead).
+    (q^m - 1)(q^d - 1)/(q - 1).  Requires k < l: for k = l the code is the
+    full ambient space, whose group rm_aut_brute gives under its guard.
     """
     tower = c.tower
     if c.k == c.l:
-        return rm_aut_brute(c)
+        raise BadParams("k = l: the full space has no analytic group; use rm_aut_brute")
     sd = stabilizer_degree(c.g)
     betas = [x for x in tower.subfield(sd.d) if x.code]
     # g^0 .. g^(n-1) represent the n cosets of F_q^* in F_{q^m}^*
@@ -193,9 +193,7 @@ def _brute_group(kind: str, code, semilinear: bool, guard: int,
     left to their first read.  The guard bounds the group order (and so the
     GL lists read, the maps built and that read's compositions) and |code|."""
     mode = f"{kind}-{'semilinear' if semilinear else 'linear'}"
-    order = group_order(code.tower, code.l, mode, m=m)
-    if order > guard:
-        raise TooLarge(f"group order {order} exceeds guard {guard}")
+    guarded_order(code.tower, code.l, mode, guard, m=m)
     if code.size > guard:
         raise TooLarge(f"|code| = {code.size} exceeds guard {guard}")
     return AutGroup(kind, code.tower, (f for f, _ in equivalence_maps(code, code, mode)))

@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 from .elimination import flatten, nullspace, span
 from .errors import BadParams, DependentVector, NonlinearCode, TooLarge, TowerMismatch
 from .expansion import compress_codes, coords_codes, expand
-from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
-from .matrices import Mat, rank
+from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis, parse_field_spec
+from .matrices import Mat, format_matrix, parse_matrix, rank
 
 DEFAULT_GUARD = 2**20
 
@@ -308,7 +308,6 @@ def is_extension_linear(mc: MatrixCode, b: OrderedBasis) -> bool:
 # ---------------------------------------------------------------------------
 
 def format_code_file(code) -> str:
-    from .matrices import format_matrix  # local to avoid import noise at top
     tower = code.tower
     if isinstance(code, RankMetricCode):
         header = "gabidulin" if isinstance(code, GabidulinCode) else "rankmetric"
@@ -324,24 +323,36 @@ def format_code_file(code) -> str:
     return "\n".join([header, tower.spec_string(), shape, *body]) + "\n"
 
 
+def parse_keyed(parts: Sequence[str], keys: Sequence[str], required: Sequence[str],
+                what: str) -> dict[str, str]:
+    """The key=value parts of a shape line or map literal, values stripped;
+    BadParams for a part that is not key=value, a key not in keys, a
+    repeated key or a missing required key."""
+    out: dict[str, str] = {}
+    for part in parts:
+        key, eq, val = (s.strip() for s in part.partition("="))
+        if not eq or not key:
+            raise BadParams(f"{what} part {part.strip()!r} is not key=value")
+        if key not in keys:
+            raise BadParams(f"unknown key {key!r} in {what}; keys are {', '.join(keys)}")
+        if key in out:
+            raise BadParams(f"repeated key {key!r} in {what}")
+        out[key] = val
+    if missing := [k for k in required if k not in out]:
+        raise BadParams(f"{what} lacks {', '.join(missing)}")
+    return out
+
+
 def parse_shape(line: str, keys: Sequence[str]) -> dict[str, int]:
-    """Parse a `key=int,...` shape line; BadParams unless each key is there."""
-    shape = {}
-    for part in line.split(","):
-        key, _, val = part.partition("=")
-        try:
-            shape[key.strip()] = int(val)
-        except ValueError:
-            raise BadParams(f"shape entry {part.strip()!r} is not key=integer") from None
-    missing = [k for k in keys if k not in shape]
-    if missing:
-        raise BadParams(f"shape line {line!r} lacks {', '.join(missing)}")
-    return shape
+    """Parse a `key=int,...` shape line holding each of keys once."""
+    shape = parse_keyed(line.split(","), keys, keys, f"shape line {line!r}")
+    try:
+        return {key: int(val) for key, val in shape.items()}
+    except ValueError:
+        raise BadParams(f"shape line {line!r} has a value that is not an integer") from None
 
 
 def parse_code_file(text: str):
-    from .fields import parse_field_spec
-    from .matrices import parse_matrix
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 3:
         raise BadParams("code file needs header, field and shape lines")

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .codes import DEFAULT_GUARD, MatrixCode, RankMetricCode, min_rank_distance
+from .codes import DEFAULT_GUARD, MatrixCode, RankMetricCode, min_rank_distance, parse_keyed
 from .elimination import flatten, nullspace, span
 from .errors import (
     BadParams,
@@ -44,7 +45,6 @@ from .matrices import (
     format_matrix,
     gl_order,
     inverse,
-    kronecker,
     parse_matrix,
     rank,
 )
@@ -318,6 +318,20 @@ def group_order(tower: FieldTower, l: int, mode: str, m: int | None = None) -> i
     raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
 
 
+def guarded_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None) -> int:
+    """group_order, or TooLarge when it exceeds guard.  Every order is at
+    least |GL_n(F_q)| >= q^(n(n-1)/2) for n = l and, in matrix modes, n = m:
+    a shape that bound refuses never has its order computed or formatted."""
+    n = l if mode.startswith("rm") else max(l, m or 0)
+    bits = (tower.q.bit_length() - 1) * n * (n - 1) // 2
+    if bits >= guard.bit_length():
+        raise TooLarge(f"group order of at least 2^{bits} exceeds guard {guard}")
+    order = group_order(tower, l, mode, m=m)
+    if order > guard:
+        raise TooLarge(f"group order {order} exceeds guard {guard}")
+    return order
+
+
 def _canonical_parts(tower: FieldTower, l: int, m: int | None, semilinear: bool):
     """(gammas, flags, Ls, inner): the canonical maps are their product, in
     enumeration order: gamma, the transpose flag (l = m), L over the
@@ -487,9 +501,7 @@ def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult
         return EquivResult(False, None, 0, mode, "shape mismatch")
     if c1.size != c2.size:
         return EquivResult(False, None, 0, mode, "size mismatch")
-    order = group_order(c1.tower, space[0], mode, m=space[1])
-    if order > guard:
-        raise TooLarge(f"group order {order} exceeds guard {guard}")
+    order = guarded_order(c1.tower, space[0], mode, guard, m=space[1])
     if c1.size <= DEFAULT_GUARD and min_rank_distance(c1) != min_rank_distance(c2):
         return EquivResult(False, None, 0, mode, "minimum distance mismatch")
     for f, checked in equivalence_maps(c1, c2, mode):
@@ -501,29 +513,17 @@ def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult
 # the rank-preserving classification oracle
 # ---------------------------------------------------------------------------
 
-def transpose_perm_matrix(tower: FieldTower, l: int) -> Mat:
-    """Permutation on concatenated-row vectors realising matrix transposition."""
-    n = l * l
-    rows = [[0] * n for _ in range(n)]
-    for i in range(l):
-        for j in range(l):
-            rows[i * l + j][j * l + i] = 1
-    return Mat(tower, rows, subdeg=1, check=False)
-
-
 def vec_matrix(f: MatMap) -> Mat:
-    """The lm x lm matrix acting on concatenated-row vectors as f does.
-
-    Row-major concatenation turns A -> L A M into v -> v (L^T (x) M); the
-    transpose flag contributes the fixed permutation factor on the left.
-    Only defined for linear maps (gamma = 0).
+    """The lm x lm matrix acting on concatenated-row vectors as f does: its
+    row k is the image of E_k, the k-th unit l x m matrix in row-major
+    order, read off f's action.  Only defined for linear maps (gamma = 0).
     """
     if f.gamma:
         raise BadParams("vector form exists for linear maps only")
-    K = kronecker(f.L.transpose(), f.M)
-    if f.transpose:
-        return transpose_perm_matrix(f.tower, f.l) @ K
-    return K
+    l, m = f.shape
+    units = (Mat(f.tower, [[int(i * m + j == k) for j in range(m)] for i in range(l)],
+                 check=False) for k in range(l * m))
+    return Mat(f.tower, [flatten(f.apply_mat(E).rows) for E in units], check=False)
 
 
 def rank_preserving_vec_maps(tower: FieldTower, l: int, m: int) -> list[Mat]:
@@ -547,15 +547,15 @@ def rank_preserving_vec_maps(tower: FieldTower, l: int, m: int) -> list[Mat]:
 
 def vec_map_table(tower: FieldTower, l: int, m: int) -> dict[tuple, MatMap]:
     """Canonical linear matrix maps indexed by their vector-action matrix."""
-    table = {}
-    for f in enumerate_mat_maps(tower, l, m):
-        table[vec_matrix(f).rows] = f
-    return table
+    return {vec_matrix(f).rows: f for f in enumerate_mat_maps(tower, l, m)}
 
 
 # ---------------------------------------------------------------------------
 # map text form
 # ---------------------------------------------------------------------------
+
+_MAP_PARTS = re.compile(r";(?=\s*\w+\s*=)")  # a ';' that a key= follows
+
 
 def format_map(f) -> str:
     if isinstance(f, RmMap):
@@ -569,32 +569,17 @@ def format_map(f) -> str:
 
 
 def parse_map(tower: FieldTower, text: str):
-    """Parse the rm[...]/mat[...] text form produced by format_map."""
+    """Parse the rm[...]/mat[...] text form produced by format_map: a mat
+    literal may open with T, then each key once, split only at a ';' that a
+    key= follows, since matrix values hold ';' too."""
     text = text.strip()
-    if text.startswith("rm[") and text.endswith("]"):
-        kind, body = "rm", text[3:-1]
-    elif text.startswith("mat[") and text.endswith("]"):
-        kind, body = "mat", text[4:-1]
-    else:
+    kind, _, body = text.partition("[")
+    if kind not in ("rm", "mat") or not body.endswith("]"):
         raise BadParams(f"bad map literal: {text!r}")
-    segments = [s.strip() for s in body.split(";")]
-    transpose = kind == "mat" and segments[0] == "T"
-    if transpose:
-        segments = segments[1:]
-    fields: dict[str, str] = {}
-    current = None
-    for seg in segments:
-        if "=" in seg:
-            key, _, val = seg.partition("=")
-            current = key.strip()
-            fields[current] = val.strip()
-        elif current is not None:
-            fields[current] += ";" + seg
-        else:
-            raise BadParams(f"stray segment {seg!r} in map literal")
-    for key in ("alpha", "L") if kind == "rm" else ("L", "M"):
-        if key not in fields:
-            raise BadParams(f"map literal {text!r} has no {key}=")
+    parts = _MAP_PARTS.split(body[:-1])
+    transpose = kind == "mat" and parts[0].strip() == "T"
+    keys = ("alpha", "L", "gamma") if kind == "rm" else ("L", "M", "gamma")
+    fields = parse_keyed(parts[transpose:], keys, keys[:2], f"map literal {text!r}")
     try:
         gamma = int(fields.get("gamma", "0"))
     except ValueError:

@@ -639,7 +639,7 @@ def make_tower(p: int, e: int, m: int,
 
 _FIELD_SPEC_RE = re.compile(
     r"^gf\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*"
-    r"(?:;\s*modulus=\[([0-9,\s]*)\]\s*)?\)$"
+    r"(?:;\s*modulus=\[([0-9,\s]*)\]\s*)?\)$", re.ASCII
 )
 
 
@@ -667,14 +667,15 @@ def parse_element(tower: FieldTower, text: str) -> FieldElement:
         return tower.zero
     if text == "g":
         return tower.generator
-    try:
-        if text.startswith("g^"):
-            return tower.gen_power(int(text[2:]))
-        if text.startswith("poly:[") and text.endswith("]"):
-            body = text[len("poly:["):-1]
-            return tower.from_coeffs([int(tok) for tok in body.split(",") if tok.strip()])
-    except ValueError:
-        pass
-    if text.isdigit() and int(text) < tower.p:
-        return tower.from_coeffs([int(text)])
+    if text.isascii():  # int() would also read digits such as "²"
+        try:
+            if text.startswith("g^"):
+                return tower.gen_power(int(text[2:]))
+            if text.startswith("poly:[") and text.endswith("]"):
+                body = text[len("poly:["):-1]
+                return tower.from_coeffs([int(tok) for tok in body.split(",") if tok.strip()])
+        except ValueError:
+            pass
+        if text.isdigit() and int(text) < tower.p:
+            return tower.from_coeffs([int(text)])
     raise BadParams(f"bad element literal: {text!r}")

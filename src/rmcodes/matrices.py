@@ -41,6 +41,8 @@ class Mat:
             order, sub = tower.order, subdeg < tower.m
             for r in self.rows:
                 for c in r:
+                    if type(c) is not int:  # bool is an int subclass
+                        raise BadParams(f"entry {c!r} is not an integer code")
                     if not 0 <= c < order:
                         raise BadParams(f"entry code {c} outside [0, {order})")
                     if sub and not tower.in_subfield(c, subdeg):
@@ -153,26 +155,6 @@ def inverse(M: Mat) -> Mat:
         raise ShapeMismatch("inverse of a non-square matrix")
     return Mat(M.tower, elimination.inverse(M.tower, M.rows, M.subdeg),
                M.subdeg, check=False)
-
-
-def kronecker(L: Mat, M: Mat) -> Mat:
-    """Kronecker product L (x) M; (i,j) block is L[i][j] * M.
-
-    Acting on row vectors formed by concatenating the rows of an l x m
-    matrix A, the product P (x) R realises A -> P^T A R (pinned by test).
-    """
-    L._same_space(M)
-    t = L.tower
-    mul = t.mul
-    out = []
-    for li in range(L.nrows):
-        for mi in range(M.nrows):
-            row = []
-            for lj in range(L.ncols):
-                c = L.rows[li][lj]
-                row.extend(mul(c, x) if c else 0 for x in M.rows[mi])
-            out.append(row)
-    return Mat(t, out, L.subdeg, check=False)
 
 
 def element_order(M: Mat) -> int:

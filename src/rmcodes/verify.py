@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .automorphisms import m_beta, rm_aut_group, stabilizer_degree
-from .codes import expand_code, gabidulin, is_extension_linear, min_rank_distance
+from .codes import MatrixCode, expand_code, gabidulin, is_extension_linear, min_rank_distance
 from .elimination import flatten, span
 from .equivalence import RmMap, maps_onto, mat_apply, mat_map, rm_apply, rm_map
 from .errors import UnknownExample
@@ -72,18 +72,12 @@ def _berger_counterexample() -> ExampleReport:
                            orders.count(16)))
     # the quotient-by-scalars direct product: 40 * 48 = 1920 pairs
     n_quot = tower.mult_order // (tower.q - 1)
-    hits = 0
-    pairs = 0
-    for i in range(n_quot):
-        oi = n_quot // gcd(i, n_quot) if i else 1
-        for oB in orders:
-            pairs += 1
-            if lcm(oi, oB) == 80:
-                hits += 1
+    pairs = [lcm(n_quot // gcd(i, n_quot) if i else 1, oB)
+             for i in range(n_quot) for oB in orders]
     lines.append(CheckLine("pairs scanned in (F_81*/F_3*) x GL_2(F_3)", 1920,
-                           pairs))
+                           len(pairs)))
     lines.append(CheckLine("elements of order 80 in the direct product", 0,
-                           hits))
+                           pairs.count(80)))
     notes = ("groups non-isomorphic: the coset group has an element of "
              "order 80, the direct product has none",)
     return ExampleReport("berger-counterexample", tuple(lines), notes)
@@ -165,7 +159,6 @@ def _f64_not_direct_product() -> ExampleReport:
     lines.append(CheckLine("[L, I_6] fixes the expanded code", False,
                            maps_onto(f_l_only, expanded, expanded)))
     moved = rm_apply(rm_map(tower.one, L), g.elements)
-    expect = (w, w**14, w**37, w**16)
     lines.append(CheckLine("g L", "(g^1, g^14, g^37, g^16)",
                            "(" + ", ".join(str(x) for x in moved) + ")"))
     lines.append(CheckLine("g L in the code", False,
@@ -193,7 +186,6 @@ def _distance_law(seed: int = 0) -> ExampleReport:
     rnd = random.Random(seed)
     all_ok = True
     pivot_free = True
-    from .codes import MatrixCode
     for _ in range(10):
         l = rnd.choice((2, 3))
         m = rnd.choice((3, 4))

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from rmcodes import (
+    BadParams,
     DependentVector,
     IndependentTuple,
     Mat,
@@ -185,10 +186,11 @@ class TestRmAutBrute:
         code = gabidulin(1, g)
         assert rm_aut_brute(code).same_elements(rm_aut_group(code))
 
-    def test_k_equals_l_falls_back_to_brute(self, f16):
+    def test_k_equals_l_refused(self, f16):
         code = gabidulin(2, (f16.one, f16.generator**5))
-        group = rm_aut_group(code)  # full space: whole equivalence group
-        assert group.order == group_order(f16, 2, "rm-linear")
+        with pytest.raises(BadParams, match="rm_aut_brute"):
+            rm_aut_group(code)  # full space: no analytic form
+        assert rm_aut_brute(code).order == group_order(f16, 2, "rm-linear")
 
     def test_guard(self, f64):
         code = gabidulin(1, (f64.one, f64.generator))

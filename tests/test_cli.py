@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,68 @@ class TestMalformedArguments:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestKeyedText:
+    """Map literals and shape lines hold each listed key once: a misspelt,
+    unknown, repeated or missing key, or a part that is not key=value, is
+    one error line and exit 1, not a dropped or overwritten value."""
+
+    @pytest.mark.parametrize("literal, message", [
+        ("rm[alpha=g^0; L=g^0,0;0,g^0; gama=1]", "unknown key 'gama' in map literal"),
+        ("rm[alpha=g^0; L=g^0,0;0,g^0; gamma=1; gamma=2]", "repeated key 'gamma'"),
+        ("rm[alpha=g^0; L=g^0,0;0,g^0; M=g^0]", "unknown key 'M' in map literal"),
+        ("rm[T; alpha=g^0; L=g^0,0;0,g^0]", "'T' is not key=value"),
+    ], ids=["misspelt", "repeated", "foreign-key", "rm-transpose"])
+    def test_map_literal(self, capsys, literal, message):
+        code, out, err = run(capsys, "order", "--field", F16, "--map", literal)
+        assert code == 1 and "order =" not in out
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_map_literal_missing_key(self, capsys):
+        code, _, err = run(capsys, "order", "--field", F16,
+                           "--map", "mat[L=g^0,0;0,g^0; gamma=0]")
+        assert code == 1 and err.endswith("lacks M\n")
+
+    def test_transpose_and_gamma_still_read(self, capsys):
+        code, out, _ = run(capsys, "order", "--field", F16,
+                           "--map", "mat[T; L=g^0,0;0,g^0; M=0,g^0;g^0,0; gamma=1]")
+        assert code == 0 and "order = 4" in out
+
+    @pytest.mark.parametrize("shape, message", [
+        ("l=2,m=3,k=0,k=1", "repeated key 'k'"),
+        ("l=2,m=3,kk=0", "unknown key 'kk'"),
+        ("l=2,m=3,0", "'0' is not key=value"),
+    ], ids=["repeated", "misspelt", "bare-value"])
+    def test_shape_line(self, capsys, tmp_path, shape, message):
+        path = tmp_path / "bad.code"
+        path.write_text(f"matrix\n{F8}\n{shape}\n")
+        code, _, err = run(capsys, "mindist", "--code", str(path))
+        assert code == 1 and err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("literal", ["²", "g^²", "g^\u0663", "poly:[\u0661]"])
+    def test_element_digits_are_ascii(self, capsys, literal):
+        code, _, err = run(capsys, "dist", "--field", F16, "--u", literal, "--v", "0")
+        assert code == 1 and err == f"error: bad element literal: {literal!r}\n"
+
+
+class TestOrderGuardFromShape:
+    """A shape whose group order must exceed the guard is refused before the
+    order is computed, so no order of unbounded size is built or printed."""
+
+    @pytest.mark.parametrize("shape", ["l=500,m=1", "l=3,m=400", "l=1000000,m=1"])
+    @pytest.mark.parametrize("verb", [["aut", "--guard", "10"],
+                                      ["equiv", "--mode", "mat-linear"]],
+                             ids=["aut", "equiv"])
+    def test_refused_quickly(self, capsys, tmp_path, shape, verb):
+        path = tmp_path / "big.code"
+        path.write_text(f"matrix\n{F8}\n{shape},k=0\n")
+        extra = ["--code2", str(path)] if verb[0] == "equiv" else []
+        start = time.perf_counter()
+        code, _, err = run(capsys, verb[0], "--code", str(path), *verb[1:], *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.startswith("error: group order of at least 2^") and err.count("\n") == 1
 
 
 class TestRepeatedMain:

@@ -22,6 +22,7 @@ from rmcodes import (
     expand,
     gabidulin,
     group_order,
+    make_tower,
     mat_apply,
     mat_map,
     power_basis,
@@ -33,8 +34,10 @@ from rmcodes import (
     vec_map_table,
     vec_matrix,
 )
-from rmcodes.equivalence import format_map, parse_map
+from rmcodes.equivalence import MODES, format_map, guarded_order, parse_map
 from rmcodes.fields import FieldElement
+
+import vec_oracle as oracle
 
 
 def random_rm_map(tower, l, rnd, semilinear=False):
@@ -234,6 +237,24 @@ class TestGroupOrders:
         assert (group_order(f16_q4, 2, "mat-semilinear", m=2)
                 == 2 * group_order(f16_q4, 2, "mat-linear", m=2))
 
+    @pytest.mark.parametrize("tower", ["f4", "f81", "f16_q4"])
+    def test_guarded_order_is_exact_at_the_guard(self, request, tower):
+        # the shape bound never refuses an order within the guard
+        t = request.getfixturevalue(tower)
+        for l, m, mode in itertools.product(range(1, 6), range(1, 6), MODES):
+            order = group_order(t, l, mode, m=m)
+            assert guarded_order(t, l, mode, order, m=m) == order
+            with pytest.raises(TooLarge, match="exceeds guard"):
+                guarded_order(t, l, mode, order - 1, m=m)
+
+    def test_guarded_order_refuses_from_the_shape(self, f4, f16_q4):
+        with pytest.raises(TooLarge, match=r"group order 72 exceeds guard 71$"):
+            guarded_order(f4, 2, "mat-linear", 71, m=2)
+        with pytest.raises(TooLarge, match=r"at least 2\^499999500000 exceeds"):
+            guarded_order(f4, 10**6, "rm-linear", 2**20)
+        with pytest.raises(TooLarge, match=r"at least 2\^1560 exceeds"):
+            guarded_order(f16_q4, 3, "mat-semilinear", 2**20, m=40)
+
     def test_enumeration_is_duplicate_free(self, f81):
         keys = [f.key for f in enumerate_rm_maps(f81, 2)]
         assert len(keys) == len(set(keys)) == 1920
@@ -372,6 +393,28 @@ class TestRankPreservingOracle:
                 v = Mat(f4, [list(entries)])
                 img = (v @ G).rows[0]
                 assert lhs.rows == (img[:2], img[2:])
+
+    @pytest.mark.parametrize("tower, l, m", [("f4", 2, 2), ("f8", 2, 3)])
+    def test_vec_matrix_equals_product_form(self, request, tower, l, m):
+        # every canonical linear map, transpose-flagged ones included for l = m
+        t = request.getfixturevalue(tower)
+        maps = list(enumerate_mat_maps(t, l, m))
+        assert len(maps) == group_order(t, l, "mat-linear", m=m)
+        for f in maps:
+            assert vec_matrix(f) == oracle.vec_matrix_product(f)
+
+    @pytest.mark.parametrize("spec, seed", [((3, 1, 2), 11), ((2, 2, 2), 12)],
+                             ids=["F9", "F16-over-F4"])
+    def test_vec_matrix_equals_product_form_sampled(self, spec, seed):
+        t = make_tower(*spec)
+        rnd = random.Random(seed)
+        for f in rnd.sample(list(enumerate_mat_maps(t, 2, 2)), 40):
+            assert vec_matrix(f) == oracle.vec_matrix_product(f)
+
+    def test_vec_matrix_refuses_frobenius(self, f16_q4):
+        f = MatMap(False, Mat.identity(f16_q4, 2), Mat.identity(f16_q4, 2), 1)
+        with pytest.raises(BadParams, match="linear maps only"):
+            vec_matrix(f)
 
     def test_oracle_guard(self, f16):
         with pytest.raises(TooLarge):

@@ -1,4 +1,5 @@
-"""Exact linear algebra: RREF, rank, inversion, Kronecker products, GL."""
+"""Exact linear algebra: RREF, rank, inversion, GL; the Kronecker products
+of the vector-matrix oracle."""
 
 import random
 
@@ -13,11 +14,11 @@ from rmcodes import (
     enumerate_gl,
     gl_order,
     inverse,
-    kronecker,
     rank,
     rref,
 )
 from rmcodes.matrices import format_matrix, parse_matrix, row_decompose
+from vec_oracle import kronecker
 
 
 def vecrow(M):
@@ -217,6 +218,9 @@ class TestCheckingConstructor:
         ([[16]], 4, "code 16 outside"),
         ([[1]], 0, "subfield degree 0"),
         ([[1]], -2, "subfield degree -2"),
+        ([[1.0]], 1, "1.0 is not an integer code"),
+        ([["1"]], 1, "'1' is not an integer code"),
+        ([[True]], 1, "True is not an integer code"),
     ])
     def test_checking_constructor_refuses_bad_codes(self, f16, rows, subdeg, match):
         with pytest.raises(BadParams, match=match):
