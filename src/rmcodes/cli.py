@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Every verb prints the field spec (including the modulus in effect) before
-its results, uses stable orderings everywhere, and returns exit code 0 on
-success, 1 on a domain error, and 2 on a usage error.  Randomised checks
-take an explicit --seed (default 0) so runs are byte-reproducible.
+`main` is the one place that turns a command line into inputs: once
+argparse has accepted it (exit 2 otherwise), main parses --field, reads the
+--code and --code2 files (refusing a file whose header names a kind the verb
+does not read), prints the field spec line with the modulus in effect, and
+only then runs the verb on the parsed objects.  Verbs use stable orderings
+everywhere; a domain error is one `error:` line and exit code 1.
+Randomised checks take an explicit --seed (default 0) so runs are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -45,11 +49,13 @@ from .fields import (
     normal_basis_from,
     parse_element,
     parse_field_spec,
+    parse_int,
     power_basis,
 )
 from .matrices import format_matrix, parse_matrix
 from .subspaces import (
     Subspace,
+    SubspaceCode,
     format_subspace_file,
     lift,
     parse_subspace_file,
@@ -66,6 +72,7 @@ _SHARED_OPTIONS = {
     "out": dict(help="write the file here (default: standard output)"),
     "guard": dict(type=int, default=DEFAULT_GUARD, help="max enumeration size before refusing"),
 }
+_CODE_FILES = ("rankmetric", "gabidulin", "matrix")  # the headers parse_code_file reads
 
 
 def _parse_basis(tower: FieldTower, text: str | None) -> OrderedBasis:
@@ -73,23 +80,25 @@ def _parse_basis(tower: FieldTower, text: str | None) -> OrderedBasis:
         return power_basis(tower)
     if text == "normal":
         return normal_basis_from(find_normal_element(tower))
-    els = tuple(parse_element(tower, tok) for tok in text.split(","))
-    return OrderedBasis(els)
+    return OrderedBasis(_parse_vector(tower, text))
 
 
 def _parse_vector(tower: FieldTower, text: str):
     return tuple(parse_element(tower, tok) for tok in text.split(","))
 
 
-def _read(path: str) -> str:
+def _load(path: str, verb: str, reads: tuple[str, ...]):
+    """The code or subspace-code file at path, refused before it is parsed
+    unless its header line is one that the verb reads."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise BadParams(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _load_code(path: str):
-    return parse_code_file(_read(path))
+    header = (text.strip().splitlines() or [""])[0].strip()
+    if header not in reads:
+        raise BadParams(f"{path} has header {header!r}; {verb} reads "
+                        f"{' or '.join(reads)} files")
+    return (parse_subspace_file if header == "subspace" else parse_code_file)(text)
 
 
 def _emit(text: str, out: str | None):
@@ -101,8 +110,7 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_field(args) -> int:
-    tower = parse_field_spec(args.field)
-    print(f"field: {tower.spec_string()}")
+    tower = args.field
     print(f"p={tower.p} e={tower.e} m={tower.m} q={tower.q} |F|={tower.order}")
     print(f"modulus: {list(tower.modulus)}")
     # the generator is t = g^1 (g^0 in F_2); format_element would build the tables
@@ -114,10 +122,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_gab(args) -> int:
-    tower = parse_field_spec(args.field)
-    print(f"field: {tower.spec_string()}")
-    g = _parse_vector(tower, args.g)
-    code = gabidulin(args.k, g)
+    code = gabidulin(args.k, _parse_vector(args.field, args.g))
     print(f"gabidulin code: l={code.l}, k={code.k}, |C|={code.size}")
     if code.size <= args.guard:
         print(f"d_R,min={min_rank_distance(code, guard=args.guard)}")
@@ -128,43 +133,26 @@ def _cmd_gab(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    code = _load_code(args.code)
-    if not isinstance(code, RankMetricCode):
-        raise BadParams("expand needs a rank-metric or gabidulin code file")
-    tower = code.tower
-    print(f"field: {tower.spec_string()}")
-    basis = _parse_basis(tower, args.basis)
+    basis = _parse_basis(args.code.tower, args.basis)
     print(f"basis: {basis}")
-    mc = expand_code(code, basis)
+    mc = expand_code(args.code, basis)
     print(f"expanded matrix code: {mc.l}x{mc.m}, dim={mc.dim}, |C|={mc.size}")
     _emit(format_code_file(mc), args.out)
     return 0
 
 
 def _cmd_compress(args) -> int:
-    code = _load_code(args.code)
-    if not isinstance(code, MatrixCode):
-        raise BadParams("compress needs a matrix code file")
-    tower = code.tower
-    print(f"field: {tower.spec_string()}")
-    basis = _parse_basis(tower, args.basis)
+    basis = _parse_basis(args.code.tower, args.basis)
     print(f"basis: {basis}")
-    rm = compress_code(code, basis)
+    rm = compress_code(args.code, basis)
     print(f"compressed rank-metric code: l={rm.l}, k={rm.k}, |C|={rm.size}")
     _emit(format_code_file(rm), args.out)
     return 0
 
 
 def _cmd_lift(args) -> int:
-    code = _load_code(args.code)
-    if not isinstance(code, MatrixCode):
-        raise BadParams("lift needs a matrix code file")
-    print(f"field: {code.tower.spec_string()}")
-    try:
-        pivots = tuple(int(tok) for tok in args.pivots.split(","))
-    except ValueError:
-        raise BadParams(f"pivots must be integers: {args.pivots!r}") from None
-    sc = lift(code, pivots, guard=args.guard)
+    pivots = tuple(parse_int(tok, "a pivot") for tok in args.pivots.split(","))
+    sc = lift(args.code, pivots, guard=args.guard)
     print(f"lifted subspace code: n={sc.n}, dim={sc.dim}, |C|={sc.size}, "
           f"pivots={list(pivots)}")
     _emit(format_subspace_file(sc), args.out)
@@ -172,9 +160,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_unlift(args) -> int:
-    sc = parse_subspace_file(_read(args.code))
-    print(f"field: {sc.tower.spec_string()}")
-    pivots, mc = unlift(sc)
+    pivots, mc = unlift(args.code)
     print(f"pivots: {list(pivots)}")
     print(f"underlying matrix code: {mc.l}x{mc.m}, dim={mc.dim}")
     _emit(format_code_file(mc), args.out)
@@ -182,8 +168,7 @@ def _cmd_unlift(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    tower = parse_field_spec(args.field)
-    print(f"field: {tower.spec_string()}")
+    tower = args.field
     if args.kind == "subspace":
         U = Subspace(parse_matrix(tower, args.u, subdeg=1))
         V = Subspace(parse_matrix(tower, args.v, subdeg=1))
@@ -200,22 +185,16 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_mindist(args) -> int:
-    text = _read(args.code)
-    if text.strip().split("\n", 1)[0].strip() == "subspace":
-        sc = parse_subspace_file(text)
-        print(f"field: {sc.tower.spec_string()}")
-        d = sc.min_distance()
+    if isinstance(args.code, SubspaceCode):
+        d = args.code.min_distance()
         print(f"d_S,min = {d if d is not None else 'none (fewer than two words)'}")
     else:
-        code = parse_code_file(text)
-        print(f"field: {code.tower.spec_string()}")
-        print(f"d_R,min = {min_rank_distance(code, guard=args.guard)}")
+        print(f"d_R,min = {min_rank_distance(args.code, guard=args.guard)}")
     return 0
 
 
 def _cmd_apply(args) -> int:
-    tower = parse_field_spec(args.field)
-    print(f"field: {tower.spec_string()}")
+    tower = args.field
     f = parse_map(tower, args.map)
     if args.x is not None:
         if isinstance(f, RmMap):
@@ -225,9 +204,9 @@ def _cmd_apply(args) -> int:
             A = parse_matrix(tower, args.x, subdeg=1)
             print(format_matrix(mat_apply(f, A)))
         return 0
-    if args.code is None:
+    code = args.code
+    if code is None:
         raise BadParams("apply needs --x or --code")
-    code = _load_code(args.code)
     if isinstance(f, RmMap):
         if not isinstance(code, RankMetricCode):
             raise BadParams("rm maps act on rank-metric codes")
@@ -241,9 +220,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    tower = parse_field_spec(args.field)
-    print(f"field: {tower.spec_string()}")
-    maps = [parse_map(tower, text) for text in args.map]
+    maps = [parse_map(args.field, text) for text in args.map]
     if len(maps) < 2:
         raise BadParams("compose needs at least two --map arguments")
     acc = maps[0]
@@ -254,18 +231,12 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    tower = parse_field_spec(args.field)
-    print(f"field: {tower.spec_string()}")
-    f = parse_map(tower, args.map)
-    print(f"order = {f.order()}")
+    print(f"order = {parse_map(args.field, args.map).order()}")
     return 0
 
 
 def _cmd_equiv(args) -> int:
-    c1 = _load_code(args.code)
-    c2 = _load_code(args.code2)
-    print(f"field: {c1.tower.spec_string()}")
-    result = are_equivalent(c1, c2, args.mode, guard=args.guard)
+    result = are_equivalent(args.code, args.code2, args.mode, guard=args.guard)
     if result.equivalent:
         print(f"EQUIVALENT after {result.checked} maps")
         print(f"witness: {format_map(result.witness)}")
@@ -275,9 +246,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    code = _load_code(args.code)
-    tower = code.tower
-    print(f"field: {tower.spec_string()}")
+    code = args.code
     brute = None
     if isinstance(code, MatrixCode):
         group = mat_aut_brute(code, guard=args.guard)
@@ -322,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "construction, distances, equivalence and automorphisms")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, help_text, *shared):
+    def add(name, fn, help_text, *shared, reads=_CODE_FILES):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, reads=reads)
         for opt in shared:
             p.add_argument(f"--{opt}", **_SHARED_OPTIONS[opt])
         return p
@@ -336,16 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     add("expand", _cmd_expand, "expand a rank-metric code to a matrix code",
-        "code", "basis", "out")
+        "code", "basis", "out", reads=_CODE_FILES[:2])
     add("compress", _cmd_compress, "compress a matrix code to a rank-metric code",
-        "code", "basis", "out")
+        "code", "basis", "out", reads=("matrix",))
 
     p = add("lift", _cmd_lift, "lift a matrix code to a subspace code",
-            "code", "out", "guard")
+            "code", "out", "guard", reads=("matrix",))
     p.add_argument("--pivots", required=True, help="ascending 1-based columns")
 
     add("unlift", _cmd_unlift, "recover pivots and the underlying matrix code",
-        "code", "out")
+        "code", "out", reads=("subspace",))
 
     p = add("dist", _cmd_dist, "distance between two vectors or subspaces",
             "field", "basis")
@@ -353,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="vector or subspace basis matrix")
     p.add_argument("--v", required=True)
 
-    add("mindist", _cmd_mindist, "minimum distance of a code file", "code", "guard")
+    add("mindist", _cmd_mindist, "minimum distance of a code file", "code", "guard",
+        reads=(*_CODE_FILES, "subspace"))
 
     p = add("apply", _cmd_apply, "apply an equivalence map", "field", "out")
     p.add_argument("--map", required=True)
@@ -386,9 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "field" in args:
+            args.field = parse_field_spec(args.field)
+        for opt in ("code", "code2"):
+            if (path := getattr(args, opt, None)) is not None:
+                setattr(args, opt, _load(path, args.verb, args.reads))
+        if "field" in args or "code" in args:
+            tower = args.field if "field" in args else args.code.tower
+            print(f"field: {tower.spec_string()}")
         return args.fn(args)
     except RmcodesError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,14 @@ from typing import Iterator, Sequence
 from .elimination import flatten, nullspace, span
 from .errors import BadParams, DependentVector, NonlinearCode, TooLarge, TowerMismatch
 from .expansion import compress_codes, coords_codes, expand
-from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis, parse_field_spec
+from .fields import (
+    FieldElement,
+    FieldTower,
+    IndependentTuple,
+    OrderedBasis,
+    parse_field_spec,
+    parse_int,
+)
 from .matrices import Mat, format_matrix, parse_matrix, rank
 
 DEFAULT_GUARD = 2**20
@@ -346,10 +353,7 @@ def parse_keyed(parts: Sequence[str], keys: Sequence[str], required: Sequence[st
 def parse_shape(line: str, keys: Sequence[str]) -> dict[str, int]:
     """Parse a `key=int,...` shape line holding each of keys once."""
     shape = parse_keyed(line.split(","), keys, keys, f"shape line {line!r}")
-    try:
-        return {key: int(val) for key, val in shape.items()}
-    except ValueError:
-        raise BadParams(f"shape line {line!r} has a value that is not an integer") from None
+    return {key: parse_int(val, f"{key} in shape line {line!r}") for key, val in shape.items()}
 
 
 def parse_code_file(text: str):

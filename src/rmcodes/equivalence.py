@@ -38,7 +38,14 @@ from .errors import (
     TowerMismatch,
 )
 from .expansion import _image_matrix
-from .fields import FieldElement, FieldTower, OrderedBasis, format_element, parse_element
+from .fields import (
+    FieldElement,
+    FieldTower,
+    OrderedBasis,
+    format_element,
+    parse_element,
+    parse_int,
+)
 from .matrices import (
     Mat,
     enumerate_gl,
@@ -580,10 +587,7 @@ def parse_map(tower: FieldTower, text: str):
     transpose = kind == "mat" and parts[0].strip() == "T"
     keys = ("alpha", "L", "gamma") if kind == "rm" else ("L", "M", "gamma")
     fields = parse_keyed(parts[transpose:], keys, keys[:2], f"map literal {text!r}")
-    try:
-        gamma = int(fields.get("gamma", "0"))
-    except ValueError:
-        raise BadParams(f"gamma must be an integer in {text!r}") from None
+    gamma = parse_int(fields.get("gamma", "0"), f"gamma in {text!r}")
     if kind == "rm":
         alpha = parse_element(tower, fields["alpha"])
         return rm_map(alpha, parse_matrix(tower, fields["L"], subdeg=1), gamma)

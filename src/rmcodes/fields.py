@@ -639,8 +639,18 @@ def make_tower(p: int, e: int, m: int,
 
 _FIELD_SPEC_RE = re.compile(
     r"^gf\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*"
-    r"(?:;\s*modulus=\[([0-9,\s]*)\]\s*)?\)$", re.ASCII
+    r"(?:;\s*modulus=\[(\s*\d+\s*(?:,\s*\d+\s*)*)\]\s*)?\)$", re.ASCII
 )
+# an integer in a text form; int() alone would also read "١" (Arabic-Indic 1) and "1_0"
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def parse_int(text: str, what: str) -> int:
+    """The integer `text` spells (an optional sign, then ASCII digits);
+    BadParams naming `what` and the text otherwise."""
+    if not _INT_RE.fullmatch(text):
+        raise BadParams(f"{what} must be an integer, got {text.strip()!r}")
+    return int(text)
 
 
 def parse_field_spec(spec: str) -> FieldTower:
@@ -651,7 +661,7 @@ def parse_field_spec(spec: str) -> FieldTower:
     p, e, m = int(mm.group(1)), int(mm.group(2)), int(mm.group(3))
     modulus = None
     if mm.group(4) is not None:
-        modulus = [int(tok) for tok in mm.group(4).split(",") if tok.strip()]
+        modulus = [int(tok) for tok in mm.group(4).split(",")]
     return make_tower(p, e, m, modulus)
 
 
@@ -667,15 +677,12 @@ def parse_element(tower: FieldTower, text: str) -> FieldElement:
         return tower.zero
     if text == "g":
         return tower.generator
-    if text.isascii():  # int() would also read digits such as "²"
-        try:
-            if text.startswith("g^"):
-                return tower.gen_power(int(text[2:]))
-            if text.startswith("poly:[") and text.endswith("]"):
-                body = text[len("poly:["):-1]
-                return tower.from_coeffs([int(tok) for tok in body.split(",") if tok.strip()])
-        except ValueError:
-            pass
-        if text.isdigit() and int(text) < tower.p:
-            return tower.from_coeffs([int(text)])
+    if text.startswith("g^") and _INT_RE.fullmatch(text[2:]):
+        return tower.gen_power(int(text[2:]))
+    if text.startswith("poly:[") and text.endswith("]"):
+        coeffs = text[len("poly:["):-1].split(",")
+        if all(_INT_RE.fullmatch(c) for c in coeffs):
+            return tower.from_coeffs([int(c) for c in coeffs])
+    if text.isascii() and text.isdigit() and int(text) < tower.p:
+        return tower.from_coeffs([int(text)])
     raise BadParams(f"bad element literal: {text!r}")

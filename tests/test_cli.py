@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import rmcodes
-from rmcodes.fields import format_element, parse_field_spec
+from rmcodes.codes import expand_code, format_code_file, gabidulin
+from rmcodes.fields import format_element, parse_field_spec, power_basis
 from rmcodes.cli import main
+from rmcodes.subspaces import format_subspace_file, lift
 
 F16 = "gf(2,1,4;modulus=[1,1,0,0,1])"
 F8 = "gf(2,1,3;modulus=[1,1,0,1])"
@@ -310,14 +312,24 @@ class TestMalformedArguments:
         ["apply", "--field", F16, "--map",
          "mat[T; L=g^0,0;0,g^0; M=g^0,0,0;0,g^0,0;0,0,g^0; gamma=0]",
          "--x", "g^0,0,0;0,g^0,0"],
+        # integers are a sign and ASCII digits; int() read each of these four
+        ["mindist", "--code", "{tmp}/arabic.code"],
+        ["order", "--field", "gf(2,1,4)",
+         "--map", "rm[alpha=g^0; L=g^0,0;0,g^0; gamma=\u0661]"],
+        ["lift", "--code", "{tmp}/mat.code", "--pivots", "\u0661,\u0662"],
+        ["dist", "--field", "gf(2,1,4)", "--u", "g^1_0,0", "--v", "0,0"],
     ], ids=["missing-file", "element-g^x", "map-without-L", "map-gamma-not-integer",
             "pivots-not-integer", "field-too-large", "map-singular-L", "map-alpha-zero",
-            "map-transpose-not-square"])
+            "map-transpose-not-square", "shape-arabic-digit", "gamma-arabic-digit",
+            "pivots-arabic-digits", "exponent-underscore"])
     def test_rejects(self, capsys, tmp_path, argv):
         (tmp_path / "mat.code").write_text(f"matrix\n{F16}\nl=2,m=2,k=1\n1,0;0,1\n")
+        (tmp_path / "arabic.code").write_text(f"matrix\n{F16}\nl=\u0662,m=2,k=1\n"
+                                              "g^0,0;0,g^0\n")
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["field", "--field", F16, "--seed", "1"],
@@ -371,6 +383,62 @@ class TestKeyedText:
     def test_element_digits_are_ascii(self, capsys, literal):
         code, _, err = run(capsys, "dist", "--field", F16, "--u", literal, "--v", "0")
         assert code == 1 and err == f"error: bad element literal: {literal!r}\n"
+
+
+class TestFrontDoor:
+    """main reads --field and the code files once, refuses a file of a kind
+    the verb does not read before any output, and prints the field line."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("files")
+        f16 = parse_field_spec(F16)
+        c = gabidulin(1, (f16.one, f16.gen_power(5)))
+        m = expand_code(c, power_basis(f16))
+        (d / "c.code").write_text(format_code_file(c))
+        (d / "m.code").write_text(format_code_file(m))
+        (d / "s.code").write_text(format_subspace_file(lift(m, (1, 2))))
+        return d
+
+    MAP = "rm[alpha=g^5; L=g^0,0;0,g^0; gamma=0]"
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--field", "gf(2,1,4)"],
+        ["gab", "--field", "gf(2,1,4)", "--g", "g^0,g^5", "--k", "1"],
+        ["expand", "--code", "{d}/c.code"],
+        ["compress", "--code", "{d}/m.code"],
+        ["lift", "--code", "{d}/m.code", "--pivots", "1,2"],
+        ["unlift", "--code", "{d}/s.code"],
+        ["dist", "--field", "gf(2,1,4)", "--u", "g^0,g^5", "--v", "0,0"],
+        ["mindist", "--code", "{d}/s.code"],
+        ["apply", "--field", "gf(2,1,4)", "--map", MAP, "--x", "g^0,g^5"],
+        ["compose", "--field", "gf(2,1,4)", "--map", MAP, "--map", MAP],
+        ["order", "--field", "gf(2,1,4)", "--map", MAP],
+        ["equiv", "--code", "{d}/c.code", "--code2", "{d}/c.code", "--mode", "rm-linear"],
+        ["aut", "--code", "{d}/c.code"],
+    ], ids=lambda argv: argv[0])
+    def test_field_line_first(self, capsys, files, argv):
+        code, out, _ = run(capsys, *(a.format(d=files) for a in argv))
+        assert code == 0
+        assert out.split("\n", 1)[0] == f"field: {F16}"
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--code", "{d}/m.code"],
+        ["compress", "--code", "{d}/c.code"],
+        ["lift", "--code", "{d}/c.code", "--pivots", "1,2"],
+        ["unlift", "--code", "{d}/m.code"],
+    ], ids=lambda argv: argv[0])
+    def test_wrong_kind_refused_before_output(self, capsys, files, argv):
+        code, out, err = run(capsys, *(a.format(d=files) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_usage_error_before_files_are_read(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.code")
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", "--code", missing, "--code2", missing, "--mode", "bogus"])
+        assert exc.value.code == 2
+        assert "cannot read" not in capsys.readouterr().err
 
 
 class TestOrderGuardFromShape:

@@ -330,6 +330,31 @@ class TestTextForms:
         assert str(f16.zero) == "0"
         assert str(f16.one) == "g^0"
 
+    @pytest.mark.parametrize("text", ["poly:[1,,1]", "poly:[1,1,]", "poly:[]"])
+    def test_poly_refuses_empty_entries(self, f16, text):
+        # an empty entry was skipped, so poly:[1,,1] read as poly:[1,1] = g^4
+        with pytest.raises(BadParams, match="bad element literal"):
+            parse_element(f16, text)
+
+    @pytest.mark.parametrize("spec", ["gf(2,1,4;modulus=[1,,1,0,0,1])",
+                                      "gf(2,1,4;modulus=[1,1,0,0,1,])",
+                                      "gf(2,1,4;modulus=[])"])
+    def test_modulus_refuses_empty_entries(self, spec):
+        # an empty entry was skipped, so the first spec built the tower of [1,1,0,0,1]
+        with pytest.raises(BadParams, match="bad field spec"):
+            parse_field_spec(spec)
+
+    @pytest.mark.parametrize("text", ["g^1_0", "g^١", "g^1 0", "poly:[1,١]",
+                                      "poly:[1_0]"])
+    def test_element_integers_are_signed_ascii_digits(self, f16, text):
+        with pytest.raises(BadParams, match="bad element literal"):
+            parse_element(f16, text)
+
+    def test_element_integers_keep_sign_and_spaces(self, f16):
+        assert parse_element(f16, "g^-1") == f16.gen_power(14)
+        assert parse_element(f16, "g^+3") == parse_element(f16, "g^ 3 ") == f16.gen_power(3)
+        assert parse_element(f16, "poly:[ 1, 1 ]") == f16.one + f16.generator
+
     def test_power_basis(self, f16):
         b = power_basis(f16)
         assert [x.code for x in b] == [1, 2, 4, 8]

@@ -2,11 +2,12 @@
 
 Derandomized Hypothesis properties over F_16, F_9 and F_16 over F_4
 (e = 2): parse(format(x)) == x for elements, matrices, rank-metric and
-matrix maps (Frobenius powers and the transpose flag included) and the
-three code-file kinds.  A mutation of the formatted text (a dropped or
-doubled character, a repeated or misspelt key, a non-ASCII digit) either
-still parses or raises RmcodesError, never another exception; a repeated
-or misspelt key always raises.
+matrix maps (Frobenius powers and the transpose flag included), the
+three code-file kinds and subspace-code files.  A mutation of the
+formatted text (a dropped or doubled character, a repeated or misspelt
+key, a non-ASCII digit) either still parses or raises RmcodesError, never
+another exception; a repeated or misspelt key, and a non-ASCII digit in
+place of an ASCII one, always raise.
 """
 
 import functools
@@ -34,6 +35,7 @@ from rmcodes.codes import format_code_file, parse_code_file
 from rmcodes.equivalence import format_map, parse_map
 from rmcodes.fields import format_element
 from rmcodes.matrices import format_matrix, parse_matrix
+from rmcodes.subspaces import format_subspace_file, lift, parse_subspace_file
 
 SPECS = [(2, 1, 4), (3, 1, 2), (2, 2, 2)]
 NON_ASCII_DIGITS = ["\u00b2", "\u0663", "\uff11", "\u09e7"]  # superscript 2, Arabic-Indic 3, ...
@@ -73,22 +75,27 @@ def maps(draw):
 
 
 @st.composite
+def matrix_codes(draw, tower):
+    l, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    basis, s = [], set()
+    for _ in range(draw(st.integers(0, 3))):
+        B = _matrix(draw, tower, l, m, 1)
+        if any(any(r) for r in B.rows) and B.rows not in s:
+            s.add(B.rows)
+            basis.append(B)
+    try:
+        return MatrixCode(tower, l, m, basis)
+    except RmcodesError:  # a dependent draw: keep the independent prefix
+        return MatrixCode(tower, l, m, basis[:1])
+
+
+@st.composite
 def codes(draw):
     """A rankmetric, gabidulin or matrix code, each kind drawn evenly."""
     _, tower = draw(towers())
     kind = draw(st.sampled_from(["rankmetric", "gabidulin", "matrix"]))
     if kind == "matrix":
-        l, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        basis, s = [], set()
-        for _ in range(draw(st.integers(0, 3))):
-            B = _matrix(draw, tower, l, m, 1)
-            if any(any(r) for r in B.rows) and B.rows not in s:
-                s.add(B.rows)
-                basis.append(B)
-        try:
-            return MatrixCode(tower, l, m, basis)
-        except RmcodesError:  # a dependent draw: keep the independent prefix
-            return MatrixCode(tower, l, m, basis[:1])
+        return draw(matrix_codes(tower))
     l = draw(st.integers(1, tower.m - 1))
     while True:
         g = tuple(FieldElement(tower, draw(st.integers(1, tower.order - 1)))
@@ -101,6 +108,14 @@ def codes(draw):
     k = draw(st.integers(1, l))
     code = GabidulinCode(g, k)
     return code if kind == "gabidulin" else RankMetricCode(code.gen)
+
+
+@st.composite
+def subspace_codes(draw):
+    """The lift of a matrix code at pivots 1..l."""
+    _, tower = draw(towers())
+    mc = draw(matrix_codes(tower))
+    return lift(mc, tuple(range(1, mc.l + 1)))
 
 
 def _same_code(a, b) -> bool:
@@ -146,6 +161,14 @@ def test_code_file_round_trip(code):
     parsed = parse_code_file(text)
     assert _same_code(parsed, code)
     assert format_code_file(parsed) == text
+
+
+@PROPERTY
+@given(subspace_codes())
+def test_subspace_file_round_trip(sc):
+    text = format_subspace_file(sc)
+    assert parse_subspace_file(text) == sc
+    assert format_subspace_file(parse_subspace_file(text)) == text
 
 
 # -- mutations -----------------------------------------------------------------
@@ -203,6 +226,38 @@ def test_mutated_map(tf, data):
 @given(codes(), st.data())
 def test_mutated_code_file(code, data):
     _parses_or_refuses(parse_code_file, data.draw(char_mutations(format_code_file(code))))
+
+
+@st.composite
+def formatted(draw, kind):
+    """(parse, text): the text form of a drawn object of the kind, and the
+    parser that reads it back."""
+    if kind == "map":
+        tower, f = draw(maps())
+        return functools.partial(parse_map, tower), format_map(f)
+    if kind == "code file":
+        return parse_code_file, format_code_file(draw(codes()))
+    if kind == "subspace file":
+        return parse_subspace_file, format_subspace_file(draw(subspace_codes()))
+    _, tower = draw(towers())
+    if kind == "element":
+        x = FieldElement(tower, draw(st.integers(0, tower.order - 1)))
+        return functools.partial(parse_element, tower), format_element(x)
+    M = _matrix(draw, tower, draw(st.integers(1, 3)), draw(st.integers(1, 3)), 1)
+    return functools.partial(parse_matrix, tower), format_matrix(M)
+
+
+@pytest.mark.parametrize("kind", ["element", "matrix", "map", "code file", "subspace file"])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_non_ascii_digit_refused(kind, data):
+    """An integer in a text form is an optional sign and ASCII digits, so a
+    text with one digit replaced by a non-ASCII digit never parses."""
+    parse, text = data.draw(formatted(kind))
+    j = data.draw(st.sampled_from([j for j, ch in enumerate(text) if ch in "0123456789"]))
+    mutated = text[:j] + data.draw(st.sampled_from(NON_ASCII_DIGITS)) + text[j + 1:]
+    with pytest.raises(RmcodesError):
+        parse(mutated)
 
 
 _SHAPE_KEY = re.compile(r"\b([lmk])=-?\d+")
