@@ -47,6 +47,7 @@ from .matrices import (
     element_order,
     enumerate_gl,
     gl_order,
+    gl_rank,
     inverse,
     rank,
     rref,

@@ -32,13 +32,19 @@ DEFAULT_GUARD = 2**20
 class RankMetricCode:
     """An F_{q^m}-linear code C <= F_{q^m}^l given by a full-rank generator."""
 
-    def __init__(self, gen: Mat):
+    def __init__(self, gen: Mat, *, _span=None):
+        """_span: the span of gen's rows, from a caller that inserted each
+        row and found it independent; the rows are then not checked again."""
         tower = gen.tower
         if gen.subdeg != tower.m:
             raise BadParams("generator must be tagged with the top field")
-        self._span = span(tower, gen.ncols, tower.m)
-        if not gen.rows or not all(map(self._span.add, gen.rows)):
+        if _span is None:
+            _span = span(tower, gen.ncols, tower.m)
+            if not all(map(_span.add, gen.rows)):
+                raise BadParams("generator matrix must have full row rank")
+        if not gen.rows:
             raise BadParams("generator matrix must have full row rank")
+        self._span = _span
         self.tower = tower
         self.gen = gen
         self.k = gen.nrows
@@ -278,13 +284,15 @@ def expand_code(c: RankMetricCode, b: OrderedBasis) -> MatrixCode:
     return MatrixCode(tower, c.l, tower.m, mats)
 
 
-def _compressed_rows(mc: MatrixCode, b: OrderedBasis) -> list | None:
-    """Compressed basis matrices of mc, each independent over F_{q^m} of the
-    ones before it, or None when eps_b^{-1}(mc) is not closed under scalars
-    from the top field.
+def _compressed(mc: MatrixCode, b: OrderedBasis) -> tuple:
+    """(rows, span, linear): the compressed basis matrices of mc that are
+    independent over F_{q^m} of the ones before them, their span over
+    F_{q^m}, and whether eps_b^{-1}(mc) is closed under scalars from the
+    top field.
 
-    The rows span q^(m*rank) words, a superset of the |mc| compressed words;
-    the two agree exactly when the compressed set is a top-field subspace.
+    The span holds q^(m*rank) words, a superset of the |mc| compressed
+    words; the two agree exactly when the compressed set is a top-field
+    subspace.
     """
     tower = mc.tower
     # compress_codes checks each matrix, but mc may have none
@@ -294,20 +302,20 @@ def _compressed_rows(mc: MatrixCode, b: OrderedBasis) -> list | None:
         raise BadParams(f"matrix has {mc.m} columns, basis has {tower.m}")
     s = span(tower, mc.l, tower.m)
     rows = [v for v in (compress_codes(B, b) for B in mc.basis) if s.add(v)]
-    return rows if tower.order**len(rows) == mc.size else None
+    return rows, s, tower.order**s.rank == mc.size
 
 
 def compress_code(mc: MatrixCode, b: OrderedBasis) -> RankMetricCode:
     """eps_b^{-1}(mc) when that set is F_{q^m}-linear; NonlinearCode otherwise."""
-    rows = _compressed_rows(mc, b)
-    if rows is None:
+    rows, s, linear = _compressed(mc, b)
+    if not linear:
         raise NonlinearCode("compressed set is not linear over the top field")
-    return RankMetricCode(Mat(mc.tower, rows, subdeg=mc.tower.m, check=False))
+    return RankMetricCode(Mat(mc.tower, rows, subdeg=mc.tower.m, check=False), _span=s)
 
 
 def is_extension_linear(mc: MatrixCode, b: OrderedBasis) -> bool:
     """Is eps_b^{-1}(mc) closed under scalars from the top field?"""
-    return _compressed_rows(mc, b) is not None
+    return _compressed(mc, b)[2]
 
 
 # ---------------------------------------------------------------------------

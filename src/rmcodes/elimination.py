@@ -25,6 +25,7 @@ this module too.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import NotInSpan, Singular
@@ -48,6 +49,9 @@ class Span:
         self._len = width + extra
         self._cols: list[int] = []  # 0-based pivot column of each basis row
         self._rows: list = []
+
+    def _entry(self, v, col: int) -> int:
+        return v[col]
 
     def _lead(self, v) -> int | None:
         for c in range(self.width):
@@ -81,6 +85,35 @@ class Span:
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns False (and changes nothing) if it is dependent."""
         return self._insert(self._pack(vec)) is None
+
+    def add_at(self, vec: Sequence[int]) -> tuple[int, int] | None:
+        """Insert vec and return (c, x): c is the first column, 0-based, at
+        which vec leaves the span, and x the entry at c shared by every span
+        member that agrees with vec before c.  None, changing nothing, when
+        vec is dependent."""
+        v = self._reduce(self._pack(vec))
+        col = self._lead(v)
+        if col is None:
+            return None
+        # v is vec minus one such member: zero before c, nonzero at c
+        x = self.tower.sub(vec[col], self._entry(v, col))
+        self._push(v, col)
+        return col, x
+
+    def _copy(self) -> "Span":
+        new = object.__new__(type(self))
+        new.__dict__.update(vars(self))
+        new._cols, new._rows = self._cols[:], self._rows[:]
+        return new
+
+    def extended(self, rows: Iterable[Sequence[int]]) -> "Span | None":
+        """A new span of this basis and rows, or None when a row lies in the
+        span of this basis and the rows before it; this span does not change."""
+        new = self._copy()
+        for vec in rows:
+            if not new.add(vec):
+                return None
+        return new
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """vec minus the combination of basis rows that clears their pivots."""
@@ -133,6 +166,14 @@ class _F2Span(Span):
 
     def _unpack(self, v):
         return tuple(v >> s & 1 for s in range(self._len - 1, -1, -1))
+
+    def _copy(self):
+        new = super()._copy()
+        new._bits = self._bits[:]
+        return new
+
+    def _entry(self, v, col):
+        return v >> (self._len - 1 - col) & 1
 
     def _lead(self, v):
         col = self._len - v.bit_length()
@@ -200,7 +241,7 @@ def span(tower, width: int, subdeg: int = 1, rows: Iterable[Sequence[int]] = (),
 
 def flatten(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
     """Concatenate the rows of a matrix into one row-major vector."""
-    return tuple(x for r in rows for x in r)
+    return tuple(chain.from_iterable(rows))
 
 
 def _augmented(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

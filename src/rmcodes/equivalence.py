@@ -20,12 +20,9 @@ products, inverses, enumerations and solves build maps without a re-check.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .codes import DEFAULT_GUARD, MatrixCode, RankMetricCode, min_rank_distance, parse_keyed
@@ -48,9 +45,12 @@ from .fields import (
 )
 from .matrices import (
     Mat,
+    _gl_members,
+    _identity_index,
     enumerate_gl,
     format_matrix,
     gl_order,
+    gl_rank,
     inverse,
     parse_matrix,
     rank,
@@ -186,6 +186,8 @@ def rm_map(alpha: FieldElement, L: Mat, gamma: int = 0) -> RmMap:
 def rm_apply(f: RmMap, x):
     """Apply a rank-metric map to a vector of field elements or a code."""
     if isinstance(x, RankMetricCode):
+        if x.tower is not f.tower:
+            raise TowerMismatch("code from a different tower")
         rows = [f.apply_codes(row) for row in x.gen.rows]
         return RankMetricCode(Mat(f.tower, rows, subdeg=f.tower.m, check=False))
     els = tuple(x)
@@ -284,24 +286,6 @@ def rm_to_mat(f: RmMap, b: OrderedBasis) -> MatMap:
 # group enumeration and orders
 # ---------------------------------------------------------------------------
 
-_rows = attrgetter("rows")  # the sort key of the GL lists: lexicographic
-
-
-@functools.lru_cache(maxsize=None)
-def _gl_list(tower: FieldTower, n: int) -> tuple[Mat, ...]:
-    return tuple(enumerate_gl(tower, n))
-
-
-@functools.lru_cache(maxsize=None)
-def _gl_leading_one(tower: FieldTower, n: int) -> tuple[Mat, ...]:
-    """Invertible matrices whose first nonzero entry (row-major) is one.
-
-    One representative per F_q*-scalar class; these are exactly the
-    canonical L-parts of the coset forms.
-    """
-    return tuple(M for M in _gl_list(tower, n) if _first_nonzero(M) == 1)
-
-
 def group_order(tower: FieldTower, l: int, mode: str, m: int | None = None) -> int:
     """Closed-form order of the chosen equivalence group.
 
@@ -340,34 +324,35 @@ def guarded_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | Non
 
 
 def _canonical_parts(tower: FieldTower, l: int, m: int | None, semilinear: bool):
-    """(gammas, flags, Ls, inner): the canonical maps are their product, in
-    enumeration order: gamma, the transpose flag (l = m), L over the
-    leading-one forms, then inner, alpha by code (rank-metric maps, m None)
-    or M over GL_m."""
+    """(gammas, flags, n): the canonical maps, in enumeration order, run over
+    gamma, the transpose flag (l = m), L over the leading-one forms of
+    enumerate_gl, then n inner parts: alpha by code (rank-metric maps, m
+    None) or M over enumerate_gl."""
     rm = m is None
     gammas = range(tower.degree if rm else tower.e) if semilinear else (0,)
     flags = (False, True) if l == m else (False,)
-    inner = range(1, tower.order) if rm else _gl_list(tower, m)
-    return gammas, flags, _gl_leading_one(tower, l), inner
+    return gammas, flags, tower.order - 1 if rm else gl_order(tower.q, m)
 
 
 def enumerate_rm_maps(tower: FieldTower, l: int,
                       semilinear: bool = False) -> Iterator[RmMap]:
     """Every canonical coset once: gamma outer, then L (lexicographic among
     leading-one representatives), then alpha by code."""
-    *classes, alphas = _canonical_parts(tower, l, None, semilinear)
-    for gamma, _, L in itertools.product(*classes):
-        for alpha in alphas:
-            yield RmMap(alpha, L, gamma)
+    gammas, _, _ = _canonical_parts(tower, l, None, semilinear)
+    for gamma in gammas:
+        for L in enumerate_gl(tower, l, leading_one=True):
+            for alpha in range(1, tower.order):
+                yield RmMap(alpha, L, gamma)
 
 
 def enumerate_mat_maps(tower: FieldTower, l: int, m: int,
                        semilinear: bool = False) -> Iterator[MatMap]:
     """Every canonical coset once: gamma, transpose flag, L (leading-one), M."""
-    *classes, ms = _canonical_parts(tower, l, m, semilinear)
-    for gamma, flag, L in itertools.product(*classes):
-        for M in ms:
-            yield MatMap(flag, L, M, gamma)
+    gammas, flags, _ = _canonical_parts(tower, l, m, semilinear)
+    for gamma, flag in itertools.product(gammas, flags):
+        for L in enumerate_gl(tower, l, leading_one=True):
+            for M in enumerate_gl(tower, m):
+                yield MatMap(flag, L, M, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -415,41 +400,55 @@ def _common_space(c1, c2, mode: str) -> tuple | None:
     return space if c1.tower is c2.tower and space == (c2.l, None if rm else c2.m) else None
 
 
-def _positions(tower: FieldTower, basis: list, mats: tuple, n: int) -> list[int]:
-    """Ascending positions in mats, a GL list in its lexicographic order, of
-    the n x n matrices in the F_q-span of basis (rows of row-major entries)."""
-    found = []
-    for coeffs in itertools.product(tower.subfield_codes(1), repeat=len(basis)):
-        v = tower.add_scaled([0] * (n * n), coeffs, basis)
-        rows = tuple(tuple(v[r:r + n]) for r in range(0, n * n, n))
-        i = bisect_left(mats, rows, key=_rows)
-        if i < len(mats) and mats[i].rows == rows:
-            found.append(i)
-    return sorted(found)
-
-
-def _rm_solve(c1, c2, gamma: int, Ls: tuple) -> list[int]:
-    """Positions in Ls of the L with x L in sigma^-gamma(C2) for each
-    generator row x of C1: a kernel over F_q in the l^2 entries of L."""
+def _rm_solve(c1, c2, gamma: int) -> list:
+    """An F_q-basis, as rows of l^2 row-major entries, of the l x l matrices
+    L with x L in sigma^-gamma(C2) for each generator row x of C1: the
+    kernel of one linear system over F_q in the entries of L."""
     t, l = c1.tower, c1.l
     target = span(t, l, t.m, ([t.frob(y, -gamma) for y in row] for row in c2.gen.rows))
     units = [target.reduce((0,) * j + (1,) + (0,) * (l - 1 - j)) for j in range(l)]
     # entry (i, j) of L adds x_i e_j, reduced modulo the target, for each x
     conditions = [flatten(t.fq_coords(t.mul(x[i], y)) for x in c1.gen.rows for y in u)
                   for i in range(l) for u in units]
-    return _positions(t, nullspace(t, conditions, len(conditions[0])), Ls, l)
+    return nullspace(t, conditions, len(conditions[0]))
 
 
-def _mat_solve(L: Mat, flag: bool, basis: tuple, target, Ms: tuple) -> list[int]:
-    """Positions in Ms of the M with L B^T? M in target for each B in basis:
-    a kernel over F_q in the m^2 entries of M."""
-    left, m = [L @ (B.transpose() if flag else B) for B in basis], Ms[0].nrows
-    conditions = [  # entry (a, b) of M adds L B^T? E_ab: column a moved to b
-        flatten(target.reduce(flatten((0,) * b + (r[a],) + (0,) * (m - 1 - b)
-                                      for r in LB.rows)) for LB in left)
-        for a in range(m) for b in range(m)]
-    t = target.tower
-    return _positions(t, nullspace(t, conditions, target.width * len(left)), Ms, m)
+def _mat_solve(L: Mat, flag: bool, basis: tuple, units: list) -> list:
+    """An F_q-basis, as rows of m^2 row-major entries, of the m x m matrices
+    M with L B^T? M in target for each B in basis: the kernel of one linear
+    system over F_q in the entries of M.  units[b][i] is the unit l x m
+    matrix E_ib, flattened and reduced modulo the target."""
+    t, m, width = L.tower, len(units), len(units[0][0])
+    left = [L @ (B.transpose() if flag else B) for B in basis]
+    # entry (a, b) of M adds L B^T? E_ab = sum_i (L B^T?)_ia E_ib, reduced
+    conditions = [flatten(t.add_scaled([0] * width, [r[a] for r in LB.rows], units[b])
+                          for LB in left)
+                  for a in range(m) for b in range(m)]
+    return nullspace(t, conditions, width * len(left))
+
+
+def _solutions(c1, c2, l: int, m: int | None, semilinear: bool):
+    """The solves behind the canonical maps carrying C1 onto C2, in
+    enumeration order, as (gamma, flag, i, L, found).
+
+    Rank-metric modes (m None) solve once per gamma for L; i and L are
+    None, and found holds the leading-one L.  Matrix modes solve once per
+    (gamma, T?, L) for M, with L walked over the leading-one forms and i
+    its index there; found holds the M.  found walks _gl_members lazily.
+    """
+    tower = c1.tower
+    gammas, flags, _ = _canonical_parts(tower, l, m, semilinear)
+    for gamma in gammas:
+        if m is None:
+            yield gamma, False, None, None, _gl_members(tower, _rm_solve(c1, c2, gamma), l, True)
+            continue
+        target = span(tower, l * m, 1, (flatten(B.frobenius(-gamma).rows) for B in c2.basis))
+        units = [[target.reduce(tuple(int(k == i * m + b) for k in range(l * m)))
+                  for i in range(l)] for b in range(m)]
+        for flag in flags:
+            for i, L in enumerate(enumerate_gl(tower, l, leading_one=True)):
+                found = _gl_members(tower, _mat_solve(L, flag, c1.basis, units), m, False)
+                yield gamma, flag, i, L, found
 
 
 def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
@@ -460,9 +459,11 @@ def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
     Linear solves, no scan: C2 is F_q-linear, so the L (rank-metric modes,
     one kernel per gamma; scalars act trivially on an F_{q^m}-linear code)
     or the M (matrix modes, one kernel per gamma, T? and L) that carry C1
-    into sigma^-gamma(C2) form an F_q-space.  Its invertible canonical
-    members are looked up in the GL lists, and the counts are read off
-    their positions.  Only maps yielded are built.
+    into sigma^-gamma(C2) form an F_q-space.  _gl_members walks its
+    invertible canonical members in enumeration order, so each count is
+    read off the gl_rank of one L or M as its maps are yielded: a caller
+    that takes the first map ranks one member, and only the maps yielded
+    are built.  No GL list is built.
     """
     space = _common_space(c1, c2, mode)
     if space is None or c1.size != c2.size:
@@ -471,28 +472,42 @@ def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
     gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
     if all(map(contains, gens)):  # the identity's test
         yield (RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)), 1
-    gammas, flags, Ls, inner = _canonical_parts(tower, l, m, mode.endswith("semilinear"))
-    n = len(inner)  # maps per class (gamma, T?, L)
-    # the identity's position: class (0, False, I), then alpha 1 or M = I
-    identity = bisect_left(Ls, Mat.identity(tower, l).rows, key=_rows) * n
-    if not rm:
-        identity += bisect_left(inner, Mat.identity(tower, m).rows, key=_rows)
-    for gamma in gammas:
-        if rm:
-            hits = ((False, i, range(n)) for i in _rm_solve(c1, c2, gamma, Ls))
-        else:
-            target = span(tower, l * m, 1,
-                          (flatten(B.frobenius(-gamma).rows) for B in c2.basis))
-            hits = ((flag, i, _mat_solve(L, flag, gens, target, inner))
-                    for flag in flags for i, L in enumerate(Ls))
-        for flag, i, js in hits:
-            base = ((gamma * len(flags) + flag) * len(Ls) + i) * n
-            for j in js:
-                pos = base + j
+    semilinear = mode.endswith("semilinear")
+    _, flags, n = _canonical_parts(tower, l, m, semilinear)  # n maps per class (gamma, T?, L)
+    forms = gl_order(tower.q, l) // (tower.q - 1)  # the leading-one L
+    identity = None
+    for gamma, flag, i, L, found in _solutions(c1, c2, l, m, semilinear):
+        for rows in found:
+            if identity is None:
+                # the identity's position: class (0, False, I), then alpha 1 or M = I
+                identity = _identity_index(tower.q, l, leading_one=True) * n
+                if not rm:
+                    identity += _identity_index(tower.q, m)
+            P = Mat(tower, rows, check=False)
+            j = gl_rank(P, leading_one=rm)
+            # a rank-metric solution is an L, heading n maps, one per alpha
+            first = ((gamma * len(flags) + flag) * forms + (j if rm else i)) * n
+            for pos in range(first, first + n) if rm else (first + j,):
                 if pos != identity:
-                    f = (RmMap(inner[j], Ls[i], gamma) if rm
-                         else MatMap(flag, Ls[i], inner[j], gamma))
+                    f = RmMap(pos - first + 1, P, gamma) if rm else MatMap(flag, L, P, gamma)
                     yield f, pos + 2 - (pos > identity)
+
+
+def _onto_maps(c1, c2, mode: str) -> Iterator:
+    """Every canonical map f with f(C1) = C2, without counts: the solves of
+    equivalence_maps with nothing ranked, in enumeration order with the
+    identity in its own place."""
+    space = _common_space(c1, c2, mode)
+    if space is None or c1.size != c2.size:
+        return
+    (l, m), tower = space, c1.tower
+    for gamma, flag, _, L, found in _solutions(c1, c2, l, m, mode.endswith("semilinear")):
+        for rows in found:
+            P = Mat(tower, rows, check=False)
+            if m is None:
+                yield from (RmMap(alpha, P, gamma) for alpha in range(1, tower.order))
+            else:
+                yield MatMap(flag, L, P, gamma)
 
 
 def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult:

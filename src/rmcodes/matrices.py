@@ -18,7 +18,7 @@ from . import elimination
 from .errors import BadParams, ShapeMismatch, Singular, TooLarge, TowerMismatch
 from .fields import FieldElement, FieldTower, format_element, parse_element
 
-_GL_CANDIDATE_GUARD = 2**24
+_GL_GUARD = 2**24  # matrices one enumerate_gl may walk
 
 
 class Mat:
@@ -179,33 +179,144 @@ def gl_order(field_size: int, n: int) -> int:
     return out
 
 
-def enumerate_gl(tower: FieldTower, n: int) -> Iterator[Mat]:
-    """Every invertible n x n matrix over F_q, exactly once.
+def enumerate_gl(tower: FieldTower, n: int, leading_one: bool = False) -> Iterator[Mat]:
+    """Every invertible n x n matrix over F_q, exactly once; with
+    leading_one, only those whose first nonzero entry (row-major) is one.
 
     Order is lexicographic by the row-major entry list, entries compared by
-    their position in the sorted code list of F_q.  Generation walks rows
-    and skips spans, so the cost is |GL| and not |F|^(n^2); the guard still
-    uses the candidate count |F|^(n^2) as the documented desk-scale limit.
+    their position in the sorted code list of F_q; gl_rank reads a matrix's
+    index in it.  Generation walks rows and skips spans, so the work is
+    |GL_n(F_q)| matrices, and the guard refuses on that count before the
+    first is yielded.
     """
+    size = gl_order(tower.q, n)
+    if size > _GL_GUARD:
+        raise TooLarge(f"|GL_{n}(F_{tower.q})| = {size} matrices exceed "
+                       f"the enumeration guard {_GL_GUARD}")
+    if n == 0:
+        yield Mat(tower, [], check=False)  # GL_0 holds the empty matrix alone
+        return
+    cands = list(itertools.product(tower.subfield_codes(1), repeat=n))
+
+    def walk(rows, above):  # above: the span of rows
+        for row in cands:
+            if leading_one and not rows and next(filter(None, row), 1) != 1:
+                continue
+            if len(rows) + 1 < n:
+                if (below := above.extended([row])) is not None:
+                    yield from walk(rows + [row], below)
+            elif not above.contains(row):
+                yield Mat(tower, rows + [row], check=False)
+
+    yield from walk([], elimination.span(tower, n))
+
+
+def _gl_members(tower: FieldTower, basis: Sequence[Sequence[int]], n: int,
+                leading_one: bool = False) -> Iterator[tuple]:
+    """The rows of each invertible n x n matrix in the F_q-span of basis (a
+    list of row-major entry rows), whose first nonzero entry is one when
+    leading_one, in enumerate_gl's order.
+
+    In reduced echelon form a basis row whose pivot lies in matrix row k
+    is zero in the rows above, so choosing the coefficients of those basis
+    rows, row by row, fixes the member's rows in turn, and a row in the
+    span of the rows above it ends the branch.  The coefficients are the
+    member's entries at the pivots, so taking them in code order walks the
+    members lexicographically.
+    """
+    echelon = elimination.span(tower, n * n, 1, basis)
+    reduced, pivot_rows = echelon.rows(), [(p - 1) // n for p in echelon.pivots]
+    if not reduced or pivot_rows[0]:
+        return iter(())  # row 0 is zero
     codes = tower.subfield_codes(1)
-    size = len(codes)
-    if size ** (n * n) > _GL_CANDIDATE_GUARD:
-        raise TooLarge(
-            f"{size}^{n * n} candidate matrices exceed the enumeration guard")
-    rows: list[tuple[int, ...]] = []
 
-    def rec():
-        if len(rows) == n:
-            yield Mat(tower, list(rows), check=False)
-            return
-        span = elimination.span(tower, n, 1, rows)
-        for cand in itertools.product(codes, repeat=n):
-            if not span.contains(cand):
-                rows.append(cand)
-                yield from rec()
-                rows.pop()
+    def walk(j, v, above):  # above: the span of the rows fixed so far
+        # once basis row j is chosen, the rows up to the next one's pivot row are fixed
+        k, stop = pivot_rows[j], pivot_rows[j + 1] if j + 1 < len(reduced) else n
+        for c in codes:
+            w = tower.add_scaled(v, (c,), (reduced[j],))
+            below = above
+            if stop > k:
+                if leading_one and not k and next(filter(None, w[:n]), 1) != 1:
+                    continue
+                below = above.extended([w[r:r + n] for r in range(k * n, stop * n, n)])
+                if below is None:
+                    continue
+            if j + 1 < len(reduced):
+                yield from walk(j + 1, w, below)
+            else:
+                yield tuple(tuple(w[r:r + n]) for r in range(0, n * n, n))
 
-    yield from rec()
+    return walk(0, [0] * (n * n), elimination.span(tower, n))
+
+
+def gl_rank(M: Mat, leading_one: bool = False) -> int:
+    """The index of M in enumerate_gl(M.tower, n, leading_one), without
+    the walk.  Singular when M is singular; BadParams when M is not over
+    the base field or, with leading_one, its first nonzero entry is not one.
+
+    Row i contributes its index among the rows that may follow rows 0..i-1,
+    times the prod_{j>i} (q^n - q^j) ways to finish the matrix.  That index
+    is the count of vectors below row i minus the count of span members
+    below it.  Span.add_at gives the column c where row i leaves the span
+    of the rows before it, and the entry x at c of the members that agree
+    with it before c.  A member below row i either agrees with it up to a
+    pivot column and is smaller there, with the later pivots free, or
+    agrees with it up to c and has x < row[c] there.
+    """
+    if M.nrows != M.ncols:
+        raise ShapeMismatch("GL rank of a non-square matrix")
+    if M.subdeg != 1:
+        raise BadParams("GL rank needs a matrix over the base field")
+    if leading_one and next((c for r in M.rows for c in r if c), 0) != 1:
+        raise BadParams("the first nonzero entry is not one")
+    tower, n = M.tower, M.nrows
+    codes = tower.subfield_codes(1)
+    q = len(codes)
+    # an entry's place among the codes; F_p codes are 0..p-1 already
+    digit = None if tower.e == 1 else {c: i for i, c in enumerate(codes)}
+    s = elimination.span(tower, n)
+    pivots: list[int] = []  # pivot columns of the rows so far, ascending
+    index = 0
+    for i, row in enumerate(M.rows):
+        found = s.add_at(row)
+        if found is None:
+            raise Singular("GL rank of a singular matrix")
+        col, x = found
+        d = row if digit is None else [digit[c] for c in row]
+        below = 0
+        for k in d:
+            below = below * q + k
+        if leading_one and not i:
+            # the vectors opening with a one below row 0: every one with a
+            # later lead, then those with its lead and a smaller tail
+            width = q ** (n - 1 - col)
+            below = (width - 1) // (q - 1) + below % width
+        else:
+            after = i  # pivot columns after the one read
+            for p in pivots:
+                if p > col:
+                    break
+                after -= 1
+                below -= d[p] * q**after
+            if (x if digit is None else digit[x]) < d[col]:
+                below -= q**after
+        index = index * (q**n - q**i) + below
+        pivots.append(col)
+        pivots.sort()
+    return index
+
+
+def _identity_index(q: int, n: int, leading_one: bool = False) -> int:
+    """gl_rank of the n x n identity, without the elimination: row i, e_i, has
+    q^(n-1-i) vectors below it, just one of them (zero) in the span of the
+    rows above it; among the vectors opening with a one, e_0 has every one
+    with a later lead below it."""
+    index = 0
+    for i in range(n):
+        below = (q ** (n - 1) - 1) // (q - 1) if leading_one and not i else q ** (n - 1 - i) - 1
+        index = index * (q**n - q**i) + below
+    return index
 
 
 def row_decompose(targets: Sequence[Sequence[int]], M: Mat) -> Mat:

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .automorphisms import m_beta, rm_aut_group, stabilizer_degree
-from .codes import MatrixCode, expand_code, gabidulin, is_extension_linear, min_rank_distance
+from .codes import MatrixCode, _compressed, expand_code, gabidulin, min_rank_distance
 from .elimination import flatten, span
 from .equivalence import RmMap, maps_onto, mat_apply, mat_map, rm_apply, rm_map
 from .errors import UnknownExample
-from .expansion import compress
 from .fields import (
     IndependentTuple,
     find_normal_element,
@@ -132,13 +131,10 @@ def _f64_not_gabidulin() -> ExampleReport:
     f = mat_map(L, M)
     image_code = mat_apply(f, expanded)
     lines.append(CheckLine("|image code|", 4096, image_code.size))
-    compressed = [compress(B, basis) for B in image_code.basis]
-    span_rank = rank(Mat(tower, [[x.code for x in v] for v in compressed],
-                         subdeg=tower.m, check=False))
+    _, compressed, linear = _compressed(image_code, basis)
     lines.append(CheckLine("|span over F_64 of the compressed image|",
-                           16777216, tower.order**span_rank))
-    lines.append(CheckLine("image is F_64-linear", False,
-                           is_extension_linear(image_code, basis)))
+                           16777216, tower.order**compressed.rank))
+    lines.append(CheckLine("image is F_64-linear", False, linear))
     notes = (f"basis: normal basis {basis} (the first normal generator "
              "power; it validates every printed matrix)",
              "image is matrix equivalent to the expanded code by "

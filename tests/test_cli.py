@@ -318,12 +318,16 @@ class TestMalformedArguments:
          "--map", "rm[alpha=g^0; L=g^0,0;0,g^0; gamma=\u0661]"],
         ["lift", "--code", "{tmp}/mat.code", "--pivots", "\u0661,\u0662"],
         ["dist", "--field", "gf(2,1,4)", "--u", "g^1_0,0", "--v", "0,0"],
+        # an F_8 map on an F_16 code: an F_8 code built from F_16 codes
+        ["apply", "--field", "gf(2,1,3)", "--map", "rm[alpha=g^1; L=g^0,0;0,g^0; gamma=0]",
+         "--code", "{tmp}/rm16.code"],
     ], ids=["missing-file", "element-g^x", "map-without-L", "map-gamma-not-integer",
             "pivots-not-integer", "field-too-large", "map-singular-L", "map-alpha-zero",
             "map-transpose-not-square", "shape-arabic-digit", "gamma-arabic-digit",
-            "pivots-arabic-digits", "exponent-underscore"])
+            "pivots-arabic-digits", "exponent-underscore", "apply-code-other-tower"])
     def test_rejects(self, capsys, tmp_path, argv):
         (tmp_path / "mat.code").write_text(f"matrix\n{F16}\nl=2,m=2,k=1\n1,0;0,1\n")
+        (tmp_path / "rm16.code").write_text(f"rankmetric\n{F16}\nl=2,m=4,k=1\ng^0,g^5\n")
         (tmp_path / "arabic.code").write_text(f"matrix\n{F16}\nl=\u0662,m=2,k=1\n"
                                               "g^0,0;0,g^0\n")
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))

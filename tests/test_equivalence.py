@@ -78,6 +78,14 @@ class TestRmAction:
         with pytest.raises(ShapeMismatch):
             f.apply_codes((1, 2, 3))
 
+    def test_code_from_another_tower(self, f16, f8):
+        # codes are checked like vectors: no F_8 code built from F_16 codes
+        code = gabidulin(1, (f16.one, f16.generator**5))
+        with pytest.raises(TowerMismatch):
+            rm_apply(RmMap.identity(f8, 2), code)
+        with pytest.raises(TowerMismatch):
+            rm_apply(RmMap.identity(f8, 2), next(code.codewords()))
+
 
 class TestRmGroup:
     def test_order_80(self, f81):

@@ -1,23 +1,37 @@
-"""Exact linear algebra: RREF, rank, inversion, GL; the Kronecker products
-of the vector-matrix oracle."""
+"""Exact linear algebra: RREF, rank, inversion, GL and positions in it; the
+Kronecker products of the vector-matrix oracle."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmcodes import (
     BadParams,
     Mat,
     Singular,
+    ShapeMismatch,
     TooLarge,
     element_order,
     enumerate_gl,
     gl_order,
+    gl_rank,
     inverse,
+    make_tower,
     rank,
     rref,
 )
-from rmcodes.matrices import format_matrix, parse_matrix, row_decompose
+from rmcodes.elimination import span
+from rmcodes.matrices import (
+    _gl_members,
+    _identity_index,
+    format_matrix,
+    parse_matrix,
+    row_decompose,
+)
+from gl_oracle import first_nonzero, gl_unrank, span_members
 from vec_oracle import kronecker
 
 
@@ -159,6 +173,7 @@ class TestEnumerateGl:
         assert sum(1 for _ in enumerate_gl(f4, 2)) == 6 == gl_order(2, 2)
         assert sum(1 for _ in enumerate_gl(f4, 1)) == 1  # q - 1 scalars
         assert sum(1 for _ in enumerate_gl(f81, 1)) == 2
+        assert [M.shape() for M in enumerate_gl(f4, 0)] == [(0, 0)]
 
     def test_all_invertible_and_distinct(self, f81):
         seen = set()
@@ -172,9 +187,17 @@ class TestEnumerateGl:
         flat = [tuple(x for row in rows for x in row) for rows in mats]
         assert flat == sorted(flat)
 
-    def test_guard(self, f64):
-        with pytest.raises(TooLarge):
-            list(enumerate_gl(f64, 5))  # 2^25 candidates
+    def test_guard(self, f64, f16_q4):
+        # the guard counts the matrices walked, |GL_n(F_q)|, and refuses
+        # at the first step, before anything is yielded
+        for tower, n, q in ((f64, 6, 2), (f16_q4, 5, 4)):
+            walk = enumerate_gl(tower, n)
+            with pytest.raises(TooLarge, match=f"= {gl_order(q, n)} matrices exceed"):
+                next(walk)
+        # GL_5(F_2) holds about 10^7 matrices, under the guard: it starts
+        # (walking it all would take about a minute)
+        first = next(enumerate_gl(f64, 5))
+        assert first.rows == tuple(tuple(int(i + j == 4) for j in range(5)) for i in range(5))
 
 
 class TestElementOrder:
@@ -232,3 +255,70 @@ class TestCheckingConstructor:
 
     def test_unchecked_constructor_trusts_its_codes(self, f16):
         assert Mat(f16, [[99]], check=False).rows == ((99,),)
+
+
+# F_2 up to n = 4, F_3 up to n = 3, and F_4 as gf(2,2,2), where the codes of
+# the base field are 0, 1, 2, 3 in the tower but not the digits 0..q-1
+GL_SHAPES = ([((2, 1, 3), n) for n in range(1, 5)] + [((3, 1, 2), n) for n in range(1, 4)]
+             + [((2, 2, 2), n) for n in range(1, 3)])
+
+
+@functools.cache
+def _gl(spec, n, leading_one):
+    """enumerate_gl's list; the leading-one one filtered from the full list."""
+    mats = tuple(enumerate_gl(make_tower(*spec), n))
+    return tuple(M for M in mats if first_nonzero(M.rows) == 1) if leading_one else mats
+
+
+class TestGlRank:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(GL_SHAPES), st.booleans(), st.data())
+    def test_rank_is_the_enumeration_index(self, shape, leading_one, data):
+        spec, n = shape
+        mats = _gl(spec, n, leading_one)
+        i = data.draw(st.integers(0, len(mats) - 1))
+        assert gl_rank(mats[i], leading_one) == i
+        assert gl_unrank(make_tower(*spec), n, i, leading_one) == mats[i]
+
+    @pytest.mark.parametrize("spec, n", [((2, 1, 3), 3), ((3, 1, 2), 2), ((2, 2, 2), 2)])
+    def test_every_index_of_small_groups(self, spec, n):
+        for leading_one in (False, True):
+            mats = _gl(spec, n, leading_one)
+            assert [gl_rank(M, leading_one) for M in mats] == list(range(len(mats)))
+            assert tuple(enumerate_gl(make_tower(*spec), n, leading_one)) == mats
+            assert _identity_index(len(make_tower(*spec).subfield_codes(1)), n, leading_one) \
+                == gl_rank(Mat.identity(make_tower(*spec), n), leading_one)
+
+    def test_refusals(self, f4, f81):
+        with pytest.raises(Singular):
+            gl_rank(Mat(f4, [[1, 1], [1, 1]]))
+        with pytest.raises(Singular):
+            gl_rank(Mat(f81, [[1, 2, 0], [2, 1, 0], [0, 0, 1]]), leading_one=True)
+        with pytest.raises(Singular):
+            gl_rank(Mat(f4, [[0, 0], [0, 0]]))
+        with pytest.raises(BadParams):  # first nonzero entry 2, not 1
+            gl_rank(Mat(f81, [[2, 0], [0, 1]]), leading_one=True)
+        with pytest.raises(BadParams):
+            gl_rank(Mat.identity(f4, 2, subdeg=2))
+        with pytest.raises(ShapeMismatch):
+            gl_rank(Mat(f4, [[1, 0, 0], [0, 1, 0]]))
+
+
+@st.composite
+def spans(draw):
+    """(tower, basis, n): up to n^2 random rows of n x n row-major entries."""
+    spec, n = draw(st.sampled_from([((2, 1, 3), 3), ((3, 1, 2), 2), ((2, 2, 2), 2)]))
+    tower = make_tower(*spec)
+    entry = st.sampled_from(tower.subfield_codes(1))
+    rows = draw(st.lists(st.lists(entry, min_size=n * n, max_size=n * n), max_size=n * n))
+    basis = [r for r in rows if span(tower, n * n, 1, [r]).rank]  # nonzero rows
+    return tower, span(tower, n * n, 1, basis).rows(), n
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(spans(), st.booleans())
+def test_span_members_in_gl_order(drawn, leading_one):
+    # the invertible members of a span, each once, in enumerate_gl's order
+    tower, basis, n = drawn
+    assert list(_gl_members(tower, basis, n, leading_one)) == \
+        span_members(tower, basis, n, leading_one)
