@@ -92,6 +92,7 @@ from .equivalence import (
     enumerate_rm_maps,
     equivalence_maps,
     group_order,
+    map_index,
     maps_onto,
     mat_apply,
     mat_map,

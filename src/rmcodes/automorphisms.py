@@ -24,7 +24,7 @@ from .fields import FieldElement, FieldTower, IndependentTuple, OrderedBasis
 from .matrices import Mat
 from .equivalence import (
     RmMap,
-    _onto_maps,
+    equivalence_maps,
     guarded_order,
     maps_onto,
     rm_to_mat,
@@ -189,15 +189,15 @@ def rm_aut_group(c: GabidulinCode) -> AutGroup:
 
 def _brute_group(kind: str, code, semilinear: bool, guard: int,
                  m: int | None = None) -> AutGroup:
-    """The stabilizer of code: its maps onto itself, unranked since AutGroup
-    sorts them, generators left to their first read.  The guard bounds the
-    group order (and so the L walked, the maps built and that read's
-    compositions) and |code|."""
+    """The stabilizer of code: equivalence_maps of code onto itself, which
+    AutGroup sorts by key, generators left to their first read.  The guard
+    bounds the group order (and so the L walked, the maps built and that
+    read's compositions) and |code|."""
     mode = f"{kind}-{'semilinear' if semilinear else 'linear'}"
     guarded_order(code.tower, code.l, mode, guard, m=m)
     if code.size > guard:
         raise TooLarge(f"|code| = {code.size} exceeds guard {guard}")
-    return AutGroup(kind, code.tower, _onto_maps(code, code, mode))
+    return AutGroup(kind, code.tower, equivalence_maps(code, code, mode))
 
 
 def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,

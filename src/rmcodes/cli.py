@@ -5,7 +5,8 @@ argparse has accepted it (exit 2 otherwise), main parses --field, reads the
 --code and --code2 files (refusing a file whose header names a kind the verb
 does not read), prints the field spec line with the modulus in effect, and
 only then runs the verb on the parsed objects.  Verbs use stable orderings
-everywhere; a domain error is one `error:` line and exit code 1.
+everywhere; a domain error is one `error:` line and exit code 1, and a
+closed stdout ends in exit code 1 with no traceback.
 Randomised checks take an explicit --seed (default 0) so runs are
 byte-reproducible.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -366,9 +368,16 @@ def main(argv=None) -> int:
         if "field" in args or "code" in args:
             tower = args.field if "field" in args else args.code.tower
             print(f"field: {tower.spec_string()}")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except RmcodesError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the flush at
+        # exit raises nothing (the recipe in the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

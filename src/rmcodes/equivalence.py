@@ -366,11 +366,11 @@ class EquivResult:
     equivalent: bool
     witness: object | None
     checked: int
-    """The witness's position in the canonical enumeration, counted from 1
-    with the identity moved to the front: 1 for the identity, else 1 plus
-    the non-identity maps up to and including the witness; the group order
-    when no witness exists; 0 when a size, shape or distance pre-filter
-    decided."""
+    """The witness's place in the canonical enumeration, counted from 1
+    with the identity moved to the front: 1 for the identity, else
+    i + 2 - (i > map_index(identity)) for i = map_index(witness); the group
+    order when no witness exists; 0 when a size, shape or distance
+    pre-filter decided."""
     mode: str
     reason: str
 
@@ -427,107 +427,82 @@ def _mat_solve(L: Mat, flag: bool, basis: tuple, units: list) -> list:
     return nullspace(t, conditions, width * len(left))
 
 
-def _solutions(c1, c2, l: int, m: int | None, semilinear: bool):
-    """The solves behind the canonical maps carrying C1 onto C2, in
-    enumeration order, as (gamma, flag, i, L, found).
+def equivalence_maps(c1, c2, mode: str) -> Iterator[_Map]:
+    """Every canonical map f with f(C1) = C2, in the order of
+    enumerate_rm_maps/enumerate_mat_maps, the identity in its own place;
+    map_index(f) reads that place off f.
 
-    Rank-metric modes (m None) solve once per gamma for L; i and L are
-    None, and found holds the leading-one L.  Matrix modes solve once per
-    (gamma, T?, L) for M, with L walked over the leading-one forms and i
-    its index there; found holds the M.  found walks _gl_members lazily.
+    Linear solves, no scan: C2 is F_q-linear, so the L (rank-metric modes,
+    one kernel per gamma; scalars act trivially on an F_{q^m}-linear code,
+    so each L comes with every alpha) or the M (matrix modes, one kernel per
+    gamma, T? and L, with L walked over the leading-one forms) that carry
+    C1 into sigma^-gamma(C2) form an F_q-space.  _gl_members walks its
+    invertible canonical members lazily in enumeration order, so only the
+    maps taken are built.  No GL list is built.
     """
-    tower = c1.tower
-    gammas, flags, _ = _canonical_parts(tower, l, m, semilinear)
+    space = _common_space(c1, c2, mode)
+    if space is None or c1.size != c2.size:
+        return
+    (l, m), tower = space, c1.tower
+    gammas, flags, _ = _canonical_parts(tower, l, m, mode.endswith("semilinear"))
     for gamma in gammas:
         if m is None:
-            yield gamma, False, None, None, _gl_members(tower, _rm_solve(c1, c2, gamma), l, True)
+            for rows in _gl_members(tower, _rm_solve(c1, c2, gamma), l, True):
+                L = Mat(tower, rows, check=False)
+                yield from (RmMap(alpha, L, gamma) for alpha in range(1, tower.order))
             continue
         target = span(tower, l * m, 1, (flatten(B.frobenius(-gamma).rows) for B in c2.basis))
         units = [[target.reduce(tuple(int(k == i * m + b) for k in range(l * m)))
                   for i in range(l)] for b in range(m)]
         for flag in flags:
-            for i, L in enumerate(enumerate_gl(tower, l, leading_one=True)):
-                found = _gl_members(tower, _mat_solve(L, flag, c1.basis, units), m, False)
-                yield gamma, flag, i, L, found
+            for L in enumerate_gl(tower, l, leading_one=True):
+                for rows in _gl_members(tower, _mat_solve(L, flag, c1.basis, units), m):
+                    yield MatMap(flag, L, Mat(tower, rows, check=False), gamma)
 
 
-def equivalence_maps(c1, c2, mode: str) -> Iterator[tuple]:
-    """Each canonical map f with f(C1) = C2 and its count (EquivResult.checked
-    for the witness f): the identity first, with count 1, then the rest in
-    the order of enumerate_rm_maps/enumerate_mat_maps.
-
-    Linear solves, no scan: C2 is F_q-linear, so the L (rank-metric modes,
-    one kernel per gamma; scalars act trivially on an F_{q^m}-linear code)
-    or the M (matrix modes, one kernel per gamma, T? and L) that carry C1
-    into sigma^-gamma(C2) form an F_q-space.  _gl_members walks its
-    invertible canonical members in enumeration order, so each count is
-    read off the gl_rank of one L or M as its maps are yielded: a caller
-    that takes the first map ranks one member, and only the maps yielded
-    are built.  No GL list is built.
-    """
-    space = _common_space(c1, c2, mode)
-    if space is None or c1.size != c2.size:
-        return
-    (l, m), tower, rm = space, c1.tower, mode.startswith("rm")
-    gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
-    if all(map(contains, gens)):  # the identity's test
-        yield (RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)), 1
-    semilinear = mode.endswith("semilinear")
-    _, flags, n = _canonical_parts(tower, l, m, semilinear)  # n maps per class (gamma, T?, L)
-    forms = gl_order(tower.q, l) // (tower.q - 1)  # the leading-one L
-    identity = None
-    for gamma, flag, i, L, found in _solutions(c1, c2, l, m, semilinear):
-        for rows in found:
-            if identity is None:
-                # the identity's position: class (0, False, I), then alpha 1 or M = I
-                identity = _identity_index(tower.q, l, leading_one=True) * n
-                if not rm:
-                    identity += _identity_index(tower.q, m)
-            P = Mat(tower, rows, check=False)
-            j = gl_rank(P, leading_one=rm)
-            # a rank-metric solution is an L, heading n maps, one per alpha
-            first = ((gamma * len(flags) + flag) * forms + (j if rm else i)) * n
-            for pos in range(first, first + n) if rm else (first + j,):
-                if pos != identity:
-                    f = RmMap(pos - first + 1, P, gamma) if rm else MatMap(flag, L, P, gamma)
-                    yield f, pos + 2 - (pos > identity)
-
-
-def _onto_maps(c1, c2, mode: str) -> Iterator:
-    """Every canonical map f with f(C1) = C2, without counts: the solves of
-    equivalence_maps with nothing ranked, in enumeration order with the
-    identity in its own place."""
-    space = _common_space(c1, c2, mode)
-    if space is None or c1.size != c2.size:
-        return
-    (l, m), tower = space, c1.tower
-    for gamma, flag, _, L, found in _solutions(c1, c2, l, m, mode.endswith("semilinear")):
-        for rows in found:
-            P = Mat(tower, rows, check=False)
-            if m is None:
-                yield from (RmMap(alpha, P, gamma) for alpha in range(1, tower.order))
-            else:
-                yield MatMap(flag, L, P, gamma)
+def map_index(f) -> int:
+    """The index of the canonical map f in enumerate_rm_maps or
+    enumerate_mat_maps with semilinear=True; the linear enumeration is its
+    gamma = 0 prefix.  The place of the class (gamma, T?, L), read with
+    gl_rank over the leading-one L, times the n maps of a class, plus the
+    place in it: alpha - 1 (rank-metric maps) or gl_rank(M)."""
+    rm, t = isinstance(f, RmMap), f.tower
+    _, flags, n = _canonical_parts(t, f.l, None if rm else f.m, False)
+    forms = gl_order(t.q, f.l) // (t.q - 1)  # the leading-one L
+    flag = False if rm else f.transpose
+    first = ((f.gamma * len(flags) + flag) * forms + gl_rank(f.L, leading_one=True)) * n
+    return first + (f.alpha - 1 if rm else gl_rank(f.M))
 
 
 def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult:
     """Equivalence over the whole group, with the first canonical witness.
 
     Pre-filters on size and minimum distance (both are preserved by every
-    equivalence map), refuses with TooLarge when the group order exceeds the
-    guard, then takes the first map of equivalence_maps, which solves for
-    it class by class: equal codes always get the identity as their witness.
+    equivalence map; a code of size 1 is {0} and has no distance), refuses
+    with TooLarge when the group order exceeds the guard, tests the identity,
+    which is the witness for equal codes, then takes the first map of
+    equivalence_maps, which solves for it class by class.
     """
     space = _common_space(c1, c2, mode)
     if space is None:
         return EquivResult(False, None, 0, mode, "shape mismatch")
     if c1.size != c2.size:
         return EquivResult(False, None, 0, mode, "size mismatch")
-    order = guarded_order(c1.tower, space[0], mode, guard, m=space[1])
-    if c1.size <= DEFAULT_GUARD and min_rank_distance(c1) != min_rank_distance(c2):
+    (l, m), tower, rm = space, c1.tower, mode.startswith("rm")
+    order = guarded_order(tower, l, mode, guard, m=m)
+    if 1 < c1.size <= DEFAULT_GUARD and min_rank_distance(c1) != min_rank_distance(c2):
         return EquivResult(False, None, 0, mode, "minimum distance mismatch")
-    for f, checked in equivalence_maps(c1, c2, mode):
-        return EquivResult(True, f, checked, mode, "witness found")
+    gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
+    if all(map(contains, gens)):  # the identity's test
+        f = RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)
+        return EquivResult(True, f, 1, mode, "witness found")
+    for f in equivalence_maps(c1, c2, mode):
+        # the identity's index: class (0, False, I), then alpha 1 or M = I
+        n = _canonical_parts(tower, l, m, False)[2]
+        identity = _identity_index(tower.q, l, leading_one=True) * n
+        identity += 0 if rm else _identity_index(tower.q, m)
+        i = map_index(f)
+        return EquivResult(True, f, i + 2 - (i > identity), mode, "witness found")
     return EquivResult(False, None, order, mode, "group exhausted")
 
 

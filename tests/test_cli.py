@@ -189,6 +189,35 @@ class TestPipeline:
                            "--code2", str(other), "--mode", "rm-linear")
         assert code == 0 and "EQUIVALENT" in out
 
+    def test_equiv_zero_codes(self, capsys, tmp_path):
+        """{0} has no minimum distance; the identity is its witness."""
+        path = tmp_path / "zero.code"
+        path.write_text("matrix\ngf(2,1,2)\nl=2,m=2,k=0\n")
+        code, out, err = run(capsys, "equiv", "--code", str(path), "--code2", str(path),
+                             "--mode", "mat-linear")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "EQUIVALENT after 1 maps"
+        assert out.splitlines()[2] == "witness: mat[L=g^0,0;0,g^0; M=g^0,0;0,g^0; gamma=0]"
+
+
+class TestClosedStdout:
+    def test_no_traceback(self, tmp_path):
+        """stdout is a pipe whose read end closed before the process started,
+        so the first write fails: exit 1, nothing on stderr."""
+        path = tmp_path / "zero.code"
+        path.write_text("matrix\ngf(2,1,2)\nl=2,m=2,k=0\n")
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            env = {**os.environ, "PYTHONPATH": str(Path(rmcodes.__file__).parents[1])}
+            proc = subprocess.run([sys.executable, "-m", "rmcodes.cli", "aut", "--code",
+                                   str(path), "--full"], stdout=write, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")
+
 
 class TestMalformedCodeFiles:
     """Bad code files end in one error line and exit 1, never a traceback

@@ -356,6 +356,15 @@ class TestAreEquivalent:
         res = are_equivalent(mc, image, "mat-linear")
         assert res.equivalent
 
+    @pytest.mark.parametrize("mode", ["mat-linear", "mat-semilinear"])
+    def test_zero_codes_have_the_identity_witness(self, f4, mode):
+        """{0} has no minimum distance, so the distance pre-filter passes
+        it by: every map fixes it, and the identity comes first."""
+        zero = MatrixCode(f4, 2, 2, [])
+        res = are_equivalent(zero, MatrixCode(f4, 2, 2, []), mode)
+        assert (res.equivalent, res.checked, res.reason) == (True, 1, "witness found")
+        assert res.witness.is_identity()
+
     def test_guard(self, f64):
         c = gabidulin(1, (f64.one, f64.generator))
         with pytest.raises(TooLarge):

@@ -2,13 +2,14 @@
 
 are_equivalent, equivalence_maps, rm_aut_brute and mat_aut_brute must agree
 with the first form of the scan on verdict, witness key, checked, reason,
-every map found with its count, and brute group keys and generators; and
-equivalence_maps must yield the class scan's sequence, map by map with its
-count.  The grid covers F_8, F_16, F_27 and F_16 over F_4 (e = 2, so
-mat-semilinear has gamma != 0), in linear and semilinear modes, with equal,
-equivalent and random (mostly inequivalent) pairs.  Further cases cover
-solution spaces larger than the GL list (every map solves), gamma != 0 with
-sigma^-gamma(C2) != C2, the transpose flag and the F_16 worked example.
+every map found with its count (read off map_index), and brute group keys
+and generators; and equivalence_maps must yield the class scan's sequence,
+map by map, in increasing map_index.  The grid covers F_8, F_16, F_27 and
+F_16 over F_4 (e = 2, so mat-semilinear has gamma != 0), in linear and
+semilinear modes, with equal, equivalent and random (mostly inequivalent)
+pairs.  Further cases cover solution spaces larger than the GL list (every
+map solves), gamma != 0 with sigma^-gamma(C2) != C2, the transpose flag and
+the F_16 worked example.
 """
 
 import random
@@ -33,6 +34,7 @@ from rmcodes import (
     gabidulin,
     group_order,
     make_tower,
+    map_index,
     maps_onto,
     mat_apply,
     mat_aut_brute,
@@ -134,7 +136,18 @@ def _mode(kind, semilinear):
 
 
 def _found(c1, c2, mode):
-    return [(f.key, n) for f, n in equivalence_maps(c1, c2, mode)]
+    """Each map of equivalence_maps with its count, the scans' form: the
+    identity first with count 1, then each map f with
+    map_index(f) + 2 - (map_index(f) > map_index(identity)).  The maps
+    come in strictly increasing map_index."""
+    maps = list(equivalence_maps(c1, c2, mode))
+    index = [map_index(f) for f in maps]
+    assert index == sorted(set(index))
+    identity = (RmMap.identity(c1.tower, c1.l) if mode.startswith("rm")
+                else MatMap.identity(c1.tower, c1.l, c1.m))
+    first = map_index(identity)
+    return ([(identity.key, 1)] * (identity in maps)
+            + [(f.key, i + 2 - (i > first)) for f, i in zip(maps, index) if i != first])
 
 
 @pytest.mark.parametrize("seed,kind,case,semilinear",
@@ -164,7 +177,7 @@ def test_every_map_found_matches_oracle(seed, kind, case, semilinear):
         found = _found(c1, c2, mode)
         assert found == oracle.witnesses(c1, c2, mode)
         assert found == oracle.class_witnesses(c1, c2, mode)
-        assert all(maps_onto(f, c1, c2) for f, _ in equivalence_maps(c1, c2, mode))
+        assert all(maps_onto(f, c1, c2) for f in equivalence_maps(c1, c2, mode))
 
 
 @pytest.mark.parametrize("seed,kind,case,semilinear",
@@ -175,6 +188,21 @@ def test_brute_group_matches_oracle(seed, kind, case, semilinear):
     elements, gens = oracle.stabilizer(c, semilinear)
     assert [f.key for f in group.elements] == [f.key for f in elements]
     assert [f.key for f in group.generators] == [f.key for f in gens]
+
+
+@pytest.mark.parametrize("kind,case,semilinear", CASES, ids=IDS)
+def test_map_index_reads_the_enumeration(kind, case, semilinear):
+    """map_index counts the enumeration from 0 up to the group order, and
+    the linear enumeration is the gamma = 0 prefix of the semilinear one."""
+    tower, l = TOWERS[case[0]](), case[1]
+    m = None if kind == "rm" else case[2]
+    enum = ((lambda s: enumerate_rm_maps(tower, l, s)) if kind == "rm"
+            else (lambda s: enumerate_mat_maps(tower, l, m, s)))
+    maps = list(enum(semilinear))
+    order = group_order(tower, l, _mode(kind, semilinear), m=m)
+    assert [map_index(f) for f in maps] == list(range(order))
+    linear = [f.key for f in enum(False)]
+    assert linear == [f.key for f in maps][:len(linear)]
 
 
 @pytest.mark.parametrize("kind,case,semilinear", CASES, ids=IDS)
@@ -196,7 +224,7 @@ def test_e2_grid_finds_frobenius_maps(f16_q4):
     found = []
     for l, m in ((1, 2), (1, 1)):
         c = _mat_code(f16_q4, l, m, 1, rnd)
-        found += [f for f, _ in equivalence_maps(c, c, "mat-semilinear")]
+        found += equivalence_maps(c, c, "mat-semilinear")
     assert any(f.gamma == 1 and not f.transpose for f in found)
     assert any(f.gamma == 1 and f.transpose for f in found)
 
@@ -255,7 +283,7 @@ def test_frobenius_moves_the_target(f16_q4, kind):
     assert _frobenius_code(c2, -1) != c2
     found = _found(c1, c2, mode)
     assert found == oracle.class_witnesses(c1, c2, mode)
-    maps = [f for f, _ in equivalence_maps(c1, c2, mode)]
+    maps = list(equivalence_maps(c1, c2, mode))
     assert any(f.gamma for f in maps)
     if kind == "mat":
         assert any(f.transpose and f.gamma for f in maps)
