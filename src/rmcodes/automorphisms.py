@@ -25,7 +25,6 @@ from .matrices import Mat
 from .equivalence import (
     RmMap,
     equivalence_maps,
-    guarded_order,
     maps_onto,
     rm_to_mat,
 )
@@ -169,35 +168,35 @@ def rm_aut_group(c: GabidulinCode) -> AutGroup:
     if c.k == c.l:
         raise BadParams("k = l: the full space has no analytic group; use rm_aut_brute")
     sd = stabilizer_degree(c.g)
-    betas = [x for x in tower.subfield(sd.d) if x.code]
     # g^0 .. g^(n-1) represent the n cosets of F_q^* in F_{q^m}^*
     reps = tower._exp[:tower.mult_order // (tower.q - 1)]
-    elements = []
-    for beta in betas:
-        Mb = m_beta(c.g, beta)
-        if not maps_onto(RmMap(1, Mb), c, c):
+    elements, mul = [], tower.mul
+    for beta in tower.subfield_codes(sd.d)[1:]:
+        f = RmMap(1, m_beta(c.g, FieldElement(tower, beta)))  # M_beta in canonical form
+        if not maps_onto(f, c, c):
             raise BadParams("analytic automorphism failed to fix the code")
-        for alpha in reps:
-            elements.append(RmMap(alpha, Mb))
+        if beta == sd.witness_beta.code:
+            witness = f
+        elements += [RmMap(mul(alpha, f.alpha), f.L) for alpha in reps]
     expected = (tower.mult_order * (tower.q**sd.d - 1)) // (tower.q - 1)
     if len({f.key for f in elements}) != expected:
         raise BadParams("canonical coset collapse went wrong")
-    gens = (RmMap(tower.generator.code, Mat.identity(tower, c.l)),
-            RmMap(1, m_beta(c.g, sd.witness_beta)))
+    gens = (RmMap(tower.generator.code, Mat.identity(tower, c.l)), witness)
     return AutGroup("rm", tower, elements, d=sd.d, gens=gens)
 
 
-def _brute_group(kind: str, code, semilinear: bool, guard: int,
-                 m: int | None = None) -> AutGroup:
+def _brute_group(kind: str, code, semilinear: bool, guard: int) -> AutGroup:
     """The stabilizer of code: equivalence_maps of code onto itself, which
     AutGroup sorts by key, generators left to their first read.  The guard
-    bounds the group order (and so the L walked, the maps built and that
-    read's compositions) and |code|."""
+    bounds, before |code|, what equivalence_maps walks: in rank-metric modes
+    the group order (every alpha is built); in matrix modes the classes
+    (gamma, T?, L) solved and the running total of q^dim over their
+    kernels, so the group order may exceed it."""
     mode = f"{kind}-{'semilinear' if semilinear else 'linear'}"
-    guarded_order(code.tower, code.l, mode, guard, m=m)
+    maps = equivalence_maps(code, code, mode, guard)
     if code.size > guard:
         raise TooLarge(f"|code| = {code.size} exceeds guard {guard}")
-    return AutGroup(kind, code.tower, equivalence_maps(code, code, mode))
+    return AutGroup(kind, code.tower, maps)
 
 
 def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
@@ -231,4 +230,4 @@ def mat_aut_brute(mc: MatrixCode, semilinear: bool = False,
     """Exact stabilizer of a matrix code inside the matrix-equivalence group:
     per (gamma, T?, L), the M with (L C^T? M)^(p^gamma) = C from one
     F_q-kernel."""
-    return _brute_group("mat", mc, semilinear, guard, m=mc.m)
+    return _brute_group("mat", mc, semilinear, guard)

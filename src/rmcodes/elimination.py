@@ -11,13 +11,18 @@ FieldTower.add_scaled, which runs on the log/exp tables bound to locals
 (and, for odd p, the Zech logarithm table that turns each sum into a lookup).
 
 Each representation keeps a reduced echelon basis that grows one row at a
-time (a :class:`Span`), and echelon form, rank, inverse, row decomposition,
-nullspace and membership are all read off it.  Most of those results are
-unique, so they are identical to the textbook Gauss-Jordan on the tower's
-arithmetic that the test suite keeps as its oracle.  The free choices, the
-particular solution of a decomposition over dependent rows and the basis
-of a nullspace, use only the rows that are independent of the rows before
-them.  Pivot columns are 1-based.
+time (a :class:`Span`), and echelon form, rank, inverse, row decomposition
+and membership are all read off it.  A nullspace takes one forward pass
+(:meth:`Span.relations`) that never back-substitutes.  Most of those
+results are unique, so they are identical to the textbook Gauss-Jordan on
+the tower's arithmetic that the test suite keeps as its oracle.  The free
+choices, the particular solution of a decomposition over dependent rows and
+the basis of a nullspace, use only the rows that are independent of the
+rows before them.  Pivot columns are 1-based.
+
+Callers that build many systems from one set of rows hold those rows in the
+kernel's form (:meth:`Span.pack`), make each system's rows with
+:meth:`Span.combine` and eliminate them as they are.
 
 Only :mod:`rmcodes.errors` is imported, so :mod:`rmcodes.fields` can use
 this module too.
@@ -25,7 +30,9 @@ this module too.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress
+from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import NotInSpan, Singular
@@ -72,19 +79,18 @@ class Span:
         self._cols.append(col)
         rows.append(v)
 
-    def _insert(self, v):
-        """Keep v reduced unless it is dependent; then return its residual
-        (zero in the first width columns), else None."""
+    def _insert(self, v) -> bool:
+        """Keep v, reduced, unless it is dependent; whether it was kept."""
         v = self._reduce(v)
         col = self._lead(v)
         if col is None:
-            return v
+            return False
         self._push(v, col)
-        return None
+        return True
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns False (and changes nothing) if it is dependent."""
-        return self._insert(self._pack(vec)) is None
+        return self._insert(self._pack(vec))
 
     def add_at(self, vec: Sequence[int]) -> tuple[int, int] | None:
         """Insert vec and return (c, x): c is the first column, 0-based, at
@@ -118,6 +124,43 @@ class Span:
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """vec minus the combination of basis rows that clears their pivots."""
         return self._unpack(self._reduce(self._pack(vec)))
+
+    def pack(self, vec: Sequence[int], at: int = 0):
+        """vec in this span's row form, placed from column at of a row of
+        width + extra entries that is zero elsewhere."""
+        return self._pack((0,) * at + tuple(vec) + (0,) * (self._len - at - len(vec)))
+
+    def combine(self, coeffs: Sequence[int], rows: Sequence):
+        """The sum of coeffs[i] * rows[i], for rows in this span's row form."""
+        neg = self.tower.neg
+        return self._sub([0] * self._len, [neg(c) for c in coeffs], rows)
+
+    def relations(self, rows: Iterable) -> list[tuple[int, ...]]:
+        """For each row, in this span's row form, that depends on the rows
+        before it, the extra columns of what is left once they are
+        subtracted; for rows that record themselves in the extra columns, as
+        [rows | I] does, a basis of the nullspace.  This span only lends its
+        form and does not change.
+
+        One forward pass: each independent row joins a basis that is never
+        back-substituted.  A row less a combination of the basis is zero at
+        every pivot for one combination only, so however the pivots are
+        cleared the residual is that of a reduced basis; here each basis row
+        is zero at the pivots of the rows before it, so subtracting them in
+        order clears all pivots.
+        """
+        width, cols, basis, out = self.width, [], [], []
+        for v in rows:
+            for col, b in zip(cols, basis):
+                if v[col]:
+                    v = self._sub(v, (v[col],), (b,))
+            col = self._lead(v)
+            if col is None:
+                out.append(self._unpack(v)[width:])
+            else:
+                cols.append(col)
+                basis.append(self._scale(v, v[col]))
+        return out
 
     def contains(self, vec: Sequence[int]) -> bool:
         return self._lead(self._reduce(self._pack(vec))) is None
@@ -167,6 +210,9 @@ class _F2Span(Span):
     def _unpack(self, v):
         return tuple(v >> s & 1 for s in range(self._len - 1, -1, -1))
 
+    def pack(self, vec, at=0):
+        return self._pack(vec) << (self._len - at - len(vec))
+
     def _copy(self):
         new = super()._copy()
         new._bits = self._bits[:]
@@ -194,6 +240,23 @@ class _F2Span(Span):
         self._bits.append(bit)
         self._cols.append(col)
         rows.append(v)
+
+    def combine(self, coeffs, rows):
+        return reduce(xor, compress(rows, coeffs), 0)
+
+    def relations(self, rows):
+        # a basis row is zero before its pivot, its leading bit, so clearing
+        # the first pivot left in v never sets an earlier one
+        extra, basis, pivots, out = self._len - self.width, {}, 0, []
+        for v in rows:
+            while x := v & pivots:
+                v ^= basis[x.bit_length()]
+            if v >> extra:
+                basis[v.bit_length()] = v
+                pivots |= 1 << v.bit_length() - 1
+            else:
+                out.append(tuple(v >> s & 1 for s in range(extra - 1, -1, -1)))
+        return out
 
 
 class _PrimeSpan(Span):
@@ -270,17 +333,12 @@ def nullspace(tower, rows: Sequence[Sequence[int]], width: int,
               subdeg: int = 1) -> list[tuple[int, ...]]:
     """A basis of the coefficient rows c with sum of c_i * rows[i] zero.
 
-    One reduction pass of [rows | I]: a row that reduces to zero leaves its
-    recorded combination, which has a one at the row's own index and zeros
-    after it, so the len(rows) - rank results are independent.
+    Span.relations of [rows | I]: a row that depends on the rows before it
+    leaves its recorded combination, which has a one at the row's own index
+    and zeros after it, so the len(rows) - rank results are independent.
     """
     s = span(tower, width, subdeg, extra=len(rows))
-    out = []
-    for v in map(s._pack, _augmented(rows)):
-        rest = s._insert(v)
-        if rest is not None:
-            out.append(s._unpack(rest)[width:])
-    return out
+    return s.relations(map(s._pack, _augmented(rows)))
 
 
 def decompose(s: Span, targets: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .codes import DEFAULT_GUARD, MatrixCode, RankMetricCode, min_rank_distance, parse_keyed
-from .elimination import flatten, nullspace, span
+from .elimination import Span, flatten, span
 from .errors import (
     BadParams,
     IllegalTranspose,
@@ -309,17 +309,39 @@ def group_order(tower: FieldTower, l: int, mode: str, m: int | None = None) -> i
     raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
 
 
-def guarded_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None) -> int:
-    """group_order, or TooLarge when it exceeds guard.  Every order is at
-    least |GL_n(F_q)| >= q^(n(n-1)/2) for n = l and, in matrix modes, n = m:
+def _bounded_order(tower: FieldTower, l: int, mode: str, guard: int,
+                   m: int | None = None) -> int:
+    """group_order, or TooLarge when its lower bound |GL_n(F_q)| >=
+    q^(n(n-1)/2), for n = l and in matrix modes n = m, reaches the guard:
     a shape that bound refuses never has its order computed or formatted."""
     n = l if mode.startswith("rm") else max(l, m or 0)
     bits = (tower.q.bit_length() - 1) * n * (n - 1) // 2
     if bits >= guard.bit_length():
         raise TooLarge(f"group order of at least 2^{bits} exceeds guard {guard}")
-    order = group_order(tower, l, mode, m=m)
+    return group_order(tower, l, mode, m=m)
+
+
+def guarded_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None) -> int:
+    """group_order, or TooLarge when it exceeds guard; the shape bound of
+    _bounded_order refuses first."""
+    order = _bounded_order(tower, l, mode, guard, m=m)
     if order > guard:
         raise TooLarge(f"group order {order} exceeds guard {guard}")
+    return order
+
+
+def _walk_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None) -> int:
+    """The group order, once the walk of equivalence_maps passes the guard
+    checks made before its first solve.  Rank-metric modes build every
+    alpha, so guarded_order bounds the order.  Matrix modes take the shape
+    bound and then count the classes (gamma, T?, L) walked, one solve each:
+    the order over |GL_m(F_q)|."""
+    if m is None:
+        return guarded_order(tower, l, mode, guard)
+    order = _bounded_order(tower, l, mode, guard, m=m)
+    classes = order // gl_order(tower.q, m)
+    if classes > guard:
+        raise TooLarge(f"{classes} classes (gamma, T?, L) to solve exceed guard {guard}")
     return order
 
 
@@ -400,34 +422,63 @@ def _common_space(c1, c2, mode: str) -> tuple | None:
     return space if c1.tower is c2.tower and space == (c2.l, None if rm else c2.m) else None
 
 
+def _residuals(target: Span) -> list[list[int]]:
+    """The unit vectors reduced modulo target, in order, each without the
+    target's pivot columns, where every residual is zero."""
+    n, pivots = target.width, target.pivots
+    free = [k for k in range(n) if k + 1 not in pivots]
+    units = (tuple(int(i == k) for i in range(n)) for k in range(n))
+    return [[u[k] for k in free] for u in map(target.reduce, units)]
+
+
 def _rm_solve(c1, c2, gamma: int) -> list:
     """An F_q-basis, as rows of l^2 row-major entries, of the l x l matrices
     L with x L in sigma^-gamma(C2) for each generator row x of C1: the
-    kernel of one linear system over F_q in the entries of L."""
-    t, l = c1.tower, c1.l
+    kernel of one linear system over F_q in the entries of L.
+
+    Entry (i, j) of L adds x_i e_j for each x, reduced modulo the target:
+    x_i u_j for the residual u_j of e_j.  Its row, the F_q-coordinates of
+    x_i u_j for every x and then its own unit, is packed into the kernel's
+    form once; one solve per gamma leaves no table to reuse.
+    """
+    t, l, gens = c1.tower, c1.l, c1.gen.rows
     target = span(t, l, t.m, ([t.frob(y, -gamma) for y in row] for row in c2.gen.rows))
-    units = [target.reduce((0,) * j + (1,) + (0,) * (l - 1 - j)) for j in range(l)]
-    # entry (i, j) of L adds x_i e_j, reduced modulo the target, for each x
-    conditions = [flatten(t.fq_coords(t.mul(x[i], y)) for x in c1.gen.rows for y in u)
-                  for i in range(l) for u in units]
-    return nullspace(t, conditions, len(conditions[0]))
+    form = span(t, (l - target.rank) * t.m * len(gens), extra=l * l)
+    residuals = _residuals(target)
+    return form.relations([
+        form.pack(flatten(t.fq_coords(t.mul(x[i], y)) for x in gens for y in u)
+                  + (0,) * (i * l + j) + (1,))
+        for i in range(l) for j, u in enumerate(residuals)])
 
 
-def _mat_solve(L: Mat, flag: bool, basis: tuple, units: list) -> list:
-    """An F_q-basis, as rows of m^2 row-major entries, of the m x m matrices
-    M with L B^T? M in target for each B in basis: the kernel of one linear
-    system over F_q in the entries of M.  units[b][i] is the unit l x m
-    matrix E_ib, flattened and reduced modulo the target."""
-    t, m, width = L.tower, len(units), len(units[0][0])
-    left = [L @ (B.transpose() if flag else B) for B in basis]
-    # entry (a, b) of M adds L B^T? E_ab = sum_i (L B^T?)_ia E_ib, reduced
-    conditions = [flatten(t.add_scaled([0] * width, [r[a] for r in LB.rows], units[b])
-                          for LB in left)
-                  for a in range(m) for b in range(m)]
-    return nullspace(t, conditions, width * len(left))
+def _mat_solves(c1, c2, gamma: int, flag: bool) -> Iterator[tuple[Mat, list]]:
+    """Each leading-one L in enumeration order, with an F_q-basis, as rows of
+    m^2 row-major entries, of the m x m matrices M with L B^T? M in
+    sigma^-gamma(C2) for each B in C1's basis: one linear system over F_q
+    in the entries of M per L.
+
+    Entry (a, b) of M adds L B^T? E_ab = sum_{r,i} L_ri B^T?_ia E_rb for
+    each B, reduced modulo the target.  So the table row (a, b) holds, for
+    each (r, i), the residual rows B^T?_ia U_rb side by side over the basis
+    (U_rb is E_rb reduced), then the row's own unit in the extra columns;
+    each L's system is those rows combined with L's entries and a one.
+    """
+    tower, l, m = c1.tower, c1.l, c1.m
+    parts = [B.transpose() if flag else B for B in c1.basis]
+    target = span(tower, l * m, 1, (flatten(B.frobenius(-gamma).rows) for B in c2.basis))
+    w = l * m - target.rank
+    form = span(tower, w * len(parts), extra=m * m)
+    placed = [[form.pack(u, j * w) for j in range(len(parts))] for u in _residuals(target)]
+    table = [[form.combine([P.rows[i][a] for P in parts], placed[r * m + b])
+              for r in range(l) for i in range(l)]
+             + [form.pack((1,), form.width + a * m + b)]
+             for a in range(m) for b in range(m)]
+    for L in enumerate_gl(tower, l, leading_one=True):
+        coeffs = flatten(L.rows) + (1,)
+        yield L, form.relations([form.combine(coeffs, rows) for rows in table])
 
 
-def equivalence_maps(c1, c2, mode: str) -> Iterator[_Map]:
+def equivalence_maps(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> Iterator[_Map]:
     """Every canonical map f with f(C1) = C2, in the order of
     enumerate_rm_maps/enumerate_mat_maps, the identity in its own place;
     map_index(f) reads that place off f.
@@ -439,25 +490,37 @@ def equivalence_maps(c1, c2, mode: str) -> Iterator[_Map]:
     C1 into sigma^-gamma(C2) form an F_q-space.  _gl_members walks its
     invertible canonical members lazily in enumeration order, so only the
     maps taken are built.  No GL list is built.
+
+    TooLarge on the call, before any solve, from _walk_order: the group
+    order in rank-metric modes, the classes in matrix modes.  In matrix
+    modes the walk also refuses before it walks a kernel that takes the
+    running total of q^dim over the kernels solved past the guard.
     """
     space = _common_space(c1, c2, mode)
     if space is None or c1.size != c2.size:
-        return
+        return iter(())
     (l, m), tower = space, c1.tower
+    _walk_order(tower, l, mode, guard, m=m)
     gammas, flags, _ = _canonical_parts(tower, l, m, mode.endswith("semilinear"))
-    for gamma in gammas:
-        if m is None:
-            for rows in _gl_members(tower, _rm_solve(c1, c2, gamma), l, True):
-                L = Mat(tower, rows, check=False)
-                yield from (RmMap(alpha, L, gamma) for alpha in range(1, tower.order))
-            continue
-        target = span(tower, l * m, 1, (flatten(B.frobenius(-gamma).rows) for B in c2.basis))
-        units = [[target.reduce(tuple(int(k == i * m + b) for k in range(l * m)))
-                  for i in range(l)] for b in range(m)]
-        for flag in flags:
-            for L in enumerate_gl(tower, l, leading_one=True):
-                for rows in _gl_members(tower, _mat_solve(L, flag, c1.basis, units), m):
-                    yield MatMap(flag, L, Mat(tower, rows, check=False), gamma)
+
+    def walk():
+        members = solves = 0
+        for gamma in gammas:
+            if m is None:
+                for rows in _gl_members(tower, _rm_solve(c1, c2, gamma), l, True):
+                    L = Mat(tower, rows, check=False)
+                    yield from (RmMap(alpha, L, gamma) for alpha in range(1, tower.order))
+                continue
+            for flag in flags:
+                for L, kernel in _mat_solves(c1, c2, gamma, flag):
+                    members, solves = members + tower.q ** len(kernel), solves + 1
+                    if members > guard:
+                        raise TooLarge(f"{members} kernel members in {solves} solves "
+                                       f"exceed guard {guard}")
+                    for rows in _gl_members(tower, kernel, m):
+                        yield MatMap(flag, L, Mat(tower, rows, check=False), gamma)
+
+    return walk()
 
 
 def map_index(f) -> int:
@@ -479,8 +542,8 @@ def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult
 
     Pre-filters on size and minimum distance (both are preserved by every
     equivalence map; a code of size 1 is {0} and has no distance), refuses
-    with TooLarge when the group order exceeds the guard, tests the identity,
-    which is the witness for equal codes, then takes the first map of
+    with TooLarge where equivalence_maps does, tests the identity, which is
+    the witness for equal codes, then takes the first map of
     equivalence_maps, which solves for it class by class.
     """
     space = _common_space(c1, c2, mode)
@@ -489,14 +552,14 @@ def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult
     if c1.size != c2.size:
         return EquivResult(False, None, 0, mode, "size mismatch")
     (l, m), tower, rm = space, c1.tower, mode.startswith("rm")
-    order = guarded_order(tower, l, mode, guard, m=m)
+    order = _walk_order(tower, l, mode, guard, m=m)
     if 1 < c1.size <= DEFAULT_GUARD and min_rank_distance(c1) != min_rank_distance(c2):
         return EquivResult(False, None, 0, mode, "minimum distance mismatch")
     gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
     if all(map(contains, gens)):  # the identity's test
         f = RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)
         return EquivResult(True, f, 1, mode, "witness found")
-    for f in equivalence_maps(c1, c2, mode):
+    for f in equivalence_maps(c1, c2, mode, guard):
         # the identity's index: class (0, False, I), then alpha 1 or M = I
         n = _canonical_parts(tower, l, m, False)[2]
         identity = _identity_index(tower.q, l, leading_one=True) * n

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .automorphisms import m_beta, rm_aut_group, stabilizer_degree
+from .automorphisms import m_beta, mat_aut_brute, mat_aut_subgroup, rm_aut_group, stabilizer_degree
 from .codes import MatrixCode, _compressed, expand_code, gabidulin, min_rank_distance
 from .elimination import flatten, span
 from .equivalence import RmMap, maps_onto, mat_apply, mat_map, rm_apply, rm_map
@@ -165,6 +165,24 @@ def _f64_not_direct_product() -> ExampleReport:
     return ExampleReport("f64-not-direct-product", tuple(lines), notes)
 
 
+def _f64_full_aut() -> ExampleReport:
+    tower, w, basis, g, code, expanded = _f64_setup()
+    group = mat_aut_brute(expanded)
+    sub = mat_aut_subgroup(code, basis)
+    lines = [
+        CheckLine("order of the full matrix automorphism group", 1134, group.order),
+        CheckLine("[L, M] of f64-not-direct-product is a member", True,
+                  group.contains(mat_map(Mat(tower, _L_STAB), Mat(tower, _M_STAB)))),
+        CheckLine("translated analytic maps in the group", 189,
+                  sum(map(group.contains, sub.elements))),
+        CheckLine("index of the translated analytic group", 6, group.order // sub.order),
+    ]
+    notes = (f"basis: normal basis {basis}",
+             "the exact stabilizer: one linear solve for M per leading-one L "
+             "in GL_4(F_2), 20160 solves")
+    return ExampleReport("f64-full-aut", tuple(lines), notes)
+
+
 def _distance_law(seed: int = 0) -> ExampleReport:
     import random
     tower = make_tower(2, 1, 4, [1, 1, 0, 0, 1])
@@ -214,6 +232,7 @@ _EXAMPLES = {  # id -> report for a seed; only distance-law draws inputs
     "f16-aut": lambda seed: _f16_aut(),
     "f64-not-gabidulin": lambda seed: _f64_not_gabidulin(),
     "f64-not-direct-product": lambda seed: _f64_not_direct_product(),
+    "f64-full-aut": lambda seed: _f64_full_aut(),
     "distance-law": _distance_law,
 }
 EXAMPLE_IDS = tuple(_EXAMPLES)

@@ -119,15 +119,25 @@ def test_criterion_4_f64_examples():
     assert got["image is F_64-linear"] is False
 
     # second example: a stabilizer member whose left factor alone is not one
-    # (membership by the stabilizer predicate maps_onto: the full group has
-    # ~2*10^10 cosets, far beyond enumeration guards)
+    # (membership by the stabilizer predicate maps_onto; the group it lies
+    # in is the third example's)
     got = _checked_values("f64-not-direct-product")
     assert got["[L, M] fixes the expanded code"] is True
     assert got["[L, I_6] fixes the expanded code"] is False
     assert got["g L"] == "(g^1, g^14, g^37, g^16)"
     assert got["g L in the code"] is False
+
+    # third example: the exact matrix stabilizer of the expanded code, one
+    # linear solve per leading-one L (20160), though the group of all maps
+    # has about 4*10^14 elements
+    got = _checked_values("f64-full-aut")
+    assert got["order of the full matrix automorphism group"] == 1134
+    assert got["[L, M] of f64-not-direct-product is a member"] is True
+    assert got["translated analytic maps in the group"] == 189
+    assert got["index of the translated analytic group"] == 6
     print("criterion 4: PASS — 16777216 > 4096 span blow-up; [L,M] in the "
-          "matrix stabilizer; g L = (g^1, g^14, g^37, g^16) outside the code")
+          "matrix stabilizer; g L = (g^1, g^14, g^37, g^16) outside the code; "
+          "the stabilizer has order 1134 = 6 x 189")
 
 
 def test_criterion_5_distance_law(f16):

@@ -540,7 +540,7 @@ class TestMapVerbs:
 class TestVerifyPaper:
     @pytest.mark.parametrize("example", [
         "berger-counterexample", "f16-aut", "f64-not-gabidulin",
-        "f64-not-direct-product", "distance-law"])
+        "f64-not-direct-product", "f64-full-aut", "distance-law"])
     def test_each_example_passes(self, capsys, example):
         code, out, _ = run(capsys, "verify-paper", "--example", example)
         assert code == 0

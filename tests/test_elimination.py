@@ -151,6 +151,28 @@ def test_nullspace_matches_oracle(field):
     assert deficient and full
 
 
+@pytest.mark.parametrize("name", ["F2", "F3", "F4-e2"])
+def test_rows_in_kernel_form_match_oracle(name):
+    """Rows made in the kernel's own form (pack, at a column, and combine)
+    and eliminated as they are: combine is add_scaled, and relations of
+    [rows | I] is the oracle's nullspace basis itself, row for row."""
+    build, subdeg, _ = FIELDS[name]
+    tower = build()
+    rnd = random.Random(7)
+    codes = tower.subfield_codes(subdeg)
+    for M in _matrices(tower, subdeg, rnd):
+        n, w = M.nrows, M.ncols
+        s = span(tower, w, subdeg, extra=n)
+        rows = [s.combine((1, 1, 1), (s.pack(r[:w // 2]), s.pack(r[w // 2:], w // 2),
+                                      s.pack((1,), w + i)))
+                for i, r in enumerate(M.rows)]
+        assert s.relations(rows) == oracle.nullspace(M)
+        coeffs = [rnd.choice(codes) for _ in range(n)]
+        want = tower.add_scaled([0] * w, coeffs, M.rows) + [0] * n
+        assert s._unpack(s.combine(coeffs, [s.pack(r) for r in M.rows])) == tuple(want)
+        assert s.rank == 0  # relations only borrows the span's form
+
+
 def test_span_matches_reducer(field):
     tower, subdeg, _ = field
     rnd = random.Random(4)

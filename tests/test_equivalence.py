@@ -19,11 +19,14 @@ from rmcodes import (
     enumerate_gl,
     enumerate_mat_maps,
     enumerate_rm_maps,
+    equivalence_maps,
     expand,
+    expand_code,
     gabidulin,
     group_order,
     make_tower,
     mat_apply,
+    mat_aut_brute,
     mat_map,
     power_basis,
     rank,
@@ -34,6 +37,7 @@ from rmcodes import (
     vec_map_table,
     vec_matrix,
 )
+from rmcodes import equivalence
 from rmcodes.equivalence import MODES, format_map, guarded_order, parse_map
 from rmcodes.fields import FieldElement
 
@@ -369,6 +373,39 @@ class TestAreEquivalent:
         c = gabidulin(1, (f64.one, f64.generator))
         with pytest.raises(TooLarge):
             are_equivalent(c, c, "rm-linear", guard=10)
+
+
+class TestMatrixWalkGuard:
+    """Matrix modes refuse on the walk's work, not on the group order: the
+    classes (gamma, T?, L) before any solve, then the running total of
+    q^dim over the kernels solved before each kernel is walked."""
+
+    def test_classes_refused_before_any_solve(self, f8, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a solve ran")
+        monkeypatch.setattr(equivalence, "_mat_solves", no_solve)
+        zero = MatrixCode(f8, 3, 3, [])  # |GL_3(F_2)| = 168 L, two flags
+        message = r"^336 classes \(gamma, T\?, L\) to solve exceed guard 335$"
+        with pytest.raises(TooLarge, match=message):
+            equivalence_maps(zero, zero, "mat-linear", guard=335)
+        with pytest.raises(TooLarge, match=message):
+            are_equivalent(zero, zero, "mat-linear", guard=335)
+        with pytest.raises(TooLarge, match=message):
+            mat_aut_brute(zero, guard=335)
+
+    def test_kernel_total_refused_mid_walk(self, f16):
+        # the expanded worked example: 6 classes, each kernel of dimension 8
+        mc = expand_code(gabidulin(1, (f16.one, f16.generator**5)), power_basis(f16))
+        assert group_order(f16, 2, "mat-linear", m=4) == 120960
+        assert mat_aut_brute(mc, guard=1536).order == 1080
+        message = r"^1536 kernel members in 6 solves exceed guard 1535$"
+        taken = []
+        with pytest.raises(TooLarge, match=message):
+            for f in equivalence_maps(mc, mc, "mat-linear", guard=1535):
+                taken.append(f)
+        assert taken and taken == list(equivalence_maps(mc, mc, "mat-linear"))[:len(taken)]
+        with pytest.raises(TooLarge, match=message):
+            mat_aut_brute(mc, guard=1535)
 
 
 class TestRankPreservingOracle:

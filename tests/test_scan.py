@@ -17,6 +17,7 @@ import random
 import pytest
 
 import scan_oracle as oracle
+import solve_oracle
 from rmcodes import (
     BadParams,
     DependentVector,
@@ -43,6 +44,7 @@ from rmcodes import (
     rm_apply,
     rm_aut_brute,
 )
+from rmcodes.equivalence import _mat_solves, _rm_solve
 
 TOWERS = {
     "F8": lambda: make_tower(2, 1, 3),
@@ -188,6 +190,49 @@ def test_brute_group_matches_oracle(seed, kind, case, semilinear):
     elements, gens = oracle.stabilizer(c, semilinear)
     assert [f.key for f in group.elements] == [f.key for f in elements]
     assert [f.key for f in group.generators] == [f.key for f in gens]
+
+
+def _same_kernels(c1, c2):
+    """_rm_solve and _mat_solves give the tuple assembly's kernel bases, row
+    for row, for every gamma and, in matrix modes, every T? and L."""
+    t, rm = c1.tower, isinstance(c1, RankMetricCode)
+    solved = 0
+    for gamma in range(t.degree if rm else t.e):
+        if rm:
+            assert _rm_solve(c1, c2, gamma) == solve_oracle.rm_kernel(c1, c2, gamma)
+            solved += 1
+            continue
+        for flag in (False, True) if c1.l == c1.m else (False,):
+            for L, kernel in _mat_solves(c1, c2, gamma, flag):
+                assert kernel == solve_oracle.mat_kernel(c1, c2, gamma, flag, L)
+                solved += 1
+    return solved
+
+
+@pytest.mark.parametrize("seed,kind,case,semilinear",
+                         [(i, *c) for i, c in enumerate(CASES)], ids=IDS)
+def test_solves_match_tuple_assembly(seed, kind, case, semilinear):
+    """On the grid's pairs: F_2, F_3 (ints mod 3) and F_4 over F_16 (tower
+    codes, gamma != 0) rows, with the transpose flag where l = m."""
+    for c1, c2 in _pairs(kind, case, semilinear, seed):
+        assert _same_kernels(c1, c2)
+
+
+def test_solves_match_tuple_assembly_at_the_edges(f4, f8, f16_q4):
+    """Kernels of every matrix (the zero code, a full-length code) and of
+    codes whose target moves under the Frobenius."""
+    rnd = random.Random(13)
+    assert _same_kernels(MatrixCode(f4, 2, 2, []), MatrixCode(f4, 2, 2, []))
+    for tower, l in ((f8, 2), (f16_q4, 2)):
+        c1, c2 = _rm_code(tower, l, l, rnd), _rm_code(tower, l, l, rnd)
+        assert _same_kernels(c1, c2)
+    w = f16_q4.generator.code
+    c1 = RankMetricCode(Mat(f16_q4, [[1, w]], subdeg=f16_q4.m))
+    assert _same_kernels(c1, rm_apply(RmMap(3, Mat(f16_q4, [[1, 1], [0, 1]]), 1), c1))
+    c1 = _mat_code(f16_q4, 2, 2, 2, rnd)
+    _, one, a, b = f16_q4.subfield_codes(1)
+    f = MatMap(True, Mat(f16_q4, [[one, a], [0, one]]), Mat(f16_q4, [[0, one], [one, b]]), 1)
+    assert _same_kernels(c1, mat_apply(f, c1))
 
 
 @pytest.mark.parametrize("kind,case,semilinear", CASES, ids=IDS)
