@@ -47,19 +47,22 @@ def stabilizer_degree(g: IndependentTuple) -> StabilizerDegree:
     generator beta gives closure under every polynomial in beta, which is
     all of F_{q^d}.
     """
+    return _degree_search(g)[0]
+
+
+def _degree_search(g: IndependentTuple) -> tuple[StabilizerDegree, Mat]:
+    """stabilizer_degree with the witness's M_beta, solved once: at d = 1
+    beta lies in F_q and always stabilises the span."""
     tower = g.tower
     n = tower.mult_order
     bound = gcd(len(g), tower.m)
     for d in sorted((d for d in range(1, bound + 1) if bound % d == 0),
                     reverse=True):
         beta = tower.gen_power(n // (tower.q**d - 1))
-        if d == 1:
-            return StabilizerDegree(1, beta)
         try:
-            m_beta(g, beta)
+            return StabilizerDegree(d, beta), m_beta(g, beta)
         except NotInSpan:
             continue
-        return StabilizerDegree(d, beta)
     raise BadParams("unreachable: d = 1 always succeeds")
 
 
@@ -167,21 +170,20 @@ def rm_aut_group(c: GabidulinCode) -> AutGroup:
     tower = c.tower
     if c.k == c.l:
         raise BadParams("k = l: the full space has no analytic group; use rm_aut_brute")
-    sd = stabilizer_degree(c.g)
+    sd, Mb = _degree_search(c.g)
     # g^0 .. g^(n-1) represent the n cosets of F_q^* in F_{q^m}^*
     reps = tower._exp[:tower.mult_order // (tower.q - 1)]
-    elements, mul = [], tower.mul
-    for beta in tower.subfield_codes(sd.d)[1:]:
-        f = RmMap(1, m_beta(c.g, FieldElement(tower, beta)))  # M_beta in canonical form
+    elements, mul, M = [], tower.mul, Mat.identity(tower, c.l)
+    for _ in range(tower.q**sd.d - 1):  # beta^i over F_{q^d}^*, M_{beta^i} = M_beta^i
+        f = RmMap(1, M)  # M_beta^i in canonical form
         if not maps_onto(f, c, c):
             raise BadParams("analytic automorphism failed to fix the code")
-        if beta == sd.witness_beta.code:
-            witness = f
         elements += [RmMap(mul(alpha, f.alpha), f.L) for alpha in reps]
+        M = M @ Mb
     expected = (tower.mult_order * (tower.q**sd.d - 1)) // (tower.q - 1)
     if len({f.key for f in elements}) != expected:
         raise BadParams("canonical coset collapse went wrong")
-    gens = (RmMap(tower.generator.code, Mat.identity(tower, c.l)), witness)
+    gens = (RmMap(tower.generator.code, Mat.identity(tower, c.l)), RmMap(1, Mb))
     return AutGroup("rm", tower, elements, d=sd.d, gens=gens)
 
 

@@ -10,15 +10,21 @@ in a larger subfield) keeps lists of codes and combines them with
 FieldTower.add_scaled, which runs on the log/exp tables bound to locals
 (and, for odd p, the Zech logarithm table that turns each sum into a lookup).
 
-Each representation keeps a reduced echelon basis that grows one row at a
-time (a :class:`Span`), and echelon form, rank, inverse, row decomposition
-and membership are all read off it.  A nullspace takes one forward pass
-(:meth:`Span.relations`) that never back-substitutes.  Most of those
-results are unique, so they are identical to the textbook Gauss-Jordan on
-the tower's arithmetic that the test suite keeps as its oracle.  The free
-choices, the particular solution of a decomposition over dependent rows and
-the basis of a nullspace, use only the rows that are independent of the
-rows before them.  Pivot columns are 1-based.
+Each representation keeps one basis per :class:`Span`, grown a row at a
+time by one insertion loop that add, span, extended, relations and
+nullspace all share: the forward echelon basis, whose rows are each one
+at their pivot and zero at the pivots of the rows before them, and which
+is never back-substituted.  A row that depends on the basis leaves a
+residual; when the rows record themselves in extra columns, as
+[rows | I] does, those columns of the residual are a relation among the
+rows, so a nullspace is one pass.  Residuals modulo a span are unique,
+so reduction, membership and decomposition, and the reduced echelon form
+that rows() makes on read for echelon form, inverse and subspaces, are
+identical to the textbook Gauss-Jordan on the tower's arithmetic that
+the test suite keeps as its oracle.  The free choices, the particular
+solution of a decomposition over dependent rows and the basis of a
+nullspace, use only the rows that are independent of the rows before
+them.  Pivot columns are 1-based.
 
 Callers that build many systems from one set of rows hold those rows in the
 kernel's form (:meth:`Span.pack`), make each system's rows with
@@ -39,12 +45,23 @@ from .errors import NotInSpan, Singular
 
 
 class Span:
-    """Reduced echelon basis of a growing row space over one field.
+    """A growing row space over one field, held as a forward echelon basis.
+
+    Each basis row is one at its pivot, its first nonzero column, and zero
+    at the pivots of the rows that joined before it; a row never changes
+    once it is in.  So subtracting the basis rows in the order they joined,
+    each times the entry the reduced row has at its pivot by then, clears
+    every pivot: a basis row is zero at the pivots cleared before it.  A row
+    less a combination of the basis is zero at every pivot for one
+    combination only, so its residual is the one a reduced basis leaves,
+    and reduce, contains, add_at and decompose read unique results off it;
+    rows() reduces the basis on read.
 
     Rows have width + extra entries and pivots lie in the first width
     columns, so the extra columns can record how each basis row was formed.
-    Subclasses say how a row is held; this base holds it as a list and
-    needs _sub (v minus a combination of rows) and _scale (v / c).
+    Subclasses say how a row is held; this base holds it as a list, keys
+    the basis by pivot column, and needs _sub (v minus a combination of
+    rows) and _scale (v / c).
     """
 
     _pack = list
@@ -54,8 +71,7 @@ class Span:
         self.tower = tower
         self.width = width
         self._len = width + extra
-        self._cols: list[int] = []  # 0-based pivot column of each basis row
-        self._rows: list = []
+        self._basis: dict = {}  # basis rows, in the order they joined
 
     def _entry(self, v, col: int) -> int:
         return v[col]
@@ -67,30 +83,28 @@ class Span:
         return None
 
     def _reduce(self, v):
-        # the basis is reduced: each row's coefficient is v's entry at its pivot
-        return self._sub(v, map(v.__getitem__, self._cols), self._rows)
+        sub = self._sub
+        for col, b in self._basis.items():
+            if v[col]:
+                v = sub(v, (v[col],), (b,))
+        return v
 
-    def _push(self, v, col):
-        v = self._scale(v, v[col])
-        rows = self._rows
-        for i, b in enumerate(rows):
-            if b[col]:
-                rows[i] = self._sub(b, (b[col],), (v,))
-        self._cols.append(col)
-        rows.append(v)
-
-    def _insert(self, v) -> bool:
-        """Keep v, reduced, unless it is dependent; whether it was kept."""
-        v = self._reduce(v)
-        col = self._lead(v)
-        if col is None:
-            return False
-        self._push(v, col)
-        return True
+    def _insert(self, rows: Iterable) -> list:
+        """Join each row, in this span's form, that is independent of the
+        span so far; the residuals of the other rows, in order."""
+        basis, dependent = self._basis, []
+        for v in rows:
+            v = self._reduce(v)
+            col = self._lead(v)
+            if col is None:
+                dependent.append(v)
+            else:
+                basis[col] = self._scale(v, v[col])
+        return dependent
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns False (and changes nothing) if it is dependent."""
-        return self._insert(self._pack(vec))
+        return not self._insert((self._pack(vec),))
 
     def add_at(self, vec: Sequence[int]) -> tuple[int, int] | None:
         """Insert vec and return (c, x): c is the first column, 0-based, at
@@ -103,23 +117,20 @@ class Span:
             return None
         # v is vec minus one such member: zero before c, nonzero at c
         x = self.tower.sub(vec[col], self._entry(v, col))
-        self._push(v, col)
+        self._insert((v,))
         return col, x
 
     def _copy(self) -> "Span":
         new = object.__new__(type(self))
         new.__dict__.update(vars(self))
-        new._cols, new._rows = self._cols[:], self._rows[:]
+        new._basis = self._basis.copy()
         return new
 
     def extended(self, rows: Iterable[Sequence[int]]) -> "Span | None":
         """A new span of this basis and rows, or None when a row lies in the
         span of this basis and the rows before it; this span does not change."""
         new = self._copy()
-        for vec in rows:
-            if not new.add(vec):
-                return None
-        return new
+        return None if new._insert(map(new._pack, rows)) else new
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """vec minus the combination of basis rows that clears their pivots."""
@@ -136,70 +147,51 @@ class Span:
         return self._sub([0] * self._len, [neg(c) for c in coeffs], rows)
 
     def relations(self, rows: Iterable) -> list[tuple[int, ...]]:
-        """For each row, in this span's row form, that depends on the rows
-        before it, the extra columns of what is left once they are
-        subtracted; for rows that record themselves in the extra columns, as
-        [rows | I] does, a basis of the nullspace.  This span only lends its
-        form and does not change.
-
-        One forward pass: each independent row joins a basis that is never
-        back-substituted.  A row less a combination of the basis is zero at
-        every pivot for one combination only, so however the pivots are
-        cleared the residual is that of a reduced basis; here each basis row
-        is zero at the pivots of the rows before it, so subtracting them in
-        order clears all pivots.
-        """
-        width, cols, basis, out = self.width, [], [], []
-        for v in rows:
-            for col, b in zip(cols, basis):
-                if v[col]:
-                    v = self._sub(v, (v[col],), (b,))
-            col = self._lead(v)
-            if col is None:
-                out.append(self._unpack(v)[width:])
-            else:
-                cols.append(col)
-                basis.append(self._scale(v, v[col]))
-        return out
+        """For each row, in this span's row form, that depends on this basis
+        and the rows before it, the extra columns of what is left once they
+        are subtracted; for rows that record themselves in the extra
+        columns, as [rows | I] does, from an empty span, a basis of the
+        nullspace.  The rows join a copy, so this span does not change."""
+        return [self._unpack(v)[self.width:] for v in self._copy()._insert(rows)]
 
     def contains(self, vec: Sequence[int]) -> bool:
         return self._lead(self._reduce(self._pack(vec))) is None
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._basis)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(c + 1 for c in sorted(self._cols))
+        return tuple(sorted(self._lead(b) + 1 for b in self._basis.values()))
 
     def rows(self) -> list[tuple[int, ...]]:
-        """The basis as reduced row echelon form (pivot columns ascending)."""
-        order = sorted(range(self.rank), key=self._cols.__getitem__)
-        return [self._unpack(self._rows[i]) for i in order]
+        """The basis as reduced row echelon form (pivot columns ascending).
+
+        The rows join an empty span by descending pivot: each is cleared at
+        the pivots after its own, and the rows before it are zero at its
+        pivot, which comes before theirs.
+        """
+        rref = type(self)(self.tower, self.width, self._len - self.width)
+        rref._insert(sorted(self._basis.values(), key=self._lead, reverse=True))
+        return [self._unpack(v) for v in reversed(rref._basis.values())]
 
     def join_rank(self, other: "Span") -> int:
-        """Dimension of the sum of two spans of one space; neither changes.
-
-        Reducing other's rows by this basis is linear, so the residuals span
-        a complement of this span inside the sum.
-        """
-        rest = type(self)(self.tower, self.width)
+        """Dimension of the sum of two spans of one space; neither changes."""
+        new = self._copy()
         if type(other) is type(self):
-            rows: Iterable = other._rows
+            new._insert(other._basis.values())
         else:
-            rows = map(self._pack, other.rows())
-        for v in rows:
-            rest._insert(self._reduce(v))
-        return self.rank + rest.rank
+            new._insert(map(self._pack, other.rows()))
+        return new.rank
 
 
 class _F2Span(Span):
-    """Rows packed into ints, column j at bit (len - 1 - j); XOR arithmetic."""
+    """Rows packed into ints, column j at bit (len - 1 - j); XOR arithmetic.
+    The basis is keyed by each row's bit length, and _mask holds its pivot
+    bits."""
 
-    def __init__(self, tower, width: int, extra: int = 0):
-        super().__init__(tower, width, extra)
-        self._bits: list[int] = []  # pivot bit of each basis row
+    _mask = 0
 
     def _pack(self, vec):
         v = 0
@@ -213,11 +205,6 @@ class _F2Span(Span):
     def pack(self, vec, at=0):
         return self._pack(vec) << (self._len - at - len(vec))
 
-    def _copy(self):
-        new = super()._copy()
-        new._bits = self._bits[:]
-        return new
-
     def _entry(self, v, col):
         return v >> (self._len - 1 - col) & 1
 
@@ -226,37 +213,29 @@ class _F2Span(Span):
         return col if col < self.width else None
 
     def _reduce(self, v):
-        for bit, b in zip(self._bits, self._rows):
-            if v & bit:
-                v ^= b
-        return v
-
-    def _push(self, v, col):
-        bit = 1 << (self._len - 1 - col)
-        rows = self._rows
-        for i, b in enumerate(rows):
-            if b & bit:
-                rows[i] = b ^ v
-        self._bits.append(bit)
-        self._cols.append(col)
-        rows.append(v)
-
-    def combine(self, coeffs, rows):
-        return reduce(xor, compress(rows, coeffs), 0)
-
-    def relations(self, rows):
         # a basis row is zero before its pivot, its leading bit, so clearing
         # the first pivot left in v never sets an earlier one
-        extra, basis, pivots, out = self._len - self.width, {}, 0, []
+        basis, mask = self._basis, self._mask
+        while x := v & mask:
+            v ^= basis[x.bit_length()]
+        return v
+
+    def _insert(self, rows):
+        # _reduce's walk, inline: a call per row slows the F_2 solves by a fifth
+        basis, mask, extra, dependent = self._basis, self._mask, self._len - self.width, []
         for v in rows:
-            while x := v & pivots:
+            while x := v & mask:
                 v ^= basis[x.bit_length()]
             if v >> extra:
                 basis[v.bit_length()] = v
-                pivots |= 1 << v.bit_length() - 1
+                mask |= 1 << v.bit_length() - 1
             else:
-                out.append(tuple(v >> s & 1 for s in range(extra - 1, -1, -1)))
-        return out
+                dependent.append(v)
+        self._mask = mask
+        return dependent
+
+    def combine(self, coeffs, rows):
+        return reduce(xor, compress(rows, coeffs), 0)
 
 
 class _PrimeSpan(Span):
@@ -297,8 +276,7 @@ def span(tower, width: int, subdeg: int = 1, rows: Iterable[Sequence[int]] = (),
     else:
         cls = _TowerSpan
     s = cls(tower, width, extra)
-    for r in rows:
-        s.add(r)
+    s._insert(map(s._pack, rows))
     return s
 
 

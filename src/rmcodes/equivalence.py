@@ -46,7 +46,6 @@ from .fields import (
 from .matrices import (
     Mat,
     _gl_members,
-    _identity_index,
     enumerate_gl,
     format_matrix,
     gl_order,
@@ -556,16 +555,12 @@ def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult
     if 1 < c1.size <= DEFAULT_GUARD and min_rank_distance(c1) != min_rank_distance(c2):
         return EquivResult(False, None, 0, mode, "minimum distance mismatch")
     gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
+    identity = RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)
     if all(map(contains, gens)):  # the identity's test
-        f = RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)
-        return EquivResult(True, f, 1, mode, "witness found")
+        return EquivResult(True, identity, 1, mode, "witness found")
     for f in equivalence_maps(c1, c2, mode, guard):
-        # the identity's index: class (0, False, I), then alpha 1 or M = I
-        n = _canonical_parts(tower, l, m, False)[2]
-        identity = _identity_index(tower.q, l, leading_one=True) * n
-        identity += 0 if rm else _identity_index(tower.q, m)
         i = map_index(f)
-        return EquivResult(True, f, i + 2 - (i > identity), mode, "witness found")
+        return EquivResult(True, f, i + 2 - (i > map_index(identity)), mode, "witness found")
     return EquivResult(False, None, order, mode, "group exhausted")
 
 

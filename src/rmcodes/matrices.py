@@ -307,18 +307,6 @@ def gl_rank(M: Mat, leading_one: bool = False) -> int:
     return index
 
 
-def _identity_index(q: int, n: int, leading_one: bool = False) -> int:
-    """gl_rank of the n x n identity, without the elimination: row i, e_i, has
-    q^(n-1-i) vectors below it, just one of them (zero) in the span of the
-    rows above it; among the vectors opening with a one, e_0 has every one
-    with a later lead below it."""
-    index = 0
-    for i in range(n):
-        below = (q ** (n - 1) - 1) // (q - 1) if leading_one and not i else q ** (n - 1 - i) - 1
-        index = index * (q**n - q**i) + below
-    return index
-
-
 def row_decompose(targets: Sequence[Sequence[int]], M: Mat) -> Mat:
     """Solve C with C @ M = targets over M's field; NotInSpan if impossible.
 

@@ -28,6 +28,7 @@ from rmcodes import (
     rm_aut_group,
     stabilizer_degree,
 )
+from rmcodes import automorphisms
 from rmcodes.automorphisms import _greedy_generators
 from rmcodes.equivalence import _Map
 from rmcodes.fields import FieldElement, make_tower
@@ -127,6 +128,21 @@ class TestRmAutGroup:
         group = rm_aut_group(code)
         assert group.order == 45 == 15 * 3 // 1
         assert group.d == 2
+
+    def test_each_m_beta_solved_once(self, f16, monkeypatch):
+        """Only the witness's M_beta is solved; the others are its powers."""
+        seen = []
+
+        def spy(g, beta):
+            seen.append(beta.code)
+            return m_beta(g, beta)
+
+        monkeypatch.setattr(automorphisms, "m_beta", spy)
+        w5 = f16.generator**5
+        group = rm_aut_group(gabidulin(1, (f16.one, w5)))
+        assert seen == [w5.code]
+        assert group.order == 45
+        assert group.generators[1] == RmMap(1, m_beta(IndependentTuple((f16.one, w5)), w5))
 
     def test_degree_one_scalar_matrices(self, f81):
         # d = 1: members are [alpha, beta I_l] with beta in F_q*, so the

@@ -174,20 +174,57 @@ def test_rows_in_kernel_form_match_oracle(name):
 
 
 def test_span_matches_reducer(field):
+    """After every add the span answers as the reducer does; a twin whose
+    rows() is never read between adds answers alike, so reading changes
+    nothing."""
     tower, subdeg, _ = field
     rnd = random.Random(4)
     codes = tower.subfield_codes(subdeg)
     for M in _matrices(tower, subdeg, rnd):
-        s, ref = span(tower, M.ncols, subdeg), oracle.Reducer(tower, M.ncols)
+        s, twin = span(tower, M.ncols, subdeg), span(tower, M.ncols, subdeg)
+        ref = oracle.Reducer(tower, M.ncols)
         for row in M.rows:
-            assert s.add(row) == ref.add(row)
+            assert s.add(row) == twin.add(row) == ref.add(row)
+            assert s.rows() == [tuple(r) for _, r in ref.rows]
+            assert s.pivots == tuple(c + 1 for c, _ in ref.rows)
             probes = [[rnd.choice(codes) for _ in range(M.ncols)],
                       _combo(tower, codes, M.rows, M.ncols, rnd)]
             for vec in probes:
-                assert s.contains(vec) == ref.contains(vec)
-                assert s.reduce(vec) == tuple(ref.reduce(vec))
-        assert s.rank == ref.rank
-        assert s.rows() == [tuple(r) for _, r in ref.rows]
+                assert s.contains(vec) == twin.contains(vec) == ref.contains(vec)
+                assert s.reduce(vec) == twin.reduce(vec) == tuple(ref.reduce(vec))
+        assert s.rank == twin.rank == ref.rank
+        assert twin.rows() == s.rows() == [tuple(r) for _, r in ref.rows]
+        assert twin.pivots == s.pivots
+
+
+def test_extended_leaves_the_source(field):
+    """extended copies the basis, and on F_2 its pivot table: the source
+    answers as before, and the copy is the span of all the rows, or None
+    when a row depends on the rows before it."""
+    tower, subdeg, cls = field
+    rnd = random.Random(8)
+    codes = tower.subfield_codes(subdeg)
+    for M in _matrices(tower, subdeg, rnd):
+        head, tail = M.rows[:M.nrows // 2], M.rows[M.nrows // 2:]
+        src = span(tower, M.ncols, subdeg, head)
+
+        def state():
+            return (src.rank, src.pivots, src.rows(), dict(src._basis),
+                    getattr(src, "_mask", None))
+
+        before = state()
+        new = src.extended(tail)
+        assert state() == before
+        whole = span(tower, M.ncols, subdeg, M.rows)
+        if whole.rank < src.rank + len(tail):
+            assert new is None
+            continue
+        assert type(new) is cls and new._basis is not src._basis
+        assert new.rows() == whole.rows()
+        if cls is _F2Span:
+            assert new._mask == whole._mask
+        new.add([rnd.choice(codes) for _ in range(M.ncols)])  # the copy grows alone
+        assert state() == before
 
 
 def test_join_rank_is_rank_of_stacked_rows(field):

@@ -26,7 +26,6 @@ from rmcodes import (
 from rmcodes.elimination import span
 from rmcodes.matrices import (
     _gl_members,
-    _identity_index,
     format_matrix,
     parse_matrix,
     row_decompose,
@@ -286,8 +285,6 @@ class TestGlRank:
             mats = _gl(spec, n, leading_one)
             assert [gl_rank(M, leading_one) for M in mats] == list(range(len(mats)))
             assert tuple(enumerate_gl(make_tower(*spec), n, leading_one)) == mats
-            assert _identity_index(len(make_tower(*spec).subfield_codes(1)), n, leading_one) \
-                == gl_rank(Mat.identity(make_tower(*spec), n), leading_one)
 
     def test_refusals(self, f4, f81):
         with pytest.raises(Singular):
