@@ -53,13 +53,9 @@ from .matrices import (
     rref,
 )
 from .expansion import (
-    KSubgroup,
     compress,
     coords,
     expand,
-    frobenius_matrix,
-    mult_matrix,
-    semilinear_matrix,
 )
 from .codes import (
     GabidulinCode,
@@ -68,10 +64,8 @@ from .codes import (
     compress_code,
     expand_code,
     gabidulin,
-    is_extension_linear,
     matrix_code,
     min_rank_distance,
-    parity_check,
     rank_weight,
 )
 from .subspaces import (
@@ -96,12 +90,9 @@ from .equivalence import (
     maps_onto,
     mat_apply,
     mat_map,
-    rank_preserving_vec_maps,
     rm_apply,
     rm_map,
     rm_to_mat,
-    vec_map_table,
-    vec_matrix,
 )
 from .automorphisms import (
     AutGroup,

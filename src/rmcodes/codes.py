@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .elimination import flatten, nullspace, span
+from .elimination import flatten, span
 from .errors import BadParams, DependentVector, NonlinearCode, TooLarge, TowerMismatch
 from .expansion import compress_codes, coords_codes, expand
 from .fields import (
@@ -198,35 +198,6 @@ def matrix_code(basis: Sequence[Mat]) -> MatrixCode:
     return MatrixCode(first.tower, first.nrows, first.ncols, basis)
 
 
-def parity_check(c: GabidulinCode) -> Mat:
-    """An (l-k) x l matrix H of iterated q-powers of one vector with G H^T = 0.
-
-    The h-vector is the kernel of the l-1 shifted q-power conditions
-    sum_s h_s g_s^(q^t) = 0, t = -(l-k-1) .. k-1, solved deterministically
-    over the top field (first free column of the reduced system set to one).
-    """
-    tower = c.tower
-    l, k = c.l, c.k
-    d_rows = l - k
-    if d_rows == 0:
-        return Mat(tower, [], subdeg=tower.m, ncols=l, check=False)
-    gcodes = c.g.codes()
-    cond = [[tower.frob(gc, tower.e * t_exp) for gc in gcodes]
-            for t_exp in range(-(d_rows - 1), k)]
-    # the conditions have rank l - 1: one kernel vector, one at its first
-    # column that depends on the columns before it
-    h = nullspace(tower, list(zip(*cond)), len(cond), tower.m)[0]
-    IndependentTuple(tuple(FieldElement(tower, x) for x in h))
-    rows = [tuple(h)]
-    for _ in range(d_rows - 1):
-        rows.append(tuple(tower.frob(x, tower.e) for x in rows[-1]))
-    H = Mat(tower, rows, subdeg=tower.m, check=False)
-    prod = c.gen @ H.transpose()
-    if any(any(r) for r in prod.rows):
-        raise BadParams("parity-check solve failed")  # unreachable by construction
-    return H
-
-
 def rank_weight(x, b: OrderedBasis) -> int:
     """Rank of the basis expansion of x; independent of the basis choice."""
     return rank(expand(x, b))
@@ -306,16 +277,14 @@ def _compressed(mc: MatrixCode, b: OrderedBasis) -> tuple:
 
 
 def compress_code(mc: MatrixCode, b: OrderedBasis) -> RankMetricCode:
-    """eps_b^{-1}(mc) when that set is F_{q^m}-linear; NonlinearCode otherwise."""
+    """eps_b^{-1}(mc) when that set is F_{q^m}-linear; NonlinearCode otherwise,
+    and BadParams for the zero code, as for a code file with k = 0."""
     rows, s, linear = _compressed(mc, b)
     if not linear:
         raise NonlinearCode("compressed set is not linear over the top field")
+    if not rows:
+        raise BadParams("a rank-metric code needs k >= 1")
     return RankMetricCode(Mat(mc.tower, rows, subdeg=mc.tower.m, check=False), _span=s)
-
-
-def is_extension_linear(mc: MatrixCode, b: OrderedBasis) -> bool:
-    """Is eps_b^{-1}(mc) closed under scalars from the top field?"""
-    return _compressed(mc, b)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ FieldTower.add_scaled, which runs on the log/exp tables bound to locals
 (and, for odd p, the Zech logarithm table that turns each sum into a lookup).
 
 Each representation keeps one basis per :class:`Span`, grown a row at a
-time by one insertion loop that add, span, extended, relations and
-nullspace all share: the forward echelon basis, whose rows are each one
-at their pivot and zero at the pivots of the rows before them, and which
-is never back-substituted.  A row that depends on the basis leaves a
-residual; when the rows record themselves in extra columns, as
-[rows | I] does, those columns of the residual are a relation among the
-rows, so a nullspace is one pass.  Residuals modulo a span are unique,
+time by one insertion loop that add, span, extended and relations all
+share: the forward echelon basis, whose rows are each one at their pivot
+and zero at the pivots of the rows before them, and which is never
+back-substituted.  A row that depends on the basis leaves a residual;
+when the rows record themselves in extra columns, as [rows | I] does,
+those columns of the residual are a relation among the rows, so a
+nullspace is one pass of relations.  Residuals modulo a span are unique,
 so reduction, membership and decomposition, and the reduced echelon form
 that rows() makes on read for echelon form, inverse and subspaces, are
 identical to the textbook Gauss-Jordan on the tower's arithmetic that
@@ -305,18 +305,6 @@ def inverse(tower, rows: Sequence[Sequence[int]],
     if s.rank != n:
         raise Singular("matrix is singular")
     return [r[n:] for r in s.rows()]
-
-
-def nullspace(tower, rows: Sequence[Sequence[int]], width: int,
-              subdeg: int = 1) -> list[tuple[int, ...]]:
-    """A basis of the coefficient rows c with sum of c_i * rows[i] zero.
-
-    Span.relations of [rows | I]: a row that depends on the rows before it
-    leaves its recorded combination, which has a one at the row's own index
-    and zeros after it, so the len(rows) - rank results are independent.
-    """
-    s = span(tower, width, subdeg, extra=len(rows))
-    return s.relations(map(s._pack, _augmented(rows)))
 
 
 def decompose(s: Span, targets: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:

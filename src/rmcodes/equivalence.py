@@ -308,38 +308,23 @@ def group_order(tower: FieldTower, l: int, mode: str, m: int | None = None) -> i
     raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
 
 
-def _bounded_order(tower: FieldTower, l: int, mode: str, guard: int,
-                   m: int | None = None) -> int:
-    """group_order, or TooLarge when its lower bound |GL_n(F_q)| >=
-    q^(n(n-1)/2), for n = l and in matrix modes n = m, reaches the guard:
-    a shape that bound refuses never has its order computed or formatted."""
-    n = l if mode.startswith("rm") else max(l, m or 0)
+def _walk_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None) -> int:
+    """The group order, once the walk of equivalence_maps passes the guard
+    checks made before its first solve.  First the shape bound: |GL_n(F_q)|
+    >= q^(n(n-1)/2), for n = l and in matrix modes n = max(l, m), refuses a
+    shape whose order is then never computed or formatted.  Rank-metric
+    modes (m None) build every alpha, so the order itself is bounded.
+    Matrix modes count the classes (gamma, T?, L) walked, one solve each:
+    the order over |GL_m(F_q)|."""
+    n = max(l, m or 0)
     bits = (tower.q.bit_length() - 1) * n * (n - 1) // 2
     if bits >= guard.bit_length():
         raise TooLarge(f"group order of at least 2^{bits} exceeds guard {guard}")
-    return group_order(tower, l, mode, m=m)
-
-
-def guarded_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None) -> int:
-    """group_order, or TooLarge when it exceeds guard; the shape bound of
-    _bounded_order refuses first."""
-    order = _bounded_order(tower, l, mode, guard, m=m)
-    if order > guard:
-        raise TooLarge(f"group order {order} exceeds guard {guard}")
-    return order
-
-
-def _walk_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None) -> int:
-    """The group order, once the walk of equivalence_maps passes the guard
-    checks made before its first solve.  Rank-metric modes build every
-    alpha, so guarded_order bounds the order.  Matrix modes take the shape
-    bound and then count the classes (gamma, T?, L) walked, one solve each:
-    the order over |GL_m(F_q)|."""
+    order = group_order(tower, l, mode, m=m)
     if m is None:
-        return guarded_order(tower, l, mode, guard)
-    order = _bounded_order(tower, l, mode, guard, m=m)
-    classes = order // gl_order(tower.q, m)
-    if classes > guard:
+        if order > guard:
+            raise TooLarge(f"group order {order} exceeds guard {guard}")
+    elif (classes := order // gl_order(tower.q, m)) > guard:
         raise TooLarge(f"{classes} classes (gamma, T?, L) to solve exceed guard {guard}")
     return order
 
@@ -539,11 +524,12 @@ def map_index(f) -> int:
 def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult:
     """Equivalence over the whole group, with the first canonical witness.
 
-    Pre-filters on size and minimum distance (both are preserved by every
-    equivalence map; a code of size 1 is {0} and has no distance), refuses
-    with TooLarge where equivalence_maps does, tests the identity, which is
-    the witness for equal codes, then takes the first map of
-    equivalence_maps, which solves for it class by class.
+    Pre-filters on size and, for a code of at most guard words, minimum
+    distance (both are preserved by every equivalence map; a code of size 1
+    is {0} and has no distance), refuses with TooLarge where
+    equivalence_maps does, tests the identity, which is the witness for
+    equal codes, then takes the first map of equivalence_maps, which solves
+    for it class by class.
     """
     space = _common_space(c1, c2, mode)
     if space is None:
@@ -552,7 +538,7 @@ def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult
         return EquivResult(False, None, 0, mode, "size mismatch")
     (l, m), tower, rm = space, c1.tower, mode.startswith("rm")
     order = _walk_order(tower, l, mode, guard, m=m)
-    if 1 < c1.size <= DEFAULT_GUARD and min_rank_distance(c1) != min_rank_distance(c2):
+    if 1 < c1.size <= guard and min_rank_distance(c1, guard) != min_rank_distance(c2, guard):
         return EquivResult(False, None, 0, mode, "minimum distance mismatch")
     gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
     identity = RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)
@@ -562,47 +548,6 @@ def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult
         i = map_index(f)
         return EquivResult(True, f, i + 2 - (i > map_index(identity)), mode, "witness found")
     return EquivResult(False, None, order, mode, "group exhausted")
-
-
-# ---------------------------------------------------------------------------
-# the rank-preserving classification oracle
-# ---------------------------------------------------------------------------
-
-def vec_matrix(f: MatMap) -> Mat:
-    """The lm x lm matrix acting on concatenated-row vectors as f does: its
-    row k is the image of E_k, the k-th unit l x m matrix in row-major
-    order, read off f's action.  Only defined for linear maps (gamma = 0).
-    """
-    if f.gamma:
-        raise BadParams("vector form exists for linear maps only")
-    l, m = f.shape
-    units = (Mat(f.tower, [[int(i * m + j == k) for j in range(m)] for i in range(l)],
-                 check=False) for k in range(l * m))
-    return Mat(f.tower, [flatten(f.apply_mat(E).rows) for E in units], check=False)
-
-
-def rank_preserving_vec_maps(tower: FieldTower, l: int, m: int) -> list[Mat]:
-    """All G in GL_{lm}(F_q) that preserve rank on every l x m matrix.
-
-    Brute force: enumerates the whole general linear group and filters by
-    checking rank(A) = rank(A') on all q^(lm) matrices, where the row vector
-    of A' is the row vector of A times G.  Desk scale only.
-    """
-    codes = tower.subfield_codes(1)
-    if len(codes) ** (l * m) > 2**16:
-        raise TooLarge("matrix space too large for the rank-preservation scan")
-    ranks = {}
-    for entries in itertools.product(codes, repeat=l * m):
-        A = Mat(tower, [entries[i * m:(i + 1) * m] for i in range(l)],
-                subdeg=1, check=False)
-        ranks[entries] = rank(A)
-    return [G for G in enumerate_gl(tower, l * m)
-            if all(ranks[G.vec_mul(v)] == r for v, r in ranks.items())]
-
-
-def vec_map_table(tower: FieldTower, l: int, m: int) -> dict[tuple, MatMap]:
-    """Canonical linear matrix maps indexed by their vector-action matrix."""
-    return {vec_matrix(f).rows: f for f in enumerate_mat_maps(tower, l, m)}
 
 
 # ---------------------------------------------------------------------------

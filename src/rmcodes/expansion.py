@@ -2,16 +2,14 @@
 
 The map eps_b writes each coordinate of a vector over the top field as an
 F_q-row with respect to an ordered basis b, and eps_b^{-1} reassembles it.
-The structured matrices that realise, under eps_b, multiplication by a
-scalar (M_alpha), the q-power Frobenius (Q) and the p^r-power twist (P_r),
-and the members of the subgroup K they generate, are all built by one rule:
-the matrix of x -> (alpha x)^(p^gamma) in a tuple g has row i
+The matrices that rm_to_mat and m_beta read are built by one rule: the
+matrix of x -> (alpha x)^(p^gamma) in a tuple g has row i
 coords((alpha g_i)^(p^gamma), g), twisted by sigma^-(gamma mod e).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .elimination import decompose
 from .errors import BadParams, TowerMismatch
@@ -88,73 +86,10 @@ def _image_matrix(g: IndependentTuple, alpha: int, gamma: int) -> Mat:
 
     Row i is coords((alpha g_i)^(p^gamma), g), twisted by sigma^-r since the
     F_q-coefficients of x are raised to p^r; the matrix of a semilinear map
-    in a basis is unique, so every structured matrix here is one call.
-    NotInSpan when an image leaves span(g).
+    in a basis is unique, so M_alpha Q^j P_r for gamma = e*j + r is one
+    call.  NotInSpan when an image leaves span(g).
     """
     tower = g.tower
     mul, frob = tower.mul, tower.frob
     images = [frob(mul(alpha, x.code), gamma) for x in g.elements]
     return coords_codes(images, g).frobenius(-(gamma % tower.e))
-
-
-def mult_matrix(alpha: FieldElement, b: OrderedBasis) -> Mat:
-    """M_alpha with eps_b(alpha*x) = eps_b(x) M_alpha; invertible iff alpha != 0."""
-    if alpha.tower is not b.tower:
-        raise TowerMismatch("scalar and basis from different towers")
-    return _image_matrix(b, alpha.code, 0)
-
-
-def frobenius_matrix(b: OrderedBasis) -> Mat:
-    """Q with eps_b(x^q) = eps_b(x) Q; has multiplicative order m."""
-    return _image_matrix(b, 1, b.tower.e)
-
-
-def semilinear_matrix(b: OrderedBasis, r: int) -> Mat:
-    """P_r with eps_b(x^(p^r)) = (eps_b(x) P_r)^(p^r); r is reduced modulo e,
-    so r = 0 yields the identity (the q-power itself is covered by Q)."""
-    return _image_matrix(b, 1, r % b.tower.e)
-
-
-class KSubgroup:
-    """K = <M_alpha> . <Q> inside GL_m(F_q), for alpha the tower generator.
-
-    Every member factors uniquely as M_gamma Q^j with gamma nonzero and
-    0 <= j < m: it is the matrix of x -> (gamma x)^(q^j), whose row 0 is
-    the expansion of (gamma b_0)^(q^j), so each j names one candidate gamma.
-    """
-
-    def __init__(self, basis: OrderedBasis):
-        tower = basis.tower
-        self.basis = basis
-        self.tower = tower
-        self.Q = frobenius_matrix(basis)
-        self.M_gen = mult_matrix(tower.generator, basis)
-
-    def order(self) -> int:
-        return self.tower.m * self.tower.mult_order
-
-    def factor(self, M: Mat) -> tuple[int, int] | None:
-        """Return (i, j) with M = M_(g^i) Q^j, or None if M is not in K."""
-        tower, b = self.tower, self.basis
-        m, e = tower.m, tower.e
-        if M.shape() != (m, m) or M.tower is not tower:
-            return None
-        y = compress_codes(Mat(tower, M.rows[:1], subdeg=1, check=False), b)[0]
-        if y == 0:
-            return None
-        b0 = b.elements[0].code
-        for j in range(m):
-            gamma = tower.div(tower.frob(y, -e * j), b0)
-            if M == _image_matrix(b, gamma, e * j):
-                return tower.log(gamma), j
-        return None
-
-    def contains(self, M: Mat) -> bool:
-        return self.factor(M) is not None
-
-    def enumerate(self) -> Iterator[Mat]:
-        tower, b = self.tower, self.basis
-        for i in range(tower.mult_order):
-            gamma = tower.gen_power(i).code
-            for j in range(tower.m):
-                yield _image_matrix(b, gamma, tower.e * j)

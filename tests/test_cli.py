@@ -132,6 +132,16 @@ class TestPipeline:
                            "--out", str(rm))
         assert code == 0 and "l=2, k=1" in out
 
+    def test_compress_refuses_the_zero_code(self, capsys, tmp_path):
+        # the same refusal as a rank-metric code file with k = 0
+        zero = tmp_path / "zero.code"
+        zero.write_text(f"matrix\n{F16}\nl=2,m=4,k=0\n")
+        code, _, err = run(capsys, "compress", "--code", str(zero))
+        assert code == 1
+        assert err == "error: a rank-metric code needs k >= 1\n"
+        zero.write_text(f"rankmetric\n{F16}\nl=2,m=4,k=0\n")
+        assert run(capsys, "mindist", "--code", str(zero))[1:] == ("", err)
+
     def test_mindist_subspace(self, capsys, tmp_path, gab_file):
         mat = tmp_path / "m.code"
         run(capsys, "expand", "--code", str(gab_file), "--out", str(mat))

@@ -19,7 +19,6 @@ from rmcodes.elimination import (
     _PrimeSpan,
     _TowerSpan,
     flatten,
-    nullspace,
     span,
 )
 from rmcodes.errors import NotInSpan, Singular
@@ -131,13 +130,16 @@ def test_row_decompose_matches_oracle(field):
 
 
 def test_nullspace_matches_oracle(field):
-    """Every vector annihilates the rows, there are n - rank of them, and
-    they span the oracle's nullspace."""
+    """Span.relations of [rows | I]: every vector annihilates the rows,
+    there are n - rank of them, and they span the oracle's nullspace."""
     tower, subdeg, _ = field
     rnd = random.Random(6)
     deficient = full = 0
     for M in _matrices(tower, subdeg, rnd):
-        got = nullspace(tower, M.rows, M.ncols, subdeg)
+        n = M.nrows
+        s = span(tower, M.ncols, subdeg, extra=n)
+        got = s.relations(s.pack(tuple(r) + tuple(int(i == j) for j in range(n)))
+                          for i, r in enumerate(M.rows))
         r = oracle.rank(M)
         assert len(got) == M.nrows - r
         deficient += r < M.nrows

@@ -30,18 +30,16 @@ from rmcodes import (
     mat_map,
     power_basis,
     rank,
-    rank_preserving_vec_maps,
     rm_apply,
     rm_map,
     rm_to_mat,
-    vec_map_table,
-    vec_matrix,
 )
-from rmcodes import equivalence
-from rmcodes.equivalence import MODES, format_map, guarded_order, parse_map
+from rmcodes import codes, equivalence
+from rmcodes.equivalence import _walk_order, format_map, parse_map
 from rmcodes.fields import FieldElement
 
-import vec_oracle as oracle
+import translation_oracle
+from vec_oracle import rank_preserving_vec_maps, vec_matrix, vec_matrix_product
 
 
 def random_rm_map(tower, l, rnd, semilinear=False):
@@ -251,21 +249,23 @@ class TestGroupOrders:
 
     @pytest.mark.parametrize("tower", ["f4", "f81", "f16_q4"])
     def test_guarded_order_is_exact_at_the_guard(self, request, tower):
-        # the shape bound never refuses an order within the guard
+        # rank-metric modes: the shape bound never refuses an order within
+        # the guard
         t = request.getfixturevalue(tower)
-        for l, m, mode in itertools.product(range(1, 6), range(1, 6), MODES):
-            order = group_order(t, l, mode, m=m)
-            assert guarded_order(t, l, mode, order, m=m) == order
+        for l, mode in itertools.product(range(1, 6), ("rm-linear", "rm-semilinear")):
+            order = group_order(t, l, mode)
+            assert _walk_order(t, l, mode, order) == order
             with pytest.raises(TooLarge, match="exceeds guard"):
-                guarded_order(t, l, mode, order - 1, m=m)
+                _walk_order(t, l, mode, order - 1)
 
     def test_guarded_order_refuses_from_the_shape(self, f4, f16_q4):
-        with pytest.raises(TooLarge, match=r"group order 72 exceeds guard 71$"):
-            guarded_order(f4, 2, "mat-linear", 71, m=2)
-        with pytest.raises(TooLarge, match=r"at least 2\^499999500000 exceeds"):
-            guarded_order(f4, 10**6, "rm-linear", 2**20)
-        with pytest.raises(TooLarge, match=r"at least 2\^1560 exceeds"):
-            guarded_order(f16_q4, 3, "mat-semilinear", 2**20, m=40)
+        with pytest.raises(TooLarge, match=r"^group order 18 exceeds guard 17$"):
+            _walk_order(f4, 2, "rm-linear", 17)
+        shape = r"^group order of at least 2\^{} exceeds guard 1048576$"
+        with pytest.raises(TooLarge, match=shape.format(499999500000)):
+            _walk_order(f4, 10**6, "rm-linear", 2**20)
+        with pytest.raises(TooLarge, match=shape.format(1560)):
+            _walk_order(f16_q4, 3, "mat-semilinear", 2**20, m=40)
 
     def test_enumeration_is_duplicate_free(self, f81):
         keys = [f.key for f in enumerate_rm_maps(f81, 2)]
@@ -279,17 +279,15 @@ class TestTranslation:
         assert g.is_identity()
 
     def test_scalar_maps_to_mult_matrix(self, f16):
-        from rmcodes import mult_matrix
         b = power_basis(f16)
         w = f16.generator
         g = rm_to_mat(RmMap(w.code, Mat.identity(f16, 2)), b)
         assert not g.transpose
         assert g.L.is_identity()
-        assert g.M == mult_matrix(w, b)
+        assert g.M == translation_oracle.mult_matrix(w.code, b)
 
     def test_sigma_q_case_commutes(self, f16):
         # gamma = e corresponds to one Q factor and residual r = 0
-        from rmcodes import frobenius_matrix, mult_matrix
         b = power_basis(f16)
         w = f16.generator
         rnd = random.Random(5)
@@ -298,7 +296,8 @@ class TestTranslation:
         f = RmMap((w**3).code, L, gamma=1)  # e = 1: sigma_q = sigma_p
         g = rm_to_mat(f, b)
         assert g.L == L.transpose()
-        assert g.M == mult_matrix(w**3, b) @ frobenius_matrix(b)
+        assert g.M == (translation_oracle.mult_matrix((w**3).code, b)
+                       @ translation_oracle.frobenius_matrix(b))
         assert g.gamma == 0
         for codes in itertools.product(range(16), repeat=2):
             x = tuple(FieldElement(f16, c) for c in codes)
@@ -374,6 +373,24 @@ class TestAreEquivalent:
         with pytest.raises(TooLarge):
             are_equivalent(c, c, "rm-linear", guard=10)
 
+    def test_distance_prefilter_obeys_the_guard(self, f16, monkeypatch):
+        ranked = []
+        real = codes.rank
+        monkeypatch.setattr(codes, "rank", lambda A: ranked.append(A) or real(A))
+        # the expanded F_32 code has 32768 words and its 20160 classes pass a
+        # guard of 20160; the pre-filter, bounded by that guard, ranks none
+        f32 = make_tower(2, 1, 5)
+        w = f32.generator
+        big = expand_code(gabidulin(3, (f32.one, w, w**2, w**3)), power_basis(f32))
+        res = are_equivalent(big, big, "mat-linear", guard=20160)
+        assert res and res.checked == 1
+        assert ranked == []
+        # at the default guard the pre-filter ranks the 15 nonzero words of
+        # each expanded F_16 code (distance 2, so no early stop)
+        mc = expand_code(gabidulin(1, (f16.one, f16.generator**5)), power_basis(f16))
+        assert are_equivalent(mc, mc, "mat-linear").checked == 1
+        assert len(ranked) == 30
+
 
 class TestMatrixWalkGuard:
     """Matrix modes refuse on the walk's work, not on the group order: the
@@ -431,7 +448,7 @@ class TestRankPreservingOracle:
 
     def test_vec_matrix_factorisation_round_trip(self, f4):
         # one key per canonical map: the vector-action matrix determines the map
-        table = vec_map_table(f4, 2, 2)
+        table = {vec_matrix(f).rows: f for f in enumerate_mat_maps(f4, 2, 2)}
         assert len(table) == 72 == group_order(f4, 2, "mat-linear", m=2)
         for rows, f in table.items():
             assert vec_matrix(f).rows == rows
@@ -455,7 +472,7 @@ class TestRankPreservingOracle:
         maps = list(enumerate_mat_maps(t, l, m))
         assert len(maps) == group_order(t, l, "mat-linear", m=m)
         for f in maps:
-            assert vec_matrix(f) == oracle.vec_matrix_product(f)
+            assert vec_matrix(f) == vec_matrix_product(f)
 
     @pytest.mark.parametrize("spec, seed", [((3, 1, 2), 11), ((2, 2, 2), 12)],
                              ids=["F9", "F16-over-F4"])
@@ -463,7 +480,7 @@ class TestRankPreservingOracle:
         t = make_tower(*spec)
         rnd = random.Random(seed)
         for f in rnd.sample(list(enumerate_mat_maps(t, 2, 2)), 40):
-            assert vec_matrix(f) == oracle.vec_matrix_product(f)
+            assert vec_matrix(f) == vec_matrix_product(f)
 
     def test_vec_matrix_refuses_frobenius(self, f16_q4):
         f = MatMap(False, Mat.identity(f16_q4, 2), Mat.identity(f16_q4, 2), 1)

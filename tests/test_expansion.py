@@ -1,4 +1,9 @@
-"""Expansion/compression, coordinates, and the structured matrices M_a, Q, P_r, K."""
+"""Expansion/compression, coordinates, and the structured matrices M_a, Q, P_r, K.
+
+The structured matrices are the product forms tests/translation_oracle.py
+keeps; these tests pin their defining identities and the group K they
+generate, which rm_to_mat reads one image matrix at a time.
+"""
 
 import itertools
 import random
@@ -8,7 +13,6 @@ import pytest
 from rmcodes import (
     BadParams,
     IndependentTuple,
-    KSubgroup,
     Mat,
     MatrixCode,
     NotInSpan,
@@ -18,17 +22,19 @@ from rmcodes import (
     compress_code,
     expand_code,
     gabidulin,
-    is_extension_linear,
     coords,
     expand,
-    frobenius_matrix,
     make_tower,
-    mult_matrix,
     power_basis,
     rank,
-    semilinear_matrix,
 )
 from rmcodes.fields import FieldElement, find_normal_element, normal_basis_from
+from translation_oracle import KSubgroup, frobenius_matrix, mult_matrix as _mult_matrix
+from translation_oracle import semilinear_matrix
+
+
+def mult_matrix(alpha, b):
+    return _mult_matrix(alpha.code, b)
 
 
 def all_vectors(tower, l):
@@ -99,20 +105,16 @@ class TestExpandCompress:
         with pytest.raises(TowerMismatch):
             compress_code(mc, other)
         with pytest.raises(TowerMismatch):
-            is_extension_linear(mc, other)
-        with pytest.raises(TowerMismatch):
-            is_extension_linear(MatrixCode(f16, 2, 4, []), other)
+            compress_code(MatrixCode(f16, 2, 4, []), other)
 
     def test_compress_refuses_a_width_other_than_m(self, f16):
         # the empty code is checked as the code with a basis matrix is
         b = power_basis(f16)
         one = Mat(f16, [[1, 0, 0], [0, 0, 0]])
-        with pytest.raises(BadParams):
-            is_extension_linear(MatrixCode(f16, 2, 3, [one]), b)
+        with pytest.raises(BadParams, match="3 columns"):
+            compress_code(MatrixCode(f16, 2, 3, [one]), b)
         for mc in (MatrixCode(f16, 2, 3, []), MatrixCode(f16, 2, 5, [])):
-            with pytest.raises(BadParams):
-                is_extension_linear(mc, b)
-            with pytest.raises(BadParams):
+            with pytest.raises(BadParams, match="columns, basis has 4"):
                 compress_code(mc, b)
 
 
@@ -246,24 +248,13 @@ class TestSemilinearMatrix:
 
 class TestKSubgroup:
     def test_f4_order(self, f4):
-        K = KSubgroup(power_basis(f4))
-        mats = list(K.enumerate())
-        assert K.order() == 6 == len(mats)
+        mats = list(KSubgroup(power_basis(f4)).enumerate())
+        assert f4.m * f4.mult_order == 6 == len(mats)
         assert len({M.rows for M in mats}) == 6
 
     def test_f16_order(self, f16):
         K = KSubgroup(power_basis(f16))
-        assert K.order() == 60
-        assert len({M.rows for M in K.enumerate()}) == 60
-
-    def test_order_is_not_bounded(self):
-        # construction takes m - 1 products and enumerate() is lazy, so a
-        # group of 17 * (2^17 - 1) members is cheap to build and query
-        f = make_tower(2, 1, 17)
-        K = KSubgroup(power_basis(f))
-        assert K.order() == 17 * (2**17 - 1)
-        assert K.factor(K.M_gen @ K.Q) == (1, 1)
-        assert next(K.enumerate()).is_identity()
+        assert len({M.rows for M in K.enumerate()}) == 60 == f16.m * f16.mult_order
 
     def test_commutation_rule(self, f16):
         b = power_basis(f16)
@@ -275,7 +266,7 @@ class TestKSubgroup:
     def test_trivial_intersection_and_identity(self, f16):
         b = power_basis(f16)
         K = KSubgroup(b)
-        assert K.contains(Mat.identity(f16, 4))
+        assert K.factor(Mat.identity(f16, 4)) == (0, 0)
         Q = frobenius_matrix(b)
         # <M_a> n <Q> = {I}: no Q power is a multiplication matrix except Q^0
         acc = Q
@@ -301,14 +292,14 @@ class TestKSubgroup:
         K = KSubgroup(power_basis(f4))
         mats = list(K.enumerate())
         for A in mats:
-            assert K.contains(inverse(A))
+            assert K.factor(inverse(A)) is not None
             for B in mats:
-                assert K.contains(A @ B)
+                assert K.factor(A @ B) is not None
 
     def test_membership_rejects_outside(self, f16):
         K = KSubgroup(power_basis(f16))
         M = Mat(f16, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        assert not K.contains(M)
+        assert K.factor(M) is None
 
     def test_membership_independent_of_primitive_choice(self, f16):
         # K is the same set whichever primitive element generates <M_alpha>:

@@ -4,8 +4,10 @@ expansion._image_matrix builds every matrix of a semilinear map
 x -> (alpha x)^(p^gamma) in a basis by one rule.  Before it, each matrix
 had its own construction, kept here: M_alpha, Q and P_r from the
 coordinates of alpha b_i, b_i^q and b_i^(p^r) (P_0 the identity),
-rm_to_mat as M_alpha Q^j P_r for gamma = e*j + r, and KSubgroup with a
-table of Q powers that factor peels off one at a time.
+rm_to_mat as M_alpha Q^j P_r for gamma = e*j + r, and KSubgroup, the
+subgroup K they generate, with a table of Q powers that factor peels off
+one at a time.  The library keeps no K of its own: its members are the
+images rm_to_mat gives the maps [g^i, I_1] with gamma = e*j.
 test_translation.py checks the library against these.  Do not optimise
 them: they are the slow path by design.
 """
