@@ -188,7 +188,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_mindist(args) -> int:
     if isinstance(args.code, SubspaceCode):
-        d = args.code.min_distance()
+        d = args.code.min_distance(args.guard)
         print(f"d_S,min = {d if d is not None else 'none (fewer than two words)'}")
     else:
         print(f"d_R,min = {min_rank_distance(args.code, guard=args.guard)}")

@@ -26,6 +26,10 @@ solution of a decomposition over dependent rows and the basis of a
 nullspace, use only the rows that are independent of the rows before
 them.  Pivot columns are 1-based.
 
+The rank of a sum of two spans (join_rank, the one elimination behind a
+subspace distance) copies neither span: it eliminates only the residuals
+of one basis modulo the other, in a fresh span.
+
 Callers that build many systems from one set of rows hold those rows in the
 kernel's form (:meth:`Span.pack`), make each system's rows with
 :meth:`Span.combine` and eliminate them as they are.
@@ -177,13 +181,21 @@ class Span:
         return [self._unpack(v) for v in reversed(rref._basis.values())]
 
     def join_rank(self, other: "Span") -> int:
-        """Dimension of the sum of two spans of one space; neither changes."""
-        new = self._copy()
+        """Dimension of the sum of two spans of one space; neither changes.
+
+        Only the residuals of other's basis rows modulo this basis are
+        eliminated, in a fresh span: a nonzero member of this span is
+        nonzero at one of its pivots, where every residual combination is
+        zero, so the residuals meet this span in zero and the sum has rank
+        self.rank plus the rank of the residuals.
+        """
         if type(other) is type(self):
-            new._insert(other._basis.values())
+            rows = other._basis.values()
         else:
-            new._insert(map(self._pack, other.rows()))
-        return new.rank
+            rows = map(self._pack, other.rows())
+        new = type(self)(self.tower, self.width, self._len - self.width)
+        new._insert(map(self._reduce, rows))
+        return self.rank + new.rank
 
 
 class _F2Span(Span):
@@ -237,9 +249,32 @@ class _F2Span(Span):
     def combine(self, coeffs, rows):
         return reduce(xor, compress(rows, coeffs), 0)
 
+    def join_rank(self, other):
+        if type(other) is not _F2Span:
+            return super().join_rank(other)
+        # the walks of _reduce and _insert, inline over this basis and the residuals'
+        basis, mask, extra = self._basis, self._mask, self._len - self.width
+        new, new_mask = {}, 0
+        for v in other._basis.values():
+            while x := v & mask:
+                v ^= basis[x.bit_length()]
+            while x := v & new_mask:
+                v ^= new[x.bit_length()]
+            if v >> extra:
+                new[v.bit_length()] = v
+                new_mask |= 1 << v.bit_length() - 1
+        return len(basis) + len(new)
+
 
 class _PrimeSpan(Span):
     """Rows as lists of ints mod an odd prime p."""
+
+    def _reduce(self, v):
+        p = self.tower.p
+        for col, b in self._basis.items():
+            if c := v[col]:
+                v = [(x - c * y) % p for x, y in zip(v, b)]
+        return v
 
     def _sub(self, v, coeffs, rows):
         p = self.tower.p

@@ -85,13 +85,16 @@ class SubspaceCode:
     def size(self) -> int:
         return len(self.words)
 
-    def min_distance(self) -> int | None:
+    def min_distance(self, guard: int = DEFAULT_GUARD) -> int | None:
         """Least subspace distance over pairs of words; None below two words.
 
         Pairwise, since a subspace code need not be linear.  The scan stops
         at the first pair at distance 2: two distinct subspaces of one
         dimension k have dim(U+V) >= k+1, so d_S = 2 dim(U+V) - 2k >= 2.
+        Codes of more than guard words raise TooLarge before the first pair.
         """
+        if self.size > guard:
+            raise TooLarge(f"|code| = {self.size} exceeds guard {guard}")
         words = sorted(self.words, key=lambda w: w.mat.rows)
         best = None
         for i, u in enumerate(words):
@@ -195,22 +198,29 @@ def verify_distance_law(mc: MatrixCode, pivots: Sequence[int]) -> DistanceLawRep
     """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs.
 
     The subspace side is pairwise: one subspace_distance per pair of lifts.
-    The rank side is per codeword: mc is F_q-linear, so A - B is the
-    codeword whose message is the difference of the two messages, and its
-    rank is looked up among the ranks taken once per codeword.  Codes of
-    more than DEFAULT_GUARD words raise TooLarge before any word is built.
+    The rank side takes one rank per codeword: mc is F_q-linear, so A - B
+    is the codeword whose message is the difference of the two messages.
+    Messages run in itertools.product order over the q codes of F_q, so a
+    message's place is its digits read in base q, and the place of
+    m_i - m_j is read digit by digit from a q x q table of differences:
+    one pass per row i, with no field operation per pair.  Codes of more
+    than DEFAULT_GUARD words raise TooLarge before any word is built.
     """
     mats, lifted = _lifted(mc, pivots, DEFAULT_GUARD)
-    msgs = list(mc.messages())
-    weight = dict(zip(msgs, map(rank, mats)))
-    sub = mc.tower.sub
+    weights = list(map(rank, mats))
+    codes, sub = mc.tower.subfield_codes(1), mc.tower.sub
+    q, place = len(codes), {c: k for k, c in enumerate(codes)}
+    diff = {a: [place[sub(a, b)] for b in codes] for a in codes}
     all_match = True
     multiset = []
     dr_min = None
-    for i, (u, mi) in enumerate(zip(lifted, msgs)):
-        for v, mj in zip(lifted[i + 1:], msgs[i + 1:]):
+    for i, (u, mi) in enumerate(zip(lifted, mc.messages())):
+        places = [0]  # of m_i - m_j, for every j
+        for a in mi:
+            places = [k * q + d for k in places for d in diff[a]]
+        for v, j in zip(lifted[i + 1:], places[i + 1:]):
             ds = subspace_distance(u, v)
-            dr = weight[tuple(map(sub, mi, mj))]
+            dr = weights[j]
             if ds != 2 * dr:
                 all_match = False
             multiset.append(ds)

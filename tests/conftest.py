@@ -34,3 +34,9 @@ def f8():
 def f16_q4():
     """F_16 as a degree-2 extension of F_4 (p=2, e=2, m=2)."""
     return make_tower(2, 2, 2)
+
+
+@pytest.fixture(scope="session")
+def f81_q9():
+    """F_81 as a degree-2 extension of F_9 (p=3, e=2, m=2)."""
+    return make_tower(3, 2, 2)

@@ -3,7 +3,7 @@
 This is the reference oracle for ``rmcodes.subspaces.verify_distance_law``;
 keep it.  It takes rank(A - B) by a fresh subtraction and rank call for
 every pair of codewords, where the library takes one rank per codeword and
-looks each pair up by its difference message.
+reads each pair's from the place of its difference message.
 """
 
 from __future__ import annotations

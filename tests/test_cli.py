@@ -151,6 +151,16 @@ class TestPipeline:
         code, out, _ = run(capsys, "mindist", "--code", str(sub))
         assert code == 0 and "d_S,min = 4" in out
 
+    def test_mindist_subspace_obeys_guard(self, capsys, tmp_path, gab_file):
+        mat, sub = tmp_path / "m.code", tmp_path / "s.code"
+        run(capsys, "expand", "--code", str(gab_file), "--out", str(mat))
+        run(capsys, "lift", "--code", str(mat), "--pivots", "1,2", "--out", str(sub))
+        code, out, _ = run(capsys, "mindist", "--code", str(sub), "--guard", "16")
+        assert code == 0 and "d_S,min = 4" in out
+        code, out, err = run(capsys, "mindist", "--code", str(sub), "--guard", "15")
+        assert code == 1 and "d_S,min" not in out
+        assert err == "error: |code| = 16 exceeds guard 15\n"
+
     def test_aut_oracle_match(self, capsys, gab_file):
         code, out, _ = run(capsys, "aut", "--code", str(gab_file), "--oracle")
         assert code == 0

@@ -1,12 +1,13 @@
 """verify_distance_law and SubspaceCode.min_distance against pairwise scans.
 
-verify_distance_law takes one rank per codeword and looks each pair up by
-its difference message; the oracle takes a rank per pair.  All five report
-fields must agree on criterion 5's 100 F_2 codes at both pivot sets, on
-F_3 codes in F_81, on F_4 codes in F_16 over F_4 (e = 2), on the zero code
-and on dimension 1.  A derandomized Hypothesis property checks that
-min_distance, which stops at the floor 2, equals the full pairwise minimum
-on random subspace codes, lifts or not, with None below two words.
+verify_distance_law takes one rank per codeword and reads each pair's
+through the place of its difference message; the oracle takes a rank per
+pair.  All five report fields must agree on criterion 5's 100 F_2 codes at
+both pivot sets, on F_3 codes in F_81, on F_4 codes in F_16 over F_4 and F_9
+codes in F_81 over F_9 (e = 2), on the zero code and on dimension 1.  A
+derandomized Hypothesis property checks that min_distance, which stops at
+the floor 2, equals the full pairwise minimum on random subspace codes,
+lifts or not, with None below two words; its guard bounds the words.
 """
 
 import itertools
@@ -23,10 +24,13 @@ from rmcodes import (
     MatrixCode,
     Subspace,
     SubspaceCode,
+    TooLarge,
+    lift,
     make_tower,
     subspace_distance,
     verify_distance_law,
 )
+from rmcodes import subspaces
 from rmcodes.elimination import flatten, span
 
 
@@ -95,6 +99,21 @@ def test_e2_tower_codes_match_oracle(f16_q4, dim):
         assert _assert_same(mc, pivots).all_match
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_odd_e2_tower_codes_match_oracle(f81_q9, dim):
+    """F_9 in F_81: the base-field codes are neither 0..q-1 nor added by
+    XOR, so this is where a wrong difference place would show.  min_distance
+    of the lift is the oracle's pairwise minimum."""
+    assert f81_q9.subfield_codes(1) == (0, 1, 2, 42, 43, 44, 75, 76, 77)
+    rnd = random.Random(60 + dim)
+    for l, m in ((2, 2), (2, 3)):
+        mc = _random_code(f81_q9, l, m, dim, rnd)
+        pivots = tuple(sorted(rnd.sample(range(1, l + m + 1), l)))
+        report = _assert_same(mc, pivots)
+        assert report.all_match
+        assert lift(mc, pivots).min_distance() == report.ds_min
+
+
 def test_zero_and_one_dimensional_codes_match_oracle(f16, f81):
     zero = _assert_same(MatrixCode(f16, 2, 3, []), (1, 2))
     assert (zero.pairs_checked, zero.ds_min, zero.dr_min) == (0, None, None)
@@ -143,6 +162,19 @@ def test_min_distance_equals_pairwise_minimum(sc):
 def test_min_distance_of_empty_and_single_word_codes(f4):
     assert SubspaceCode(f4, 2, []).min_distance() is None
     assert SubspaceCode(f4, 2, [Subspace(Mat(f4, [[1, 1]]))]).min_distance() is None
+
+
+def test_min_distance_guard_bounds_the_words(f16, monkeypatch):
+    """A code of guard words is scanned; one more word is refused in lift's
+    wording before any pair is compared."""
+    sc = lift(_random_code(f16, 2, 3, 2, random.Random(70)), (1, 2))
+    assert sc.size == 4
+    assert sc.min_distance(guard=4) == _pairwise_min(sc)
+    pairs = []
+    monkeypatch.setattr(subspaces, "subspace_distance", lambda u, v: pairs.append((u, v)))
+    with pytest.raises(TooLarge, match=r"^\|code\| = 4 exceeds guard 3$"):
+        sc.min_distance(guard=3)
+    assert pairs == []
 
 
 def test_words_of_two_dimensions_are_refused(f4):

@@ -8,6 +8,7 @@ empty, zero-column, all-zero, full-rank, wide, tall and rank-deficient
 matrices.
 """
 
+import copy
 import random
 
 import pytest
@@ -230,16 +231,37 @@ def test_extended_leaves_the_source(field):
 
 
 def test_join_rank_is_rank_of_stacked_rows(field):
+    """join_rank eliminates only residuals, so check it both ways round, and
+    on a span with itself, against the oracle rank of the stacked rows on
+    the first three columns (where pivots lie), with no extra columns and
+    with two; the spans include rank 0 (no rows, zero rows, rows zero
+    before the extra columns) and full ones (the identity).  Neither span
+    may change: basis items and their order, rank, pivots, rows() and the
+    F_2 pivot mask."""
     tower, subdeg, _ = field
     rnd = random.Random(5)
-    mats = [M for M in _matrices(tower, subdeg, rnd) if M.ncols == 3]
-    for A in mats:
-        for B in mats:
-            sa = span(tower, 3, subdeg, A.rows)
-            sb = span(tower, 3, subdeg, B.rows)
-            stacked = Mat(tower, A.rows + B.rows, subdeg, check=False, ncols=3)
-            assert sa.join_rank(sb) == oracle.rank(stacked)
-            assert sa.rank == oracle.rank(A)
+    codes = tower.subfield_codes(subdeg)
+    mats = [M.rows for M in _matrices(tower, subdeg, rnd) if M.ncols == 3]
+    mats += [(), ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+
+    def state(s):
+        return (list(copy.deepcopy(s._basis).items()), s.rank, s.pivots, s.rows(),
+                getattr(s, "_mask", None))
+
+    for extra in (0, 2):
+        spans = []
+        for rows in mats:
+            rows = [tuple(r) + tuple(rnd.choice(codes) for _ in range(extra)) for r in rows]
+            spans.append((span(tower, 3, subdeg, rows, extra), rows))
+        for sa, a in spans:
+            assert sa.rank == oracle.rank(Mat(tower, [r[:3] for r in a], subdeg,
+                                              check=False, ncols=3))
+            for sb, b in spans:
+                before = state(sa), state(sb)
+                stacked = Mat(tower, [r[:3] for r in a + b], subdeg, check=False, ncols=3)
+                assert sa.join_rank(sb) == sb.join_rank(sa) == oracle.rank(stacked)
+                assert (state(sa), state(sb)) == before
+            assert sa.join_rank(sa) == sa.rank
 
 
 def test_flatten_is_row_major():
