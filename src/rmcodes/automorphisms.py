@@ -187,18 +187,17 @@ def rm_aut_group(c: GabidulinCode) -> AutGroup:
     return AutGroup("rm", tower, elements, d=sd.d, gens=gens)
 
 
-def _brute_group(kind: str, code, semilinear: bool, guard: int) -> AutGroup:
+def _brute_group(code, mode: str, guard: int) -> AutGroup:
     """The stabilizer of code: equivalence_maps of code onto itself, which
     AutGroup sorts by key, generators left to their first read.  The guard
     bounds, before |code|, what equivalence_maps walks: in rank-metric modes
     the group order (every alpha is built); in matrix modes the classes
     (gamma, T?, L) solved and the running total of q^dim over their
     kernels, so the group order may exceed it."""
-    mode = f"{kind}-{'semilinear' if semilinear else 'linear'}"
     maps = equivalence_maps(code, code, mode, guard)
     if code.size > guard:
         raise TooLarge(f"|code| = {code.size} exceeds guard {guard}")
-    return AutGroup(kind, code.tower, maps)
+    return AutGroup(mode.partition("-")[0], code.tower, maps)
 
 
 def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
@@ -206,7 +205,7 @@ def rm_aut_brute(c: RankMetricCode, semilinear: bool = False,
     """Exact stabilizer of a rank-metric code inside the equivalence group:
     per gamma, the L with (C L)^(p^gamma) = C from one F_q-kernel (for
     gamma = 0 the units of the right idealiser of C), with every scalar."""
-    return _brute_group("rm", c, semilinear, guard)
+    return _brute_group(c, "rm-semilinear" if semilinear else "rm-linear", guard)
 
 
 def mat_aut_subgroup(c: GabidulinCode, b: OrderedBasis) -> AutGroup:
@@ -232,4 +231,4 @@ def mat_aut_brute(mc: MatrixCode, semilinear: bool = False,
     """Exact stabilizer of a matrix code inside the matrix-equivalence group:
     per (gamma, T?, L), the M with (L C^T? M)^(p^gamma) = C from one
     F_q-kernel."""
-    return _brute_group("mat", mc, semilinear, guard)
+    return _brute_group(mc, "mat-semilinear" if semilinear else "mat-linear", guard)

@@ -285,66 +285,55 @@ def rm_to_mat(f: RmMap, b: OrderedBasis) -> MatMap:
 # group enumeration and orders
 # ---------------------------------------------------------------------------
 
+def _canonical_parts(tower: FieldTower, l: int, mode: str, m: int | None = None):
+    """(gammas, flags, forms, n): the one definition of a mode's group.  Its
+    canonical maps run, in enumeration order, over gamma, the transpose flag
+    (matrix modes with l = m), the forms = |GL_l|/(q-1) leading-one L of
+    enumerate_gl, then n inner parts: alpha by code (rank-metric modes) or M
+    over enumerate_gl (matrix modes, m the column count)."""
+    if mode not in MODES:
+        raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
+    rm, q = mode.startswith("rm"), tower.q
+    if not rm and m is None:
+        raise BadParams("matrix modes need the column count m")
+    gammas = range(tower.degree if rm else tower.e) if mode.endswith("semilinear") else (0,)
+    flags = (False, True) if not rm and l == m else (False,)
+    return gammas, flags, gl_order(q, l) // (q - 1), tower.order - 1 if rm else gl_order(q, m)
+
+
 def group_order(tower: FieldTower, l: int, mode: str, m: int | None = None) -> int:
-    """Closed-form order of the chosen equivalence group.
-
-    For rank-metric modes m is the extension degree of the tower; for matrix
-    modes m is the codeword column count and must be supplied.
-    """
-    q = tower.q
-    if mode == "rm-linear":
-        return (q**tower.m - 1) * gl_order(q, l) // (q - 1)
-    if mode == "rm-semilinear":
-        return group_order(tower, l, "rm-linear") * tower.degree
-    if mode in ("mat-linear", "mat-semilinear"):
-        if m is None:
-            raise BadParams("matrix modes need the column count m")
-        order = gl_order(q, l) * gl_order(q, m) // (q - 1)
-        if l == m:
-            order *= 2
-        if mode == "mat-semilinear":
-            order *= tower.e
-        return order
-    raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
+    """The order of the chosen equivalence group, the product of its canonical
+    parts.  For rank-metric modes m is the extension degree of the tower;
+    for matrix modes m is the codeword column count and must be supplied."""
+    gammas, flags, _, n = _canonical_parts(tower, l, mode, m)
+    return len(gammas) * len(flags) * gl_order(tower.q, l) * n // (tower.q - 1)
 
 
-def _walk_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None) -> int:
-    """The group order, once the walk of equivalence_maps passes the guard
+def _walk_order(tower: FieldTower, l: int, mode: str, guard: int, m: int | None = None):
+    """The canonical parts, once the walk of equivalence_maps passes the guard
     checks made before its first solve.  First the shape bound: |GL_n(F_q)|
     >= q^(n(n-1)/2), for n = l and in matrix modes n = max(l, m), refuses a
     shape whose order is then never computed or formatted.  Rank-metric
     modes (m None) build every alpha, so the order itself is bounded.
-    Matrix modes count the classes (gamma, T?, L) walked, one solve each:
-    the order over |GL_m(F_q)|."""
+    Matrix modes count the classes (gamma, T?, L) walked, one solve each."""
     n = max(l, m or 0)
     bits = (tower.q.bit_length() - 1) * n * (n - 1) // 2
     if bits >= guard.bit_length():
         raise TooLarge(f"group order of at least 2^{bits} exceeds guard {guard}")
-    order = group_order(tower, l, mode, m=m)
+    parts = gammas, flags, forms, _ = _canonical_parts(tower, l, mode, m)
     if m is None:
-        if order > guard:
+        if (order := group_order(tower, l, mode)) > guard:
             raise TooLarge(f"group order {order} exceeds guard {guard}")
-    elif (classes := order // gl_order(tower.q, m)) > guard:
+    elif (classes := len(gammas) * len(flags) * forms) > guard:
         raise TooLarge(f"{classes} classes (gamma, T?, L) to solve exceed guard {guard}")
-    return order
-
-
-def _canonical_parts(tower: FieldTower, l: int, m: int | None, semilinear: bool):
-    """(gammas, flags, n): the canonical maps, in enumeration order, run over
-    gamma, the transpose flag (l = m), L over the leading-one forms of
-    enumerate_gl, then n inner parts: alpha by code (rank-metric maps, m
-    None) or M over enumerate_gl."""
-    rm = m is None
-    gammas = range(tower.degree if rm else tower.e) if semilinear else (0,)
-    flags = (False, True) if l == m else (False,)
-    return gammas, flags, tower.order - 1 if rm else gl_order(tower.q, m)
+    return parts
 
 
 def enumerate_rm_maps(tower: FieldTower, l: int,
                       semilinear: bool = False) -> Iterator[RmMap]:
     """Every canonical coset once: gamma outer, then L (lexicographic among
     leading-one representatives), then alpha by code."""
-    gammas, _, _ = _canonical_parts(tower, l, None, semilinear)
+    gammas = _canonical_parts(tower, l, "rm-semilinear" if semilinear else "rm-linear")[0]
     for gamma in gammas:
         for L in enumerate_gl(tower, l, leading_one=True):
             for alpha in range(1, tower.order):
@@ -354,7 +343,8 @@ def enumerate_rm_maps(tower: FieldTower, l: int,
 def enumerate_mat_maps(tower: FieldTower, l: int, m: int,
                        semilinear: bool = False) -> Iterator[MatMap]:
     """Every canonical coset once: gamma, transpose flag, L (leading-one), M."""
-    gammas, flags, _ = _canonical_parts(tower, l, m, semilinear)
+    gammas, flags, _, _ = _canonical_parts(
+        tower, l, "mat-semilinear" if semilinear else "mat-linear", m)
     for gamma, flag in itertools.product(gammas, flags):
         for L in enumerate_gl(tower, l, leading_one=True):
             for M in enumerate_gl(tower, m):
@@ -484,8 +474,7 @@ def equivalence_maps(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> Iterator[
     if space is None or c1.size != c2.size:
         return iter(())
     (l, m), tower = space, c1.tower
-    _walk_order(tower, l, mode, guard, m=m)
-    gammas, flags, _ = _canonical_parts(tower, l, m, mode.endswith("semilinear"))
+    gammas, flags, _, _ = _walk_order(tower, l, mode, guard, m=m)
 
     def walk():
         members = solves = 0
@@ -514,8 +503,8 @@ def map_index(f) -> int:
     gl_rank over the leading-one L, times the n maps of a class, plus the
     place in it: alpha - 1 (rank-metric maps) or gl_rank(M)."""
     rm, t = isinstance(f, RmMap), f.tower
-    _, flags, n = _canonical_parts(t, f.l, None if rm else f.m, False)
-    forms = gl_order(t.q, f.l) // (t.q - 1)  # the leading-one L
+    _, flags, forms, n = _canonical_parts(t, f.l, "rm-linear" if rm else "mat-linear",
+                                          None if rm else f.m)
     flag = False if rm else f.transpose
     first = ((f.gamma * len(flags) + flag) * forms + gl_rank(f.L, leading_one=True)) * n
     return first + (f.alpha - 1 if rm else gl_rank(f.M))
@@ -537,17 +526,17 @@ def are_equivalent(c1, c2, mode: str, guard: int = DEFAULT_GUARD) -> EquivResult
     if c1.size != c2.size:
         return EquivResult(False, None, 0, mode, "size mismatch")
     (l, m), tower, rm = space, c1.tower, mode.startswith("rm")
-    order = _walk_order(tower, l, mode, guard, m=m)
+    maps = equivalence_maps(c1, c2, mode, guard)
     if 1 < c1.size <= guard and min_rank_distance(c1, guard) != min_rank_distance(c2, guard):
         return EquivResult(False, None, 0, mode, "minimum distance mismatch")
     gens, contains = (c1.gen.rows, c2.contains_codes) if rm else (c1.basis, c2.contains)
     identity = RmMap.identity(tower, l) if rm else MatMap.identity(tower, l, m)
     if all(map(contains, gens)):  # the identity's test
         return EquivResult(True, identity, 1, mode, "witness found")
-    for f in equivalence_maps(c1, c2, mode, guard):
+    for f in maps:
         i = map_index(f)
         return EquivResult(True, f, i + 2 - (i > map_index(identity)), mode, "witness found")
-    return EquivResult(False, None, order, mode, "group exhausted")
+    return EquivResult(False, None, group_order(tower, l, mode, m), mode, "group exhausted")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Matrices carry a subfield tag: entries of a Mat with subdeg=d live in
 F_{q^d} inside the tower's top field (d=1 is the base field F_q, d=m the
-top field).  Rank, RREF, inversion and row decomposition run on the
+top field).  Rank, RREF and inversion run on the
 shared kernel in :mod:`rmcodes.elimination`, which works over the tagged
 subfield, so they are exact over that field.  Pivot columns are reported
 1-based.
@@ -305,16 +305,6 @@ def gl_rank(M: Mat, leading_one: bool = False) -> int:
         pivots.append(col)
         pivots.sort()
     return index
-
-
-def row_decompose(targets: Sequence[Sequence[int]], M: Mat) -> Mat:
-    """Solve C with C @ M = targets over M's field; NotInSpan if impossible.
-
-    targets is a sequence of code rows of length M.ncols; the result C is
-    len(targets) x M.nrows.
-    """
-    s = elimination.solver(M.tower, M.rows, M.ncols, M.subdeg)
-    return Mat(M.tower, elimination.decompose(s, targets), M.subdeg, check=False)
 
 
 def format_matrix(M: Mat) -> str:

@@ -158,24 +158,38 @@ def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = DEFAULT_GUARD) -> S
 def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
     """Recover (pivots, underlying matrix code) from a lifted matrix code.
 
-    All words must share the pivot locations of their RREF bases
-    (MixedPivots otherwise), and the auxiliary matrices must form an
-    F_q-linear set (NonlinearCode otherwise).
+    When the RREF bases of all words share their pivots, those are the lift's
+    pivots P and each matrix sits in the other columns.  Otherwise P is read
+    off the lift of the zero matrix, the one word whose RREF rows are unit
+    vectors (NonlinearCode if there is none, MixedPivots if there are
+    several), and each matrix A off (B_P)^-1 B for the RREF basis B of its
+    word: the RREF of B's columns reordered P first is [I | A] (MixedPivots
+    if B_P is singular).  The matrices must form an F_q-linear set
+    (NonlinearCode otherwise).
     """
     if not sc.words:
         raise BadParams("empty subspace code")
     words = sorted(sc.words, key=lambda w: w.mat.rows)
     pivots = words[0].pivots
-    for w in words:
-        if w.pivots != pivots:
-            raise MixedPivots(f"pivot locations differ: {pivots} vs {w.pivots}")
-    nonpivots = [j for j in range(1, sc.n + 1) if j not in set(pivots)]
-    aux = []
-    for w in words:
-        aux.append(Mat(sc.tower, [[w.mat.rows[i][j - 1] for j in nonpivots]
-                                  for i in range(w.dim)], subdeg=1, check=False))
+    if any(w.pivots != pivots for w in words):
+        units = [w.pivots for w in words
+                 if all(sum(map(bool, row)) == 1 for row in w.mat.rows)]
+        if not units:
+            raise NonlinearCode("no word is the lift of the zero matrix")
+        if len(units) > 1:
+            raise MixedPivots(f"pivot locations differ: {units[0]} vs {units[1]}")
+        pivots = units[0]
     l, m = sc.dim, sc.n - sc.dim
-    s = span(sc.tower, l * m)
+    columns = [j - 1 for j in pivots] + [j for j in range(sc.n) if j + 1 not in pivots]
+    s, aux = span(sc.tower, l * m), []
+    for w in words:
+        rows, cols = w.mat.rows, columns[l:]
+        if w.pivots != pivots:
+            e = span(sc.tower, sc.n, 1, ([r[j] for j in columns] for r in rows))
+            if e.pivots != tuple(range(1, l + 1)):
+                raise MixedPivots(f"pivot locations differ: {pivots} vs {w.pivots}")
+            rows, cols = e.rows(), range(l, sc.n)
+        aux.append(Mat(sc.tower, [[r[j] for j in cols] for r in rows], subdeg=1, check=False))
     basis = [A for A in aux if s.add(flatten(A.rows))]
     mc = MatrixCode(sc.tower, l, m, basis)
     if mc.size != len(aux):

@@ -8,6 +8,9 @@ and everything built on it; keep them.
   ``enumerate_gl``), builds an ``RmMap`` / ``MatMap`` for every
   candidate and applies it to every generator of the code: no scalar-class
   shortcut, no shared left factors.
+* ``group_order``: the closed form of each mode's group order, branch by
+  branch, that rmcodes.equivalence kept before it read the order off the
+  canonical parts.
 * ``class_scan``: the second form, the body of ``equivalence_maps`` before
   it solved for L and M.  It tests each rank-metric class [., L, gamma]
   once and every M of each matrix class (gamma, T?, L) one at a time.  Only
@@ -28,7 +31,7 @@ from rmcodes import (
     RmMap,
     TooLarge,
     enumerate_gl,
-    group_order,
+    gl_order,
     min_rank_distance,
 )
 from rmcodes.codes import MatrixCode, RankMetricCode
@@ -42,6 +45,27 @@ def _first_nonzero(M):
             if c:
                 return c
     return 0
+
+
+def group_order(tower, l, mode, m=None):
+    """Closed-form order of the chosen equivalence group: m is the extension
+    degree in rank-metric modes and the codeword column count in matrix
+    modes."""
+    q = tower.q
+    if mode == "rm-linear":
+        return (q**tower.m - 1) * gl_order(q, l) // (q - 1)
+    if mode == "rm-semilinear":
+        return group_order(tower, l, "rm-linear") * tower.degree
+    if mode in ("mat-linear", "mat-semilinear"):
+        if m is None:
+            raise BadParams("matrix modes need the column count m")
+        order = gl_order(q, l) * gl_order(q, m) // (q - 1)
+        if l == m:
+            order *= 2
+        if mode == "mat-semilinear":
+            order *= tower.e
+        return order
+    raise BadParams(f"unknown mode {mode!r}; choose from {MODES}")
 
 
 def leading_one_gl(tower, n):

@@ -124,6 +124,21 @@ class TestPipeline:
         assert (parse_code_file(back.read_text())
                 == parse_code_file(mat.read_text()))
 
+    def test_unlift_reads_pivots_off_the_zero_word(self, capsys, tmp_path):
+        # lifted at (1, 3), most words of this F_81 code have RREF pivots
+        # (1, 2); unlift still recovers (1, 3) and the code
+        mat = tmp_path / "f3.code"
+        mat.write_text("matrix\ngf(3,1,4)\nl=2,m=3,k=2\ng^0,0,1;0,2,0\n0,1,0;1,0,2\n")
+        sub, back = tmp_path / "f3s.code", tmp_path / "f3u.code"
+        code, _, _ = run(capsys, "lift", "--code", str(mat), "--pivots", "1,3",
+                         "--out", str(sub))
+        assert code == 0
+        code, out, _ = run(capsys, "unlift", "--code", str(sub), "--out", str(back))
+        assert code == 0 and "pivots: [1, 3]" in out
+        code, out, _ = run(capsys, "equiv", "--code", str(mat), "--code2", str(back),
+                           "--mode", "mat-linear")
+        assert code == 0 and "EQUIVALENT after 1 maps" in out
+
     def test_compress_round_trip(self, capsys, tmp_path, gab_file):
         mat = tmp_path / "m.code"
         run(capsys, "expand", "--code", str(gab_file), "--out", str(mat))

@@ -19,11 +19,13 @@ from rmcodes.elimination import (
     _F2Span,
     _PrimeSpan,
     _TowerSpan,
+    decompose,
     flatten,
+    solver,
     span,
 )
 from rmcodes.errors import NotInSpan, Singular
-from rmcodes.matrices import Mat, inverse, rank, row_decompose, rref
+from rmcodes.matrices import Mat, inverse, rank, rref
 
 FIELDS = {
     "F2": (lambda: make_tower(2, 1, 4, [1, 1, 0, 0, 1]), 1, _F2Span),
@@ -105,12 +107,18 @@ def test_inverse_matches_oracle(field):
 
 
 def test_row_decompose_matches_oracle(field):
-    """Equal to the oracle whenever the rows are independent (the solution is
-    unique); on dependent rows any solution is correct, so check it solves."""
+    """decompose over a solver of M's rows solves C @ M = targets: equal to
+    the oracle whenever the rows are independent (the solution is unique);
+    on dependent rows any solution is correct, so check it solves."""
     tower, subdeg, _ = field
     rnd = random.Random(3)
     codes = tower.subfield_codes(subdeg)
     outside = 0
+
+    def row_decompose(targets, M):
+        s = solver(M.tower, M.rows, M.ncols, M.subdeg)
+        return Mat(M.tower, decompose(s, targets), M.subdeg, check=False)
+
     for M in _matrices(tower, subdeg, rnd):
         inside = [_combo(tower, codes, M.rows, M.ncols, rnd) for _ in range(3)]
         free = [[rnd.choice(codes) for _ in range(M.ncols)] for _ in range(2)]

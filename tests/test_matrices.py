@@ -23,12 +23,11 @@ from rmcodes import (
     rank,
     rref,
 )
-from rmcodes.elimination import span
+from rmcodes.elimination import decompose, solver, span
 from rmcodes.matrices import (
     _gl_members,
     format_matrix,
     parse_matrix,
-    row_decompose,
 )
 from gl_oracle import first_nonzero, gl_unrank, span_members
 from vec_oracle import kronecker
@@ -69,7 +68,7 @@ class TestRref:
             assert rref(res.rref).rref == res.rref
             # every original row lies in the row space of the RREF
             if res.rank:
-                row_decompose(M.rows, res.rref)
+                decompose(solver(f16, res.rref.rows, res.rref.ncols), M.rows)
 
     def test_pivot_columns_are_unit_vectors(self, f16):
         rnd = random.Random(1)

@@ -13,6 +13,7 @@ from rmcodes import (
     Mat,
     MatrixCode,
     MixedPivots,
+    NonlinearCode,
     RmcodesError,
     Subspace,
     SubspaceCode,
@@ -140,6 +141,46 @@ class TestUnlift:
             back_pivots, back = unlift(lift(mc, pivots))
             assert back_pivots == pivots
             assert back == mc
+
+    @pytest.mark.parametrize("tower", ["f16", "f81"])
+    def test_round_trip_any_pivots(self, request, tower):
+        # away from the pivots 1..l the RREF pivots of lifted words differ
+        # word by word; the lift of the zero matrix still names the pivots
+        t = request.getfixturevalue(tower)
+        rnd, codes, mixed = random.Random(7), t.subfield_codes(1), 0
+        for _ in range(40):
+            l, m = rnd.randint(1, 3), rnd.randint(1, 3)
+            s, basis = span(t, l * m), []
+            for _ in range(rnd.randint(0, min(3, l * m))):
+                A = Mat(t, [[rnd.choice(codes) for _ in range(m)] for _ in range(l)])
+                if s.add(flatten(A.rows)):
+                    basis.append(A)
+            mc = MatrixCode(t, l, m, basis)
+            pivots = tuple(sorted(rnd.sample(range(1, l + m + 1), l)))
+            sc = lift(mc, pivots)
+            mixed += len({w.pivots for w in sc.words}) > 1
+            assert unlift(sc) == (pivots, mc)
+        assert mixed
+
+    def test_pivots_from_the_zero_word(self, f4):
+        # lifted at (1, 3): [[1, a, 0], [0, b, 1]] has RREF pivots (1, 2)
+        # when b != 0
+        zero = Subspace(Mat(f4, [[1, 0, 0], [0, 0, 1]]))
+        word = Subspace(Mat(f4, [[1, 0, 0], [0, 1, 1]]))
+        pivots, mc = unlift(SubspaceCode(f4, 3, [zero, word]))
+        assert pivots == (1, 3)
+        assert mc == MatrixCode(f4, 2, 1, [Mat(f4, [[0], [1]])])
+
+    def test_differing_pivots_without_the_zero_word(self, f4):
+        words = [Subspace(Mat(f4, [[1, 1, 0]])), Subspace(Mat(f4, [[0, 1, 1]]))]
+        with pytest.raises(NonlinearCode, match="lift of the zero matrix"):
+            unlift(SubspaceCode(f4, 3, words))
+
+    def test_word_not_lifted_at_the_zero_words_pivots(self, f4):
+        # P = (1,) from [1, 0, 0]; [0, 1, 1] has B_P = [0], which is singular
+        words = [Subspace(Mat(f4, [[1, 0, 0]])), Subspace(Mat(f4, [[0, 1, 1]]))]
+        with pytest.raises(MixedPivots, match=r"^pivot locations differ: \(1,\) vs \(2,\)$"):
+            unlift(SubspaceCode(f4, 3, words))
 
     def test_mixed_pivots(self, f4):
         words = [Subspace(Mat(f4, [[1, 0, 0]])), Subspace(Mat(f4, [[0, 1, 0]]))]
