@@ -1,12 +1,13 @@
 """The one exact elimination kernel: echelon form, rank, solves and spans.
 
 Rows are sequences of element codes of a tower whose entries lie in the
-subfield F_{q^subdeg}.  The kernel picks how to hold a row from that input
-alone: entries in F_2 (p = 2, e = 1, subdeg = 1) are packed into one Python
-int per row, column 0 in the most significant bit, and combined with XOR;
-entries in another prime field (e = 1, subdeg = 1) are plain ints mod p, a
-base-field code being its own value; every other field (e > 1, or entries
-in a larger subfield) keeps lists of codes and combines them with
+subfield F_{q^subdeg}.  The kernel picks one of three row forms from that
+input alone.  Entries in F_2 (p = 2, e = 1, subdeg = 1) are packed into one
+Python int per row, column 0 in the most significant bit, and combined with
+XOR.  Entries in F_3 (p = 3, e = 1, subdeg = 1) are packed into two such
+ints, the bit planes of the entries 1 and 2, and combined with a few bit
+operations.  Every other field (p >= 5, e > 1, or entries in a larger
+subfield) keeps lists of codes and combines them with
 FieldTower.add_scaled, which runs on the log/exp tables bound to locals
 (and, for odd p, the Zech logarithm table that turns each sum into a lookup).
 
@@ -63,48 +64,19 @@ class Span:
 
     Rows have width + extra entries and pivots lie in the first width
     columns, so the extra columns can record how each basis row was formed.
-    Subclasses say how a row is held; this base holds it as a list, keys
-    the basis by pivot column, and needs _sub (v minus a combination of
-    rows) and _scale (v / c).
+    Subclasses say how a row is held: _pack and _unpack convert a row,
+    _lead reads its first nonzero column before width (None if there is
+    none), _reduce clears the pivots, _insert joins each row that is
+    independent of the span so far and returns the residuals of the
+    others, in order, and combine(coeffs, rows) is the sum of
+    coeffs[i] * rows[i].
     """
-
-    _pack = list
-    _unpack = tuple
 
     def __init__(self, tower, width: int, extra: int = 0):
         self.tower = tower
         self.width = width
         self._len = width + extra
         self._basis: dict = {}  # basis rows, in the order they joined
-
-    def _entry(self, v, col: int) -> int:
-        return v[col]
-
-    def _lead(self, v) -> int | None:
-        for c in range(self.width):
-            if v[c]:
-                return c
-        return None
-
-    def _reduce(self, v):
-        sub = self._sub
-        for col, b in self._basis.items():
-            if v[col]:
-                v = sub(v, (v[col],), (b,))
-        return v
-
-    def _insert(self, rows: Iterable) -> list:
-        """Join each row, in this span's form, that is independent of the
-        span so far; the residuals of the other rows, in order."""
-        basis, dependent = self._basis, []
-        for v in rows:
-            v = self._reduce(v)
-            col = self._lead(v)
-            if col is None:
-                dependent.append(v)
-            else:
-                basis[col] = self._scale(v, v[col])
-        return dependent
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert vec; returns False (and changes nothing) if it is dependent."""
@@ -120,7 +92,7 @@ class Span:
         if col is None:
             return None
         # v is vec minus one such member: zero before c, nonzero at c
-        x = self.tower.sub(vec[col], self._entry(v, col))
+        x = self.tower.sub(vec[col], self._unpack(v)[col])
         self._insert((v,))
         return col, x
 
@@ -144,11 +116,6 @@ class Span:
         """vec in this span's row form, placed from column at of a row of
         width + extra entries that is zero elsewhere."""
         return self._pack((0,) * at + tuple(vec) + (0,) * (self._len - at - len(vec)))
-
-    def combine(self, coeffs: Sequence[int], rows: Sequence):
-        """The sum of coeffs[i] * rows[i], for rows in this span's row form."""
-        neg = self.tower.neg
-        return self._sub([0] * self._len, [neg(c) for c in coeffs], rows)
 
     def relations(self, rows: Iterable) -> list[tuple[int, ...]]:
         """For each row, in this span's row form, that depends on this basis
@@ -217,9 +184,6 @@ class _F2Span(Span):
     def pack(self, vec, at=0):
         return self._pack(vec) << (self._len - at - len(vec))
 
-    def _entry(self, v, col):
-        return v >> (self._len - 1 - col) & 1
-
     def _lead(self, v):
         col = self._len - v.bit_length()
         return col if col < self.width else None
@@ -266,48 +230,135 @@ class _F2Span(Span):
         return len(basis) + len(new)
 
 
-class _PrimeSpan(Span):
-    """Rows as lists of ints mod an odd prime p."""
+class _F3Span(Span):
+    """Rows as two bit planes (ones, twos): column j at bit (len - 1 - j) of
+    ones when its entry is 1, of twos when it is 2.  Negation swaps the
+    planes, so v - c*b is a sum, a few int operations.  The basis is keyed
+    by each row's bit length, and _mask holds its pivot bits."""
+
+    _mask = 0
+
+    def _pack(self, vec):
+        ones = twos = 0
+        for x in vec:
+            ones, twos = ones << 1 | x & 1, twos << 1 | x >> 1
+        return ones, twos
+
+    def _unpack(self, v):
+        return tuple((v[0] >> s & 1) | (v[1] >> s & 1) << 1
+                     for s in range(self._len - 1, -1, -1))
+
+    def _lead(self, v):
+        col = self._len - (v[0] | v[1]).bit_length()
+        return col if col < self.width else None
+
+    # The walks below clear the first pivot left in v, x's top bit, as
+    # _F2Span's do.  The planes are disjoint, so the entry there is 1 when
+    # x1 = v1 & mask holds more than half of x.  They add to v the pivot's
+    # basis row b, to take 2b off, or b with its planes swapped, to take b
+    # off; the sum of (v1, v2) and (b1, b2), entry by entry mod 3, is
+    #     t = v1 | b2;  (t ^ ((b1 | b2) & ~v2), t ^ ((v1 | v2) & ~b1)).
 
     def _reduce(self, v):
-        p = self.tower.p
-        for col, b in self._basis.items():
-            if c := v[col]:
-                v = [(x - c * y) % p for x, y in zip(v, b)]
-        return v
+        basis, mask, (v1, v2) = self._basis, self._mask, v
+        while x := (x1 := v1 & mask) | v2 & mask:
+            b1, b2 = basis[x.bit_length()]
+            if x1 > x >> 1:
+                b1, b2 = b2, b1
+            t = v1 | b2
+            v1, v2 = t ^ ((b1 | b2) & ~v2), t ^ ((v1 | v2) & ~b1)
+        return v1, v2
 
-    def _sub(self, v, coeffs, rows):
-        p = self.tower.p
-        for c, b in zip(coeffs, rows):
+    def _insert(self, rows):
+        basis, mask, extra, dependent = self._basis, self._mask, self._len - self.width, []
+        for v1, v2 in rows:
+            while x := (x1 := v1 & mask) | v2 & mask:
+                b1, b2 = basis[x.bit_length()]
+                if x1 > x >> 1:
+                    b1, b2 = b2, b1
+                t = v1 | b2
+                v1, v2 = t ^ ((b1 | b2) & ~v2), t ^ ((v1 | v2) & ~b1)
+            if (v1 | v2) >> extra:
+                n = (v1 | v2).bit_length()
+                basis[n] = (v1, v2) if v1 > v2 else (v2, v1)  # one at the pivot
+                mask |= 1 << n - 1
+            else:
+                dependent.append((v1, v2))
+        self._mask = mask
+        return dependent
+
+    def combine(self, coeffs, rows):
+        v1 = v2 = 0
+        for c, (b1, b2) in zip(coeffs, rows):
             if c:
-                v = [(x - c * y) % p for x, y in zip(v, b)]
-        return v
+                if c == 2:
+                    b1, b2 = b2, b1
+                t = v1 | b2
+                v1, v2 = t ^ ((b1 | b2) & ~v2), t ^ ((v1 | v2) & ~b1)
+        return v1, v2
 
-    def _scale(self, v, c):
-        p = self.tower.p
-        inv = pow(c, p - 2, p)
-        return [x * inv % p for x in v]
+    def join_rank(self, other):
+        if type(other) is not _F3Span:
+            return super().join_rank(other)
+        # the walks of _reduce and _insert, inline over this basis and the residuals'
+        basis, mask, extra = self._basis, self._mask, self._len - self.width
+        new, new_mask = {}, 0
+        for v1, v2 in other._basis.values():
+            for b, m in ((basis, mask), (new, new_mask)):
+                while x := (x1 := v1 & m) | v2 & m:
+                    b1, b2 = b[x.bit_length()]
+                    if x1 > x >> 1:
+                        b1, b2 = b2, b1
+                    t = v1 | b2
+                    v1, v2 = t ^ ((b1 | b2) & ~v2), t ^ ((v1 | v2) & ~b1)
+            if (v1 | v2) >> extra:
+                n = (v1 | v2).bit_length()
+                new[n] = (v1, v2) if v1 > v2 else (v2, v1)
+                new_mask |= 1 << n - 1
+        return len(basis) + len(new)
 
 
 class _TowerSpan(Span):
-    """Rows as lists of codes, combined by the tower's table arithmetic."""
+    """Rows as lists of codes, combined by the tower's table arithmetic; the
+    basis is keyed by pivot column."""
 
-    def _sub(self, v, coeffs, rows):
+    _pack = list
+    _unpack = tuple
+
+    def _lead(self, v):
+        for c in range(self.width):
+            if v[c]:
+                return c
+        return None
+
+    def _reduce(self, v):
         t = self.tower
-        if t.p != 2:
-            coeffs = [t.neg(c) for c in coeffs]
-        return t.add_scaled(v, coeffs, rows)
+        for col, b in self._basis.items():
+            if c := v[col]:
+                v = t.add_scaled(v, (c if t.p == 2 else t.neg(c),), (b,))
+        return v
 
-    def _scale(self, v, c):
-        return self.tower.add_scaled([0] * len(v), (self.tower.inv(c),), (v,))
+    def _insert(self, rows):
+        t, basis, dependent = self.tower, self._basis, []
+        for v in rows:
+            v = self._reduce(v)
+            col = self._lead(v)
+            if col is None:
+                dependent.append(v)
+            else:
+                basis[col] = t.add_scaled([0] * len(v), (t.inv(v[col]),), (v,))
+        return dependent
+
+    def combine(self, coeffs, rows):
+        return self.tower.add_scaled([0] * self._len, coeffs, rows)
 
 
 def span(tower, width: int, subdeg: int = 1, rows: Iterable[Sequence[int]] = (),
          extra: int = 0) -> Span:
     """The span of rows (inserted in order) over F_{q^subdeg}, held in the
     representation that field calls for."""
-    if subdeg == 1 and tower.e == 1:
-        cls = _F2Span if tower.p == 2 else _PrimeSpan
+    if subdeg == 1 and tower.e == 1 and tower.p <= 3:
+        cls = _F2Span if tower.p == 2 else _F3Span
     else:
         cls = _TowerSpan
     s = cls(tower, width, extra)

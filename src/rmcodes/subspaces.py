@@ -127,15 +127,19 @@ def _interspersed(tower: FieldTower, A: Mat, pivots: Sequence[int], n: int) -> M
     return Mat(tower, rows, subdeg=1, check=False)
 
 
-def _lifted(mc: MatrixCode, pivots: Sequence[int],
-            guard: int) -> tuple[list[Mat], list[Subspace]]:
+def _lifted(mc: MatrixCode, pivots: Sequence[int], guard: int,
+            pairs: bool = False) -> tuple[list[Mat], list[Subspace]]:
     """The codewords of mc and their lifts; the pivots are checked first
-    (BadPivots), then the code size (TooLarge)."""
+    (BadPivots), then the code size (TooLarge): its words, or with pairs
+    its pairs of words, must number at most guard."""
     n = mc.l + mc.m
     pivots = tuple(pivots)
     if (len(pivots) != mc.l or any(not 1 <= p <= n for p in pivots)
             or list(pivots) != sorted(set(pivots))):
         raise BadPivots(f"need {mc.l} ascending pivot columns in [1, {n}]")
+    if pairs and mc.size * (mc.size - 1) // 2 > guard:
+        raise TooLarge(f"|code| = {mc.size} makes {mc.size * (mc.size - 1) // 2} "
+                       f"pairs, over guard {guard}")
     if mc.size > guard:
         raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
     mats = list(mc.codewords())
@@ -218,9 +222,10 @@ def verify_distance_law(mc: MatrixCode, pivots: Sequence[int]) -> DistanceLawRep
     message's place is its digits read in base q, and the place of
     m_i - m_j is read digit by digit from a q x q table of differences:
     one pass per row i, with no field operation per pair.  Codes of more
-    than DEFAULT_GUARD words raise TooLarge before any word is built.
+    than DEFAULT_GUARD pairs of words raise TooLarge before any word is
+    built.
     """
-    mats, lifted = _lifted(mc, pivots, DEFAULT_GUARD)
+    mats, lifted = _lifted(mc, pivots, DEFAULT_GUARD, pairs=True)
     weights = list(map(rank, mats))
     codes, sub = mc.tower.subfield_codes(1), mc.tower.sub
     q, place = len(codes), {c: k for k, c in enumerate(codes)}

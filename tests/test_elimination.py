@@ -2,13 +2,15 @@
 
 Every fast path is compared with the slow path (the nullspace with one
 read off the oracle's RREF) on random matrices of every row
-representation: packed F_2 rows, plain ints mod 3, F_4 inside F_16 (e = 2,
-tower arithmetic) and the top fields of F_16 and F_81.  Shapes include
+representation: packed F_2 rows, F_3 rows as two bit planes, and tower
+codes for F_5 and F_7 (prime fields past 3), F_4 inside F_16 (e = 2) and
+the top fields of F_16 and F_81.  Shapes include
 empty, zero-column, all-zero, full-rank, wide, tall and rank-deficient
 matrices.
 """
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -17,7 +19,7 @@ import gauss_jordan_oracle as oracle
 from rmcodes import make_tower
 from rmcodes.elimination import (
     _F2Span,
-    _PrimeSpan,
+    _F3Span,
     _TowerSpan,
     decompose,
     flatten,
@@ -29,7 +31,9 @@ from rmcodes.matrices import Mat, inverse, rank, rref
 
 FIELDS = {
     "F2": (lambda: make_tower(2, 1, 4, [1, 1, 0, 0, 1]), 1, _F2Span),
-    "F3": (lambda: make_tower(3, 1, 4), 1, _PrimeSpan),
+    "F3": (lambda: make_tower(3, 1, 4), 1, _F3Span),
+    "F5": (lambda: make_tower(5, 1, 2), 1, _TowerSpan),
+    "F7": (lambda: make_tower(7, 1, 2), 1, _TowerSpan),
     "F4-e2": (lambda: make_tower(2, 2, 2), 1, _TowerSpan),
     "F16-top": (lambda: make_tower(2, 1, 4, [1, 1, 0, 0, 1]), 4, _TowerSpan),
     "F81-top": (lambda: make_tower(3, 1, 4), 4, _TowerSpan),
@@ -209,7 +213,7 @@ def test_span_matches_reducer(field):
 
 
 def test_extended_leaves_the_source(field):
-    """extended copies the basis, and on F_2 its pivot table: the source
+    """extended copies the basis, and in packed forms its pivot mask: the source
     answers as before, and the copy is the span of all the rows, or None
     when a row depends on the rows before it."""
     tower, subdeg, cls = field
@@ -232,7 +236,7 @@ def test_extended_leaves_the_source(field):
             continue
         assert type(new) is cls and new._basis is not src._basis
         assert new.rows() == whole.rows()
-        if cls is _F2Span:
+        if cls in (_F2Span, _F3Span):
             assert new._mask == whole._mask
         new.add([rnd.choice(codes) for _ in range(M.ncols)])  # the copy grows alone
         assert state() == before
@@ -244,8 +248,8 @@ def test_join_rank_is_rank_of_stacked_rows(field):
     the first three columns (where pivots lie), with no extra columns and
     with two; the spans include rank 0 (no rows, zero rows, rows zero
     before the extra columns) and full ones (the identity).  Neither span
-    may change: basis items and their order, rank, pivots, rows() and the
-    F_2 pivot mask."""
+    may change: basis items and their order, rank, pivots, rows() and, in
+    packed forms, the pivot mask, which holds the top bit of each basis key."""
     tower, subdeg, _ = field
     rnd = random.Random(5)
     codes = tower.subfield_codes(subdeg)
@@ -253,6 +257,8 @@ def test_join_rank_is_rank_of_stacked_rows(field):
     mats += [(), ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
     def state(s):
+        if type(s) in (_F2Span, _F3Span):
+            assert s._mask == sum(1 << n - 1 for n in s._basis)
         return (list(copy.deepcopy(s._basis).items()), s.rank, s.pivots, s.rows(),
                 getattr(s, "_mask", None))
 
@@ -270,6 +276,28 @@ def test_join_rank_is_rank_of_stacked_rows(field):
                 assert sa.join_rank(sb) == sb.join_rank(sa) == oracle.rank(stacked)
                 assert (state(sa), state(sb)) == before
             assert sa.join_rank(sa) == sa.rank
+
+
+def test_f3_planes_past_bit_64(f81):
+    """Every F_3 sum and difference of two entries, at columns 64 and 66 of
+    a 130-column row (bits 65 and 63 of each plane): combine and reduce
+    unpack to the entries computed mod 3."""
+    n = 130
+
+    def row(entries):
+        r = [0] * n
+        for col, x in entries.items():
+            r[col] = x
+        return r
+
+    for c1, c2, x, y in itertools.product(range(3), repeat=4):
+        a, b = row({64: x, 66: y}), row({64: y, 66: x, 129: 1})
+        s = span(f81, n)
+        assert type(s) is _F3Span
+        want = tuple((c1 * u + c2 * w) % 3 for u, w in zip(a, b))
+        assert s._unpack(s.combine((c1, c2), (s.pack(a), s.pack(b)))) == want
+        r, v = row({0: 1, 64: x, 66: y}), row({0: c1, 64: c2, 66: c2, 129: c1})
+        assert span(f81, n, 1, [r]).reduce(v) == tuple((u - c1 * w) % 3 for u, w in zip(v, r))
 
 
 def test_flatten_is_row_major():

@@ -248,6 +248,21 @@ class TestDistanceLaw:
         with pytest.raises(TooLarge, match="2097152"):
             verify_distance_law(mc, (1, 2, 3))
 
+    def test_refuses_more_than_2_20_pairs_before_building_a_word(self, f8, monkeypatch):
+        # 2048 words make 2096128 pairs: under the words guard, over the pairs guard
+        units = [Mat(f8, [[int(k == 4 * i + j) for j in range(4)] for i in range(3)])
+                 for k in range(11)]
+        mc = MatrixCode(f8, 3, 4, units)
+        assert mc.size == 2048
+
+        def no_words(self):
+            raise AssertionError("a codeword was built")
+
+        monkeypatch.setattr(MatrixCode, "codewords", no_words)
+        monkeypatch.setattr(MatrixCode, "messages", no_words)
+        with pytest.raises(TooLarge, match=r"^\|code\| = 2048 makes 2096128 pairs"):
+            verify_distance_law(mc, (1, 2, 3))
+
     def test_expanded_gabidulin(self, f16):
         b = power_basis(f16)
         mc = expand_code(gabidulin(1, (f16.one, f16.generator**5)), b)
