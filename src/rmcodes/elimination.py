@@ -20,7 +20,7 @@ when the rows record themselves in extra columns, as [rows | I] does,
 those columns of the residual are a relation among the rows, so a
 nullspace is one pass of relations.  Residuals modulo a span are unique,
 so reduction, membership and decomposition, and the reduced echelon form
-that rows() makes on read for echelon form, inverse and subspaces, are
+that reduced() makes for echelon form, inverse and subspaces, are
 identical to the textbook Gauss-Jordan on the tower's arithmetic that
 the test suite keeps as its oracle.  The free choices, the particular
 solution of a decomposition over dependent rows and the basis of a
@@ -136,8 +136,9 @@ class Span:
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._lead(b) + 1 for b in self._basis.values()))
 
-    def rows(self) -> list[tuple[int, ...]]:
-        """The basis as reduced row echelon form (pivot columns ascending).
+    def reduced(self) -> "Span":
+        """The span of this basis held as reduced row echelon form; its
+        basis rows, in the order they joined, have descending pivots.
 
         The rows join an empty span by descending pivot: each is cleared at
         the pivots after its own, and the rows before it are zero at its
@@ -145,7 +146,11 @@ class Span:
         """
         rref = type(self)(self.tower, self.width, self._len - self.width)
         rref._insert(sorted(self._basis.values(), key=self._lead, reverse=True))
-        return [self._unpack(v) for v in reversed(rref._basis.values())]
+        return rref
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """The basis as reduced row echelon form (pivot columns ascending)."""
+        return [self._unpack(v) for v in reversed(self.reduced()._basis.values())]
 
     def join_rank(self, other: "Span") -> int:
         """Dimension of the sum of two spans of one space; neither changes.
@@ -171,6 +176,7 @@ class _F2Span(Span):
     bits."""
 
     _mask = 0
+    _bits = bytes.maketrans(b"01", b"\0\1")
 
     def _pack(self, vec):
         v = 0
@@ -179,7 +185,8 @@ class _F2Span(Span):
         return v
 
     def _unpack(self, v):
-        return tuple(v >> s & 1 for s in range(self._len - 1, -1, -1))
+        # v's binary digits below a leading one (so width 0 gives none), as 0/1
+        return tuple(f"{v | 1 << self._len:b}"[1:].encode().translate(self._bits))
 
     def pack(self, vec, at=0):
         return self._pack(vec) << (self._len - at - len(vec))
@@ -245,8 +252,8 @@ class _F3Span(Span):
         return ones, twos
 
     def _unpack(self, v):
-        return tuple((v[0] >> s & 1) | (v[1] >> s & 1) << 1
-                     for s in range(self._len - 1, -1, -1))
+        return tuple([(v[0] >> s & 1) | (v[1] >> s & 1) << 1
+                      for s in range(self._len - 1, -1, -1)])
 
     def _lead(self, v):
         col = self._len - (v[0] | v[1]).bit_length()
@@ -320,7 +327,7 @@ class _F3Span(Span):
 
 class _TowerSpan(Span):
     """Rows as lists of codes, combined by the tower's table arithmetic; the
-    basis is keyed by pivot column."""
+    basis is keyed by pivot column, and its rows are tuples, so they hash."""
 
     _pack = list
     _unpack = tuple
@@ -346,7 +353,7 @@ class _TowerSpan(Span):
             if col is None:
                 dependent.append(v)
             else:
-                basis[col] = t.add_scaled([0] * len(v), (t.inv(v[col]),), (v,))
+                basis[col] = tuple(t.add_scaled([0] * len(v), (t.inv(v[col]),), (v,)))
         return dependent
 
     def combine(self, coeffs, rows):

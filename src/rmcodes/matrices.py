@@ -30,7 +30,7 @@ class Mat:
                  subdeg: int = 1, check: bool = True, ncols: int | None = None):
         self.tower = tower
         self.subdeg = subdeg
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = tuple(map(tuple, rows))
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else (ncols or 0)
         if check:
@@ -38,11 +38,14 @@ class Mat:
                 raise ShapeMismatch("ragged rows")
             if subdeg < 1 or tower.m % subdeg != 0:
                 raise BadParams(f"subfield degree {subdeg} does not divide m")
-            order, sub = tower.order, subdeg < tower.m
+            order, sub, seen = tower.order, subdeg < tower.m, set()
             for r in self.rows:
                 for c in r:
                     if type(c) is not int:  # bool is an int subclass
                         raise BadParams(f"entry {c!r} is not an integer code")
+                    if c in seen:
+                        continue
+                    seen.add(c)
                     if not 0 <= c < order:
                         raise BadParams(f"entry code {c} outside [0, {order})")
                     if sub and not tower.in_subfield(c, subdeg):
@@ -314,7 +317,8 @@ def format_matrix(M: Mat) -> str:
 
 
 def parse_matrix(tower: FieldTower, text: str, subdeg: int = 1) -> Mat:
-    rows = []
-    for row_text in text.strip().split(";"):
-        rows.append([parse_element(tower, tok).code for tok in row_text.split(",")])
-    return Mat(tower, rows, subdeg)
+    rows = [row_text.split(",") for row_text in text.strip().split(";")]
+    # each distinct token parsed once, in order of first appearance
+    codes = {tok: parse_element(tower, tok).code
+             for tok in dict.fromkeys(itertools.chain.from_iterable(rows))}
+    return Mat(tower, [[codes[tok] for tok in row] for row in rows], subdeg)

@@ -1,19 +1,23 @@
 """Constant-dimension subspace codes and the lifting construction.
 
 Subspaces are canonicalised at construction to their unique reduced
-row echelon basis, so subspace equality is matrix equality.  Lifting
-intersperses the columns of matrix codewords with identity pivot columns;
-the subspace distance of two lifted words is twice the rank distance of
-the underlying matrices, independently of where the pivots sit.
+row echelon basis, held in the elimination kernel's row form, so subspace
+equality is equality of packed reduced bases; the basis is unpacked as a
+matrix only when .mat is read.  Lifting places the columns of matrix
+codewords between identity pivot columns; it is linear, so each lifted
+word's rows are combinations of the packed, placed basis rows, and no
+codeword matrix is built.  The subspace distance of two lifted words is
+twice the rank distance of the underlying matrices, independently of
+where the pivots sit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codes import DEFAULT_GUARD, MatrixCode, parse_shape
-from .elimination import flatten, span
+from .elimination import Span, span
 from .errors import (
     AmbientMismatch,
     BadParams,
@@ -23,35 +27,43 @@ from .errors import (
     TooLarge,
 )
 from .fields import FieldTower, parse_field_spec
-from .matrices import Mat, format_matrix, parse_matrix, rank
+from .matrices import Mat, format_matrix, parse_matrix
 
 
 class Subspace:
-    """A subspace of F_q^n, stored by its RREF basis matrix (subdeg 1)."""
+    """A subspace of F_q^n, stored by its RREF basis in the elimination
+    kernel's row form; .mat unpacks it, on first read, as a matrix."""
 
-    __slots__ = ("tower", "n", "mat", "pivots", "_span")
+    __slots__ = ("tower", "n", "dim", "pivots", "_span", "_rref", "_mat")
 
-    def __init__(self, mat: Mat):
-        if mat.subdeg != 1:
-            raise BadParams(f"subspace of F_q^n needs a matrix over F_q, "
-                            f"got subdeg {mat.subdeg}")
-        s = span(mat.tower, mat.ncols, 1, mat.rows)
-        self.tower = mat.tower
-        self.n = mat.ncols
-        self.mat = Mat(mat.tower, s.rows(), subdeg=1, ncols=mat.ncols, check=False)
+    def __init__(self, basis: Mat | Span):
+        """basis: a matrix over F_q or a Span of F_q^n (no extra columns)."""
+        if isinstance(basis, Mat):
+            if basis.subdeg != 1:
+                raise BadParams(f"subspace of F_q^n needs a matrix over F_q, "
+                                f"got subdeg {basis.subdeg}")
+            basis = span(basis.tower, basis.ncols, 1, basis.rows)
+        self.tower = basis.tower
+        self.n = basis.width
+        self._span = s = basis.reduced()
+        self._rref = tuple(reversed(s._basis.values()))  # pivot columns ascending
+        self.dim = len(self._rref)
         self.pivots = s.pivots
-        self._span = s
+        self._mat = None
 
     @property
-    def dim(self) -> int:
-        return self.mat.nrows
+    def mat(self) -> Mat:
+        if self._mat is None:
+            self._mat = Mat(self.tower, map(self._span._unpack, self._rref),
+                            subdeg=1, check=False, ncols=self.n)
+        return self._mat
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.tower is other.tower
-                and self.n == other.n and self.mat.rows == other.mat.rows)
+                and self.n == other.n and self._rref == other._rref)
 
     def __hash__(self):
-        return hash((id(self.tower), self.n, self.mat.rows))
+        return hash((id(self.tower), self.n, self._rref))
 
     def __repr__(self):
         return f"Subspace(n={self.n}, dim={self.dim}, {format_matrix(self.mat)})"
@@ -114,24 +126,28 @@ class SubspaceCode:
         return f"SubspaceCode(n={self.n}, dim={self.dim}, size={self.size})"
 
 
-def _interspersed(tower: FieldTower, A: Mat, pivots: Sequence[int], n: int) -> Mat:
-    l = A.nrows
-    nonpivots = [j for j in range(1, n + 1) if j not in set(pivots)]
-    rows = []
-    for i in range(l):
-        row = [0] * n
-        row[pivots[i] - 1] = 1
-        for s, j in enumerate(nonpivots):
-            row[j - 1] = A.rows[i][s]
-        rows.append(row)
-    return Mat(tower, rows, subdeg=1, check=False)
+def _word_spans(mc: MatrixCode, width: int, columns: Sequence[int],
+                pivots: Sequence[int] = ()) -> Iterator[Span]:
+    """The span of each codeword's rows, in messages() order: entry j of row
+    i at columns[j] of a row of width entries, plus a one at pivots[i] when
+    pivots are given.  The rows are linear in the message, so the basis rows
+    are placed and packed once, and each word's row is one combine."""
+    blank = span(mc.tower, width)
+    at = [blank.pack((1,), j) for j in columns]
+    placed = [[blank.combine(B.rows[i], at) for B in mc.basis]
+              + ([blank.pack((1,), pivots[i] - 1)] if pivots else []) for i in range(mc.l)]
+    unit = (1,) if pivots else ()
+    for msg in mc.messages():
+        s = blank._copy()
+        s._insert([blank.combine(msg + unit, rows) for rows in placed])
+        yield s
 
 
 def _lifted(mc: MatrixCode, pivots: Sequence[int], guard: int,
-            pairs: bool = False) -> tuple[list[Mat], list[Subspace]]:
-    """The codewords of mc and their lifts; the pivots are checked first
-    (BadPivots), then the code size (TooLarge): its words, or with pairs
-    its pairs of words, must number at most guard."""
+            pairs: bool = False) -> list[Subspace]:
+    """The lifts of mc's codewords, in messages() order; the pivots are
+    checked first (BadPivots), then the code size (TooLarge): its words, or
+    with pairs its pairs of words, must number at most guard."""
     n = mc.l + mc.m
     pivots = tuple(pivots)
     if (len(pivots) != mc.l or any(not 1 <= p <= n for p in pivots)
@@ -142,8 +158,8 @@ def _lifted(mc: MatrixCode, pivots: Sequence[int], guard: int,
                        f"pairs, over guard {guard}")
     if mc.size > guard:
         raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
-    mats = list(mc.codewords())
-    return mats, [Subspace(_interspersed(mc.tower, A, pivots, n)) for A in mats]
+    nonpivots = [j for j in range(n) if j + 1 not in pivots]
+    return list(map(Subspace, _word_spans(mc, n, nonpivots, pivots)))
 
 
 def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = DEFAULT_GUARD) -> SubspaceCode:
@@ -153,7 +169,7 @@ def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = DEFAULT_GUARD) -> S
     columns form the identity and whose remaining columns are A's columns
     in order.  The map is injective, so the subspace code has |mc| words.
     """
-    sc = SubspaceCode(mc.tower, mc.l + mc.m, _lifted(mc, pivots, guard)[1])
+    sc = SubspaceCode(mc.tower, mc.l + mc.m, _lifted(mc, pivots, guard))
     if sc.size != mc.size:
         raise BadParams("lift lost codewords")  # unreachable: lifting is injective
     return sc
@@ -185,7 +201,7 @@ def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
         pivots = units[0]
     l, m = sc.dim, sc.n - sc.dim
     columns = [j - 1 for j in pivots] + [j for j in range(sc.n) if j + 1 not in pivots]
-    s, aux = span(sc.tower, l * m), []
+    s, basis = span(sc.tower, l * m), []
     for w in words:
         rows, cols = w.mat.rows, columns[l:]
         if w.pivots != pivots:
@@ -193,10 +209,11 @@ def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
             if e.pivots != tuple(range(1, l + 1)):
                 raise MixedPivots(f"pivot locations differ: {pivots} vs {w.pivots}")
             rows, cols = e.rows(), range(l, sc.n)
-        aux.append(Mat(sc.tower, [[r[j] for j in cols] for r in rows], subdeg=1, check=False))
-    basis = [A for A in aux if s.add(flatten(A.rows))]
+        if s.add(flat := [r[j] for r in rows for j in cols]):
+            basis.append(Mat(sc.tower, [flat[i:i + m] for i in range(0, l * m, m)],
+                             subdeg=1, check=False))
     mc = MatrixCode(sc.tower, l, m, basis)
-    if mc.size != len(aux):
+    if mc.size != len(words):
         raise NonlinearCode("auxiliary matrices do not form a linear code")
     return pivots, mc
 
@@ -216,7 +233,8 @@ def verify_distance_law(mc: MatrixCode, pivots: Sequence[int]) -> DistanceLawRep
     """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs.
 
     The subspace side is pairwise: one subspace_distance per pair of lifts.
-    The rank side takes one rank per codeword: mc is F_q-linear, so A - B
+    The rank side takes one rank per codeword, the rank of the span of its
+    rows combined from the packed basis rows: mc is F_q-linear, so A - B
     is the codeword whose message is the difference of the two messages.
     Messages run in itertools.product order over the q codes of F_q, so a
     message's place is its digits read in base q, and the place of
@@ -225,8 +243,8 @@ def verify_distance_law(mc: MatrixCode, pivots: Sequence[int]) -> DistanceLawRep
     than DEFAULT_GUARD pairs of words raise TooLarge before any word is
     built.
     """
-    mats, lifted = _lifted(mc, pivots, DEFAULT_GUARD, pairs=True)
-    weights = list(map(rank, mats))
+    lifted = _lifted(mc, pivots, DEFAULT_GUARD, pairs=True)
+    weights = [s.rank for s in _word_spans(mc, mc.m, range(mc.m))]
     codes, sub = mc.tower.subfield_codes(1), mc.tower.sub
     q, place = len(codes), {c: k for k, c in enumerate(codes)}
     diff = {a: [place[sub(a, b)] for b in codes] for a in codes}

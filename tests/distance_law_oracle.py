@@ -1,8 +1,12 @@
-"""The pairwise distance-law check that rmcodes.subspaces once ran.
+"""The pairwise distance-law check and the lifting that rmcodes.subspaces
+once ran.
 
-This is the reference oracle for ``rmcodes.subspaces.verify_distance_law``;
-keep it.  It takes rank(A - B) by a fresh subtraction and rank call for
-every pair of codewords, where the library takes one rank per codeword and
+This is the reference oracle for ``rmcodes.subspaces.verify_distance_law``
+and ``rmcodes.lift``; keep it.  It lifts each codeword as a matrix: the
+codeword Mat, its columns interspersed with unit pivot columns in a second
+Mat, canonicalised by ``Subspace(Mat)``.  It takes rank(A - B) by a fresh
+subtraction and rank call for every pair of codewords, where the library
+combines packed basis rows per message, takes one rank per codeword and
 reads each pair's from the place of its difference message.
 """
 
@@ -10,21 +14,50 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from rmcodes import DistanceLawReport, MatrixCode, rank, subspace_distance
+from rmcodes import (
+    DistanceLawReport,
+    Mat,
+    MatrixCode,
+    Subspace,
+    TooLarge,
+    rank,
+    subspace_distance,
+)
 from rmcodes.codes import DEFAULT_GUARD
-from rmcodes.subspaces import _lifted
+
+
+def interspersed(A: Mat, pivots: Sequence[int], n: int) -> Mat:
+    """The l x n matrix with the identity at the pivot columns (1-based)
+    and A's columns, in order, at the others."""
+    nonpivots = [j for j in range(1, n + 1) if j not in set(pivots)]
+    rows = []
+    for i in range(A.nrows):
+        row = [0] * n
+        row[pivots[i] - 1] = 1
+        for s, j in enumerate(nonpivots):
+            row[j - 1] = A.rows[i][s]
+        rows.append(row)
+    return Mat(A.tower, rows, subdeg=1, check=False)
+
+
+def lifted(mc: MatrixCode, pivots: Sequence[int]) -> tuple[list[Mat], list[Subspace]]:
+    """The codewords of mc and their lifts, in codewords() order."""
+    mats = list(mc.codewords())
+    return mats, [Subspace(interspersed(A, pivots, mc.l + mc.m)) for A in mats]
 
 
 def verify_distance_law(mc: MatrixCode, pivots: Sequence[int],
                         guard: int = DEFAULT_GUARD) -> DistanceLawReport:
     """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs."""
-    mats, lifted = _lifted(mc, pivots, guard)
+    if mc.size > guard:
+        raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
+    mats, lifts = lifted(mc, pivots)
     all_match = True
     multiset = []
     dr_min = None
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            ds = subspace_distance(lifted[i], lifted[j])
+            ds = subspace_distance(lifts[i], lifts[j])
             dr = rank(mats[i] - mats[j])
             if ds != 2 * dr:
                 all_match = False
