@@ -29,7 +29,14 @@ them.  Pivot columns are 1-based.
 
 The rank of a sum of two spans (join_rank, the one elimination behind a
 subspace distance) copies neither span: it eliminates only the residuals
-of one basis modulo the other, in a fresh span.
+of one basis modulo the other, in a fresh span.  Where many pairs of
+spans of one small space meet, counting beats eliminating: an F_2 or F_3
+row read as one integer of index_bits bits (an F_2 row's own int, an F_3
+row's ones | twos << len) indexes the members of F_q^n, member_mask()
+sets the bit of each member of a span, and the members of an
+intersection are the set bits of one AND.  Masks take 2**index_bits bits,
+so they serve only rows of at most MASK_BITS bits; join_rank serves the
+rest, the list form and single pairs.
 
 Callers that build many systems from one set of rows hold those rows in the
 kernel's form (:meth:`Span.pack`), make each system's rows with
@@ -47,6 +54,20 @@ from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import NotInSpan, Singular
+
+# Widest member index, in bits, that member masks serve.  A pair costs one
+# AND and one popcount of 2**MASK_BITS-bit ints against one join_rank; on
+# random subspaces of dimension 2 and 3 the two break even at 15 to 16 bits.
+MASK_BITS = 14
+
+
+def _bitset(indices: Iterable[int], bits: int) -> int:
+    """The int with bit x set for each x in indices, all below 2**bits: set
+    in one byte buffer, since an OR per member copies the whole mask."""
+    buf = bytearray((1 << bits) + 7 >> 3)
+    for x in indices:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
 
 
 class Span:
@@ -71,6 +92,8 @@ class Span:
     others, in order, and combine(coeffs, rows) is the sum of
     coeffs[i] * rows[i].
     """
+
+    index_bits = None  # bits of a member index for member_mask; None: no masks
 
     def __init__(self, tower, width: int, extra: int = 0):
         self.tower = tower
@@ -116,6 +139,16 @@ class Span:
         """vec in this span's row form, placed from column at of a row of
         width + extra entries that is zero elsewhere."""
         return self._pack((0,) * at + tuple(vec) + (0,) * (self._len - at - len(vec)))
+
+    def pick(self, rows: Iterable, cols: Sequence[int]):
+        """The entries at columns cols (0-based, in that order) of each of
+        rows, packed rows of this span, in turn: one packed row of
+        len(rows) * len(cols) entries."""
+        return self._pack([u[j] for u in map(self._unpack, rows) for j in cols])
+
+    def row_key(self, v):
+        """A key of a packed row that orders rows as their entries do."""
+        return v
 
     def relations(self, rows: Iterable) -> list[tuple[int, ...]]:
         """For each row, in this span's row form, that depends on this basis
@@ -191,6 +224,25 @@ class _F2Span(Span):
     def pack(self, vec, at=0):
         return self._pack(vec) << (self._len - at - len(vec))
 
+    def pick(self, rows, cols):
+        top, v = self._len - 1, 0
+        for r in rows:
+            for j in cols:
+                v = v << 1 | r >> top - j & 1
+        return v
+
+    @property
+    def index_bits(self):
+        return self._len
+
+    def member_mask(self) -> int:
+        """The members of this span as the set bits of one int, the bit of
+        each member v at v: the span doubled by one basis row at a time."""
+        members = [0]
+        for b in self._basis.values():
+            members += [v ^ b for v in members]
+        return _bitset(members, self._len)
+
     def _lead(self, v):
         col = self._len - v.bit_length()
         return col if col < self.width else None
@@ -254,6 +306,34 @@ class _F3Span(Span):
     def _unpack(self, v):
         return tuple([(v[0] >> s & 1) | (v[1] >> s & 1) << 1
                       for s in range(self._len - 1, -1, -1)])
+
+    def pick(self, rows, cols):
+        top, o, t = self._len - 1, 0, 0
+        for r1, r2 in rows:
+            for j in cols:
+                o, t = o << 1 | r1 >> top - j & 1, t << 1 | r2 >> top - j & 1
+        return o, t
+
+    def row_key(self, v):
+        # each plane's binary digits read in base 16, twos doubled: the hex
+        # digit of column j is its entry, so the ints order as the entries
+        return int(f"{v[0]:b}", 16) + 2 * int(f"{v[1]:b}", 16)
+
+    @property
+    def index_bits(self):
+        return 2 * self._len
+
+    def member_mask(self) -> int:
+        """The members of this span as the set bits of one int, the bit of
+        member (ones, twos) at ones | twos << len: the span tripled by one
+        basis row b at a time, each member plus b and plus 2b (b's planes
+        swapped) by the plane sum below."""
+        members = [(0, 0)]
+        for b1, b2 in self._basis.values():
+            members += [((t := v1 | c2) ^ ((c1 | c2) & ~v2), t ^ ((v1 | v2) & ~c1))
+                        for c1, c2 in ((b1, b2), (b2, b1)) for v1, v2 in members]
+        n = self._len
+        return _bitset([v1 | v2 << n for v1, v2 in members], 2 * n)
 
     def _lead(self, v):
         col = self._len - (v[0] | v[1]).bit_length()

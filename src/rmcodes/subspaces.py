@@ -9,6 +9,13 @@ word's rows are combinations of the packed, placed basis rows, and no
 codeword matrix is built.  The subspace distance of two lifted words is
 twice the rank distance of the underlying matrices, independently of
 where the pivots sit.
+
+The pairwise scans, verify_distance_law and SubspaceCode.min_distance,
+read their distances off one row scan, _distance_rows.  Over F_2 and F_3,
+while a packed row has at most MASK_BITS bits and the masks of all the
+words fit SCAN_MASK_BITS bits, a pair's distance is counted from the two
+words' member masks, one AND and one popcount; otherwise, and for a single
+pair (subspace_distance), it is one join_rank elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .codes import DEFAULT_GUARD, MatrixCode, parse_shape
-from .elimination import Span, span
+from .elimination import MASK_BITS, Span, span
 from .errors import (
     AmbientMismatch,
     BadParams,
@@ -76,6 +83,34 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
     return 2 * U._span.join_rank(V._span) - U.dim - V.dim
 
 
+SCAN_MASK_BITS = 1 << 26  # all the member masks one scan holds: 8 MiB
+
+
+def _distance_rows(words: Sequence[Subspace]) -> Iterator[list[int]]:
+    """For each word in turn, its subspace distances to the words before it;
+    the words share one ambient space and one dimension k.
+
+    Where the kernel indexes members in b <= MASK_BITS bits (F_2 and F_3
+    rows) and len(words) * 2**b <= SCAN_MASK_BITS, each distance is
+    counted: the members of U n V are the set bits of mask_U & mask_V,
+    q**dim(U n V) of them, and d_S = 2k - 2 dim(U n V).  A word's mask is
+    built when its row comes, so a scan that stops early builds few.
+    Otherwise each distance is one subspace_distance.
+    """
+    bits = words[0]._span.index_bits if words else None
+    if bits is None or bits > MASK_BITS or len(words) << bits > SCAN_MASK_BITS:
+        for i, u in enumerate(words):
+            yield [subspace_distance(u, v) for v in words[:i]]
+        return
+    k, q = words[0].dim, words[0].tower.p  # masks are over the prime field
+    distance = {q ** j: 2 * (k - j) for j in range(k + 1)}  # by |U n V|
+    masks = []
+    for u in words:
+        mask = u._span.member_mask()
+        yield [distance[(mask & other).bit_count()] for other in masks]
+        masks.append(mask)
+
+
 class SubspaceCode:
     """A set of equal-dimension subspaces of one ambient space."""
 
@@ -100,22 +135,21 @@ class SubspaceCode:
     def min_distance(self, guard: int = DEFAULT_GUARD) -> int | None:
         """Least subspace distance over pairs of words; None below two words.
 
-        Pairwise, since a subspace code need not be linear.  The scan stops
-        at the first pair at distance 2: two distinct subspaces of one
-        dimension k have dim(U+V) >= k+1, so d_S = 2 dim(U+V) - 2k >= 2.
-        Codes of more than guard words raise TooLarge before the first pair.
+        Pairwise, since a subspace code need not be linear, by the row scan
+        of _distance_rows over the words in the order of their packed
+        bases.  The scan stops after the first row holding distance 2: two
+        distinct subspaces of one dimension k have dim(U+V) >= k+1, so
+        d_S = 2 dim(U+V) - 2k >= 2.  Codes of more than guard words raise
+        TooLarge before the first pair.
         """
         if self.size > guard:
             raise TooLarge(f"|code| = {self.size} exceeds guard {guard}")
-        words = sorted(self.words, key=lambda w: w.mat.rows)
         best = None
-        for i, u in enumerate(words):
-            for v in words[i + 1:]:
-                d = subspace_distance(u, v)
-                if best is None or d < best:
-                    best = d
-                    if best == 2:
-                        return best
+        for row in _distance_rows(sorted(self.words, key=lambda w: w._rref)):
+            if row:
+                best = min(row) if best is None else min(best, min(row))
+                if best == 2:
+                    break
         return best
 
     def __eq__(self, other):
@@ -189,7 +223,8 @@ def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
     """
     if not sc.words:
         raise BadParams("empty subspace code")
-    words = sorted(sc.words, key=lambda w: w.mat.rows)
+    # in the order of the words' matrices, read off their packed rows
+    words = sorted(sc.words, key=lambda w: tuple(map(w._span.row_key, w._rref)))
     pivots = words[0].pivots
     if any(w.pivots != pivots for w in words):
         units = [w.pivots for w in words
@@ -203,13 +238,16 @@ def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
     columns = [j - 1 for j in pivots] + [j for j in range(sc.n) if j + 1 not in pivots]
     s, basis = span(sc.tower, l * m), []
     for w in words:
-        rows, cols = w.mat.rows, columns[l:]
+        rows, cols = w._rref, columns[l:]
         if w.pivots != pivots:
-            e = span(sc.tower, sc.n, 1, ([r[j] for j in columns] for r in rows))
-            if e.pivots != tuple(range(1, l + 1)):
+            e = span(sc.tower, sc.n)
+            e._insert([w._span.pick((r,), columns) for r in rows])
+            v = Subspace(e)
+            if v.pivots != tuple(range(1, l + 1)):
                 raise MixedPivots(f"pivot locations differ: {pivots} vs {w.pivots}")
-            rows, cols = e.rows(), range(l, sc.n)
-        if s.add(flat := [r[j] for r in rows for j in cols]):
+            rows, cols = v._rref, range(l, sc.n)
+        if not s._insert((flat := w._span.pick(rows, cols),)):
+            flat = s._unpack(flat)
             basis.append(Mat(sc.tower, [flat[i:i + m] for i in range(0, l * m, m)],
                              subdeg=1, check=False))
     mc = MatrixCode(sc.tower, l, m, basis)
@@ -232,44 +270,42 @@ class DistanceLawReport:
 def verify_distance_law(mc: MatrixCode, pivots: Sequence[int]) -> DistanceLawReport:
     """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs.
 
-    The subspace side is pairwise: one subspace_distance per pair of lifts.
-    The rank side takes one rank per codeword, the rank of the span of its
-    rows combined from the packed basis rows: mc is F_q-linear, so A - B
-    is the codeword whose message is the difference of the two messages.
-    Messages run in itertools.product order over the q codes of F_q, so a
-    message's place is its digits read in base q, and the place of
-    m_i - m_j is read digit by digit from a q x q table of differences:
-    one pass per row i, with no field operation per pair.  Codes of more
-    than DEFAULT_GUARD pairs of words raise TooLarge before any word is
-    built.
+    The subspace side is pairwise, one row of distances per lift from the
+    row scan of _distance_rows.  The rank side takes one rank per codeword,
+    the rank of the span of its rows combined from the packed basis rows:
+    mc is F_q-linear, so A - B is the codeword whose message is the
+    difference of the two messages.  Messages run in itertools.product
+    order over the q codes of F_q, so a message's place is its digits read
+    in base q, and the place of m_i - m_j is read digit by digit from a
+    q x q table of differences: one pass per row i, with no field
+    operation per pair, and each row of distances is compared with its row
+    of doubled ranks as a whole.  Codes of more than DEFAULT_GUARD pairs
+    of words raise TooLarge before any word is built.
     """
     lifted = _lifted(mc, pivots, DEFAULT_GUARD, pairs=True)
-    weights = [s.rank for s in _word_spans(mc, mc.m, range(mc.m))]
+    twice = [2 * s.rank for s in _word_spans(mc, mc.m, range(mc.m))]
     codes, sub = mc.tower.subfield_codes(1), mc.tower.sub
     q, place = len(codes), {c: k for k, c in enumerate(codes)}
     diff = {a: [place[sub(a, b)] for b in codes] for a in codes}
     all_match = True
     multiset = []
-    dr_min = None
-    for i, (u, mi) in enumerate(zip(lifted, mc.messages())):
+    lows = []  # the least 2 rank(A - B) of each row
+    for i, (row, mi) in enumerate(zip(_distance_rows(lifted), mc.messages())):
         places = [0]  # of m_i - m_j, for every j
         for a in mi:
             places = [k * q + d for k in places for d in diff[a]]
-        for v, j in zip(lifted[i + 1:], places[i + 1:]):
-            ds = subspace_distance(u, v)
-            dr = weights[j]
-            if ds != 2 * dr:
-                all_match = False
-            multiset.append(ds)
-            if dr_min is None or dr < dr_min:
-                dr_min = dr
+        want = [twice[j] for j in places[:i]]
+        if row != want:
+            all_match = False
+        multiset += row
+        if want:
+            lows.append(min(want))
     multiset.sort()
-    ds_min = multiset[0] if multiset else None
     return DistanceLawReport(
         pairs_checked=len(multiset),
         all_match=all_match,
-        ds_min=ds_min,
-        dr_min=dr_min,
+        ds_min=multiset[0] if multiset else None,
+        dr_min=min(lows) // 2 if lows else None,
         distance_multiset=tuple(multiset),
     )
 
@@ -279,9 +315,11 @@ def verify_distance_law(mc: MatrixCode, pivots: Sequence[int]) -> DistanceLawRep
 # ---------------------------------------------------------------------------
 
 def format_subspace_file(sc: SubspaceCode) -> str:
+    """One line per word, its RREF basis; the zero subspace, which has no
+    basis rows, as one row of n zeros, since a blank line is skipped."""
     words = sorted(sc.words, key=lambda w: w.mat.rows)
     lines = ["subspace", sc.tower.spec_string(), f"n={sc.n},l={sc.dim}"]
-    lines.extend(format_matrix(w.mat) for w in words)
+    lines.extend(format_matrix(w.mat) or ",".join(["0"] * sc.n) for w in words)
     return "\n".join(lines) + "\n"
 
 

@@ -1,13 +1,15 @@
 """The pairwise distance-law check and the lifting that rmcodes.subspaces
 once ran.
 
-This is the reference oracle for ``rmcodes.subspaces.verify_distance_law``
-and ``rmcodes.lift``; keep it.  It lifts each codeword as a matrix: the
+This is the reference oracle for ``rmcodes.subspaces.verify_distance_law``,
+``rmcodes.lift`` and ``rmcodes.unlift``; keep it.  It lifts each codeword as a matrix: the
 codeword Mat, its columns interspersed with unit pivot columns in a second
 Mat, canonicalised by ``Subspace(Mat)``.  It takes rank(A - B) by a fresh
 subtraction and rank call for every pair of codewords, where the library
 combines packed basis rows per message, takes one rank per codeword and
-reads each pair's from the place of its difference message.
+reads each pair's from the place of its difference message.  Its unlift
+reads every word's matrix (``.mat``), where the library reads the packed
+rows.
 """
 
 from __future__ import annotations
@@ -15,14 +17,19 @@ from __future__ import annotations
 from typing import Sequence
 
 from rmcodes import (
+    BadParams,
     DistanceLawReport,
     Mat,
     MatrixCode,
+    MixedPivots,
+    NonlinearCode,
     Subspace,
+    SubspaceCode,
     TooLarge,
     rank,
     subspace_distance,
 )
+from rmcodes.elimination import span
 from rmcodes.codes import DEFAULT_GUARD
 
 
@@ -73,3 +80,37 @@ def verify_distance_law(mc: MatrixCode, pivots: Sequence[int],
         dr_min=dr_min,
         distance_multiset=tuple(multiset),
     )
+
+
+def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
+    """rmcodes.unlift on the words' matrices: the words in the order of
+    their .mat rows, each matrix read off those rows."""
+    if not sc.words:
+        raise BadParams("empty subspace code")
+    words = sorted(sc.words, key=lambda w: w.mat.rows)
+    pivots = words[0].pivots
+    if any(w.pivots != pivots for w in words):
+        units = [w.pivots for w in words
+                 if all(sum(map(bool, row)) == 1 for row in w.mat.rows)]
+        if not units:
+            raise NonlinearCode("no word is the lift of the zero matrix")
+        if len(units) > 1:
+            raise MixedPivots(f"pivot locations differ: {units[0]} vs {units[1]}")
+        pivots = units[0]
+    l, m = sc.dim, sc.n - sc.dim
+    columns = [j - 1 for j in pivots] + [j for j in range(sc.n) if j + 1 not in pivots]
+    s, basis = span(sc.tower, l * m), []
+    for w in words:
+        rows, cols = w.mat.rows, columns[l:]
+        if w.pivots != pivots:
+            e = span(sc.tower, sc.n, 1, ([r[j] for j in columns] for r in rows))
+            if e.pivots != tuple(range(1, l + 1)):
+                raise MixedPivots(f"pivot locations differ: {pivots} vs {w.pivots}")
+            rows, cols = e.rows(), range(l, sc.n)
+        if s.add(flat := [r[j] for r in rows for j in cols]):
+            basis.append(Mat(sc.tower, [flat[i:i + m] for i in range(0, l * m, m)],
+                             subdeg=1, check=False))
+    mc = MatrixCode(sc.tower, l, m, basis)
+    if mc.size != len(words):
+        raise NonlinearCode("auxiliary matrices do not form a linear code")
+    return pivots, mc

@@ -7,8 +7,11 @@ it is read.  Word by word, in message order, the lifts must equal the
 oracle's, which intersperse each codeword Mat with unit pivot columns: the
 same ==, hash, pivots and .mat rows, on F_2, F_3, F_4 (e = 2), F_9 (odd
 e = 2) and F_5 entries, for codes of dimension 0, 1 and 2, at leading and
-non-leading pivots.  The distance law and subspace distances must never
-read .mat, and parse_matrix parses each distinct token once.
+non-leading pivots.  The distance law, subspace distances and
+SubspaceCode.min_distance must never read .mat.  unlift reads each word's
+entries off its packed rows and must recover, in the same order, the code
+that the oracle's unlift reads off the words' matrices.  parse_matrix
+parses each distinct token once.
 """
 
 import itertools
@@ -21,12 +24,16 @@ from rmcodes import (
     BadParams,
     Mat,
     MatrixCode,
+    RmcodesError,
     Subspace,
+    SubspaceCode,
     lift,
     make_tower,
     subspace_distance,
+    unlift,
     verify_distance_law,
 )
+from rmcodes.codes import format_code_file
 from rmcodes.elimination import flatten, span
 from rmcodes.matrices import parse_matrix
 from rmcodes.subspaces import _lifted
@@ -108,6 +115,77 @@ def test_distance_law_never_unpacks_a_basis(f16, monkeypatch):
         subspace_distance(u, v) for u, v in itertools.combinations(words, 2)}
     with pytest.raises(AssertionError, match="was read"):
         fresh[0].mat
+
+
+def test_min_distance_never_unpacks_a_basis(f16, f81, monkeypatch):
+    """min_distance orders the words by their packed bases and counts or
+    eliminates on them, so .mat patched to raise is never read, on both
+    sides of the mask width bound and in the list form."""
+    rnd = random.Random(12)
+    codes = [lift(_random_code(f16, 2, 4, 5, rnd), (1, 3)),
+             lift(_random_code(f16, 2, 13, 3, rnd), (1, 2)),
+             lift(_random_code(f81, 2, 3, 2, rnd), (2, 5)),
+             lift(_random_code(_tower("F_4 in F_16"), 2, 2, 1, rnd), (1, 2))]
+    want = [min(subspace_distance(u, v) for u, v in itertools.combinations(sc.words, 2))
+            for sc in codes]
+
+    def trap(self):
+        raise AssertionError("Subspace.mat was read")
+
+    monkeypatch.setattr(Subspace, "mat", property(trap))
+    assert [sc.min_distance() for sc in codes] == want
+
+
+# unlift files of one 2 x 3 code per row form, lifted at the leading pivots
+# and at (2, 4), where most words' RREF pivots differ from the lift's
+UNLIFT_BASES = {
+    "F_2 in F_16": [[[1, 0, 1], [0, 1, 1]], [[0, 1, 0], [1, 1, 0]]],
+    "F_3 in F_81": [[[1, 0, 2], [0, 2, 1]], [[0, 1, 0], [2, 1, 0]]],
+    "F_4 in F_16": [[[1, 0, 6], [0, 7, 1]], [[0, 1, 0], [6, 1, 0]]],
+}
+UNLIFT_FILES = {
+    ("F_2 in F_16", (1, 2)): "0,g^0,0;g^0,g^0,0\ng^0,0,g^0;0,g^0,g^0\n",
+    ("F_2 in F_16", (2, 4)): "g^0,g^0,g^0;g^0,0,g^0\n0,g^0,0;g^0,g^0,0\n",
+    ("F_3 in F_81", (1, 2)): "0,g^0,0;g^40,g^0,0\ng^0,0,g^40;0,g^40,g^0\n",
+    ("F_3 in F_81", (2, 4)): "g^40,g^40,g^0;g^0,0,g^40\ng^0,g^40,g^40;g^0,g^0,g^0\n",
+    ("F_4 in F_16", (1, 2)): "0,g^0,0;g^5,g^0,0\ng^0,0,g^5;0,g^10,g^0\n",
+    ("F_4 in F_16", (2, 4)): "g^0,g^10,g^5;g^0,0,g^0\ng^10,g^10,g^0;g^0,g^0,g^10\n",
+}
+
+
+@pytest.mark.parametrize("name, pivots", sorted(UNLIFT_FILES))
+def test_unlift_files_are_pinned(name, pivots):
+    tower = _tower(name)
+    mc = MatrixCode(tower, 2, 3, [Mat(tower, b, subdeg=1) for b in UNLIFT_BASES[name]])
+    got, code = unlift(lift(mc, pivots))
+    assert got == pivots
+    head = f"matrix\n{tower.spec_string()}\nl=2,m=3,k=2\n"
+    assert format_code_file(code) == head + UNLIFT_FILES[name, pivots]
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_unlift_matches_the_matrix_oracle(name):
+    """The same pivots and basis, in the same order, as the unlift that reads
+    every word's matrix, at every pivot set of 2 x 2 and 2 x 3 codes."""
+    tower = _tower(name)
+    rnd = random.Random(21)
+    for l, m in ((2, 2), (2, 3)):
+        for dim in (0, 1, 2):
+            mc = _random_code(tower, l, m, dim, rnd)
+            for pivots in itertools.combinations(range(1, l + m + 1), l):
+                sc = lift(mc, pivots)
+                got, want = unlift(sc), oracle.unlift(sc)
+                assert got[0] == want[0] and got[1] == want[1]
+                assert format_code_file(got[1]) == format_code_file(want[1])
+    # words with no lift of the zero matrix, and a nonlinear set of words
+    mc = _random_code(tower, 2, 2, 2, rnd)
+    for pivots in ((1, 3), (1, 2)):
+        bad = _lifted(mc, pivots, mc.size)[1:]
+        with pytest.raises(RmcodesError) as got:
+            unlift(SubspaceCode(tower, 4, bad))
+        with pytest.raises(RmcodesError) as want:
+            oracle.unlift(SubspaceCode(tower, 4, bad))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 class TestParseMatrix:

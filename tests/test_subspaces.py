@@ -294,6 +294,15 @@ class TestSubspaceFiles:
         sc = lift(mc, (1, 3))
         assert parse_subspace_file(format_subspace_file(sc)) == sc
 
+    def test_zero_subspace_round_trip(self, f16):
+        # the dim-0 word has no basis rows; it is written as a row of zeros,
+        # since a blank line would be skipped and the word lost
+        sc = SubspaceCode(f16, 3, [Subspace(Mat(f16, [[0, 0, 0]], subdeg=1))])
+        text = format_subspace_file(sc)
+        assert text.splitlines()[2:] == ["n=3,l=0", "0,0,0"]
+        again = parse_subspace_file(text)
+        assert again == sc and again.size == 1 and again.dim == 0
+
 
 @st.composite
 def _lifted_codes(draw):
