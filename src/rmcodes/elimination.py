@@ -31,12 +31,13 @@ The rank of a sum of two spans (join_rank, the one elimination behind a
 subspace distance) copies neither span: it eliminates only the residuals
 of one basis modulo the other, in a fresh span.  Where many pairs of
 spans of one small space meet, counting beats eliminating: an F_2 or F_3
-row read as one integer of index_bits bits (an F_2 row's own int, an F_3
-row's ones | twos << len) indexes the members of F_q^n, member_mask()
-sets the bit of each member of a span, and the members of an
-intersection are the set bits of one AND.  Masks take 2**index_bits bits,
-so they serve only rows of at most MASK_BITS bits; join_rank serves the
-rest, the list form and single pairs.
+row read as one integer (an F_2 row's own int, an F_3 row's
+ones | twos << len) indexes the members of F_q^n, member_mask() sets the
+bit of each member of a span, and the members of an intersection are the
+set bits of one AND.  member_masks() alone decides where masks serve a
+scan of pairs: small rows, spans of few members next to their count, and
+a bounded total; join_rank serves the rest, the list form and single
+pairs.
 
 Callers that build many systems from one set of rows hold those rows in the
 kernel's form (:meth:`Span.pack`), make each system's rows with
@@ -51,23 +52,16 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, compress
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotInSpan, Singular
 
-# Widest member index, in bits, that member masks serve.  A pair costs one
-# AND and one popcount of 2**MASK_BITS-bit ints against one join_rank; on
-# random subspaces of dimension 2 and 3 the two break even at 15 to 16 bits.
+# Member masks (member_masks) serve rows of at most MASK_BITS bits, and at
+# most SCAN_MASK_BITS bits of masks in one call.  A pair costs one AND and
+# one popcount of 2**MASK_BITS-bit ints against one join_rank; on random
+# subspaces of dimension 2 and 3 the two break even at 15 to 16 bits.
 MASK_BITS = 14
-
-
-def _bitset(indices: Iterable[int], bits: int) -> int:
-    """The int with bit x set for each x in indices, all below 2**bits: set
-    in one byte buffer, since an OR per member copies the whole mask."""
-    buf = bytearray((1 << bits) + 7 >> 3)
-    for x in indices:
-        buf[x >> 3] |= 1 << (x & 7)
-    return int.from_bytes(buf, "little")
+SCAN_MASK_BITS = 1 << 26  # 8 MiB: 4096 masks of 2**14 bits
 
 
 class Span:
@@ -93,7 +87,7 @@ class Span:
     coeffs[i] * rows[i].
     """
 
-    index_bits = None  # bits of a member index for member_mask; None: no masks
+    _planes = 0  # bit planes of a packed row, read as one member index; 0: no masks
 
     def __init__(self, tower, width: int, extra: int = 0):
         self.tower = tower
@@ -209,6 +203,7 @@ class _F2Span(Span):
     bits."""
 
     _mask = 0
+    _planes = 1
     _bits = bytes.maketrans(b"01", b"\0\1")
 
     def _pack(self, vec):
@@ -224,24 +219,15 @@ class _F2Span(Span):
     def pack(self, vec, at=0):
         return self._pack(vec) << (self._len - at - len(vec))
 
-    def pick(self, rows, cols):
-        top, v = self._len - 1, 0
-        for r in rows:
-            for j in cols:
-                v = v << 1 | r >> top - j & 1
-        return v
-
-    @property
-    def index_bits(self):
-        return self._len
-
     def member_mask(self) -> int:
         """The members of this span as the set bits of one int, the bit of
         each member v at v: the span doubled by one basis row at a time."""
-        members = [0]
+        members, mask = [0], 0
         for b in self._basis.values():
             members += [v ^ b for v in members]
-        return _bitset(members, self._len)
+        for v in members:
+            mask |= 1 << v
+        return mask
 
     def _lead(self, v):
         col = self._len - v.bit_length()
@@ -296,6 +282,7 @@ class _F3Span(Span):
     by each row's bit length, and _mask holds its pivot bits."""
 
     _mask = 0
+    _planes = 2
 
     def _pack(self, vec):
         ones = twos = 0
@@ -307,21 +294,10 @@ class _F3Span(Span):
         return tuple([(v[0] >> s & 1) | (v[1] >> s & 1) << 1
                       for s in range(self._len - 1, -1, -1)])
 
-    def pick(self, rows, cols):
-        top, o, t = self._len - 1, 0, 0
-        for r1, r2 in rows:
-            for j in cols:
-                o, t = o << 1 | r1 >> top - j & 1, t << 1 | r2 >> top - j & 1
-        return o, t
-
     def row_key(self, v):
         # each plane's binary digits read in base 16, twos doubled: the hex
         # digit of column j is its entry, so the ints order as the entries
         return int(f"{v[0]:b}", 16) + 2 * int(f"{v[1]:b}", 16)
-
-    @property
-    def index_bits(self):
-        return 2 * self._len
 
     def member_mask(self) -> int:
         """The members of this span as the set bits of one int, the bit of
@@ -332,8 +308,10 @@ class _F3Span(Span):
         for b1, b2 in self._basis.values():
             members += [((t := v1 | c2) ^ ((c1 | c2) & ~v2), t ^ ((v1 | v2) & ~c1))
                         for c1, c2 in ((b1, b2), (b2, b1)) for v1, v2 in members]
-        n = self._len
-        return _bitset([v1 | v2 << n for v1, v2 in members], 2 * n)
+        n, mask = self._len, 0
+        for v1, v2 in members:
+            mask |= 1 << (v1 | v2 << n)
+        return mask
 
     def _lead(self, v):
         col = self._len - (v[0] | v[1]).bit_length()
@@ -451,6 +429,31 @@ def span(tower, width: int, subdeg: int = 1, rows: Iterable[Sequence[int]] = (),
     s = cls(tower, width, extra)
     s._insert(map(s._pack, rows))
     return s
+
+
+def member_masks(spans: Sequence[Span]) -> Iterator[int] | None:
+    """The member mask of each of spans, spans of one space and one rank,
+    built as it is read, for a scan of their pairs; None where masks do not
+    pay, and join_rank should serve.
+
+    Masks serve F_2 and F_3 rows of at most MASK_BITS bits, and at most
+    SCAN_MASK_BITS bits of masks in all, since a mask takes 2**bits bits
+    whatever its span.  A mask's build takes a Python step per member, a
+    few join_ranks' time for a span of dimension 1 or 2 and hundreds for
+    one of dimension 10, and is shared by the len(spans) - 1 pairs of its
+    span; so masks serve only spans of at most len(spans) members.  At that
+    bound a full scan of random spans of dimension 3 or more takes at most
+    as long as its join_ranks, and at most about half as long at twice as
+    many spans.
+    """
+    if not spans:
+        return None
+    s = spans[0]
+    bits = s._planes * s._len
+    if (not 0 < bits <= MASK_BITS or len(spans) << bits > SCAN_MASK_BITS
+            or s.tower.p ** s.rank > len(spans)):
+        return None
+    return (t.member_mask() for t in spans)
 
 
 def flatten(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:

@@ -11,11 +11,11 @@ twice the rank distance of the underlying matrices, independently of
 where the pivots sit.
 
 The pairwise scans, verify_distance_law and SubspaceCode.min_distance,
-read their distances off one row scan, _distance_rows.  Over F_2 and F_3,
-while a packed row has at most MASK_BITS bits and the masks of all the
-words fit SCAN_MASK_BITS bits, a pair's distance is counted from the two
-words' member masks, one AND and one popcount; otherwise, and for a single
-pair (subspace_distance), it is one join_rank elimination.
+read their distances off one row scan, _distance_rows.  Where the kernel
+gives member masks (over F_2 and F_3, for small rows, small words and a
+bounded total; elimination.member_masks), a pair's distance is counted
+from the two words' masks, one AND and one popcount; otherwise, and for
+a single pair (subspace_distance), it is one join_rank elimination.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .codes import DEFAULT_GUARD, MatrixCode, parse_shape
-from .elimination import MASK_BITS, Span, span
+from .elimination import Span, member_masks, span
 from .errors import (
     AmbientMismatch,
     BadParams,
@@ -83,32 +83,27 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
     return 2 * U._span.join_rank(V._span) - U.dim - V.dim
 
 
-SCAN_MASK_BITS = 1 << 26  # all the member masks one scan holds: 8 MiB
-
-
 def _distance_rows(words: Sequence[Subspace]) -> Iterator[list[int]]:
     """For each word in turn, its subspace distances to the words before it;
     the words share one ambient space and one dimension k.
 
-    Where the kernel indexes members in b <= MASK_BITS bits (F_2 and F_3
-    rows) and len(words) * 2**b <= SCAN_MASK_BITS, each distance is
-    counted: the members of U n V are the set bits of mask_U & mask_V,
-    q**dim(U n V) of them, and d_S = 2k - 2 dim(U n V).  A word's mask is
-    built when its row comes, so a scan that stops early builds few.
-    Otherwise each distance is one subspace_distance.
+    Where the kernel gives member masks (elimination.member_masks), each
+    distance is counted: the members of U n V are the set bits of
+    mask_U & mask_V, q**dim(U n V) of them, and d_S = 2k - 2 dim(U n V).
+    A word's mask is built when its row comes, so a scan that stops early
+    builds few.  Otherwise each distance is one subspace_distance.
     """
-    bits = words[0]._span.index_bits if words else None
-    if bits is None or bits > MASK_BITS or len(words) << bits > SCAN_MASK_BITS:
+    masks = member_masks([w._span for w in words])
+    if masks is None:
         for i, u in enumerate(words):
             yield [subspace_distance(u, v) for v in words[:i]]
         return
     k, q = words[0].dim, words[0].tower.p  # masks are over the prime field
     distance = {q ** j: 2 * (k - j) for j in range(k + 1)}  # by |U n V|
-    masks = []
-    for u in words:
-        mask = u._span.member_mask()
-        yield [distance[(mask & other).bit_count()] for other in masks]
-        masks.append(mask)
+    seen = []
+    for mask in masks:
+        yield [distance[(mask & other).bit_count()] for other in seen]
+        seen.append(mask)
 
 
 class SubspaceCode:

@@ -4,12 +4,14 @@ Over F_2 and F_3 the kernel reads a packed row as one integer, a member
 index, and Span.member_mask() sets the bit of every member of a span, so
 |U n V| = popcount(mask_U & mask_V) = q^dim(U n V).  The pairwise scans
 (verify_distance_law, SubspaceCode.min_distance) count their distances so
-while a row has at most MASK_BITS bits and the masks of all the words fit
-SCAN_MASK_BITS bits; otherwise they run subspace_distance, one join_rank
-per pair, which is the oracle here: on every pair of subspaces of F_2^4
-and F_3^3, on random subspaces at widths on both sides of MASK_BITS, on a
-code just over the memory bound, and in the scans against the per-pair
-check of distance_law_oracle.
+where elimination.member_masks gives masks: rows of at most MASK_BITS
+bits, words of at most as many members as there are words, and masks
+that fit SCAN_MASK_BITS bits in all; otherwise they run subspace_distance,
+one join_rank per pair, which is the oracle here: on every pair of
+subspaces of F_2^4 and F_3^3, on random subspaces at widths on both sides
+of MASK_BITS, on scans on both sides of the member bound, on a code just
+over the memory bound, and in the scans against the per-pair check of
+distance_law_oracle.
 """
 
 import itertools
@@ -28,7 +30,15 @@ from rmcodes import (
     verify_distance_law,
 )
 from rmcodes import subspaces
-from rmcodes.elimination import MASK_BITS, _F2Span, _F3Span, flatten, span
+from rmcodes.elimination import (
+    MASK_BITS,
+    SCAN_MASK_BITS,
+    _F2Span,
+    _F3Span,
+    flatten,
+    member_masks,
+    span,
+)
 
 
 def _all_subspaces(tower, n):
@@ -82,14 +92,30 @@ def test_random_subspaces_of_unequal_dimensions(request, field, widths):
             assert _mask_distance(U, V) == subspace_distance(U, V)
 
 
-def test_member_indices(f16, f81, f16_q4):
-    assert span(f16, 14).index_bits == 14 == MASK_BITS
-    assert span(f81, 7).index_bits == 14
-    assert span(f16_q4, 3).index_bits is None  # the list form has no masks
+def test_member_indices(f16, f81):
     assert span(f16, 3, 1, [[1, 1, 0]]).member_mask() == 1 << 0 | 1 << 0b110
     # ones | twos << 3: 0, then (1, 2, 0) at 0b100 | 0b010 << 3 and (2, 1, 0)
     # at 0b010 | 0b100 << 3
     assert span(f81, 3, 1, [[1, 2, 0]]).member_mask() == 1 << 0 | 1 << 20 | 1 << 34
+
+
+def test_which_spans_get_masks(f16, f81, f16_q4):
+    def masked(tower, n, count, rank=1):
+        rows = [[int(i == j) for j in range(n)] for i in range(rank)]
+        return member_masks([span(tower, n, 1, rows)] * count) is not None
+
+    # the member index has n bits over F_2, 2n over F_3: MASK_BITS = 14
+    assert masked(f16, 14, 2) and not masked(f16, 15, 2)
+    assert masked(f81, 7, 3) and not masked(f81, 8, 3)
+    assert not masked(f16_q4, 3, 4)  # the list form has no masks
+    # no more members per span than there are spans: q**rank <= len(spans)
+    assert masked(f16, 8, 16, 4) and not masked(f16, 8, 15, 4)
+    assert masked(f81, 6, 9, 2) and not masked(f81, 6, 8, 2)
+    assert member_masks([]) is None
+    # 14-bit masks take 2**14 bits each, so 2**26 bits hold 4096 of them
+    assert SCAN_MASK_BITS >> MASK_BITS == 4096
+    assert masked(f16, 14, 4096) and not masked(f16, 14, 4097)
+    assert masked(f16, 13, 8192) and not masked(f16, 13, 8193)
 
 
 def _count_masks(monkeypatch):
@@ -103,19 +129,25 @@ def _count_masks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("field, widths", [("f16", (13, 14, 15)), ("f81", (6, 7, 8))])
-def test_scan_rows_on_both_sides_of_the_width_bound(request, monkeypatch, field, widths):
+# (field, word dimension, count of words, widths with masks, widths without)
+ROW_CASES = [("f16", 3, 10, (13, 14), (15,)), ("f81", 2, 10, (6, 7), (8,)),
+             ("f16", 4, 16, (8,), ()), ("f16", 4, 15, (), (8,)),
+             ("f81", 3, 27, (4,), ()), ("f81", 3, 26, (), (4,))]
+
+
+@pytest.mark.parametrize("field, k, count, masked, unmasked", ROW_CASES)
+def test_scan_rows_on_both_sides_of_the_bounds(request, monkeypatch, field, k, count,
+                                               masked, unmasked):
     tower = request.getfixturevalue(field)
     calls = _count_masks(monkeypatch)
     rnd = random.Random(5)
-    for n in widths:
-        words = [_random_subspace(tower, n, 3, rnd) for _ in range(10)]
+    for n in masked + unmasked:
+        words = [_random_subspace(tower, n, k, rnd) for _ in range(count)]
         del calls[:]
         rows = list(subspaces._distance_rows(words))
         assert rows == [[subspace_distance(u, v) for v in words[:i]]
                         for i, u in enumerate(words)]
-        masked = words[0]._span.index_bits <= MASK_BITS
-        assert len(calls) == (len(words) if masked else 0)
+        assert len(calls) == (len(words) if n in masked else 0)
 
 
 def _lines(tower, n, count):
@@ -125,8 +157,6 @@ def _lines(tower, n, count):
 
 
 def test_a_code_over_the_memory_bound_falls_back_to_elimination(f16, monkeypatch):
-    # 14-bit masks take 2**14 bits each, so 2**26 bits hold 4096 of them
-    assert subspaces.SCAN_MASK_BITS >> MASK_BITS == 4096
     calls = _count_masks(monkeypatch)
     pairs = []
     distance = subspaces.subspace_distance
@@ -154,9 +184,11 @@ def _random_code(tower, l, m, dim, rnd):
     return MatrixCode(tower, l, m, mats)
 
 
-# lifts of l x m codes at n = l + m on both sides of MASK_BITS, and the list form
-SCAN_CASES = [("f16", 2, 12, 4), ("f16", 2, 13, 4), ("f16", 3, 4, 6),
-              ("f81", 2, 5, 2), ("f81", 2, 6, 2), ("f81", 3, 4, 3), ("f16_q4", 2, 3, 2)]
+# lifts of l x m codes at n = l + m on both sides of MASK_BITS, codes of
+# fewer words than a word has members (q**dim < q**l), and the list form
+SCAN_CASES = [("f16", 2, 12, 4), ("f16", 2, 13, 4), ("f16", 3, 4, 6), ("f16", 3, 4, 2),
+              ("f81", 2, 5, 2), ("f81", 2, 6, 2), ("f81", 3, 4, 3), ("f81", 3, 3, 2),
+              ("f16_q4", 2, 3, 2)]
 
 
 @pytest.mark.parametrize("field, l, m, dim", SCAN_CASES)
