@@ -28,16 +28,16 @@ nullspace, use only the rows that are independent of the rows before
 them.  Pivot columns are 1-based.
 
 The rank of a sum of two spans (join_rank, the one elimination behind a
-subspace distance) copies neither span: it eliminates only the residuals
-of one basis modulo the other, in a fresh span.  Where many pairs of
-spans of one small space meet, counting beats eliminating: an F_2 or F_3
-row read as one integer (an F_2 row's own int, an F_3 row's
-ones | twos << len) indexes the members of F_q^n, member_mask() sets the
-bit of each member of a span, and the members of an intersection are the
-set bits of one AND.  member_masks() alone decides where masks serve a
-scan of pairs: small rows, spans of few members next to their count, and
-a bounded total; join_rank serves the rest, the list form and single
-pairs.
+subspace distance, on each row form's own reduction and insertion)
+copies neither span: it eliminates only the residuals of one basis
+modulo the other, in a fresh span.  Where many pairs of spans of one
+small space meet, counting beats eliminating: an F_2 or F_3 row read as
+one integer (an F_2 row's own int, an F_3 row's ones | twos << len)
+indexes the members of F_q^n, member_mask() sets the bit of each member
+of a span, and the members of an intersection are the set bits of one
+AND.  member_masks() alone decides where masks serve a scan of pairs:
+small rows, spans of few members next to their count, and a bounded
+total; join_rank serves the rest, the list form and single pairs.
 
 Callers that build many systems from one set of rows hold those rows in the
 kernel's form (:meth:`Span.pack`), make each system's rows with
@@ -84,7 +84,8 @@ class Span:
     none), _reduce clears the pivots, _insert joins each row that is
     independent of the span so far and returns the residuals of the
     others, in order, and combine(coeffs, rows) is the sum of
-    coeffs[i] * rows[i].
+    coeffs[i] * rows[i].  The methods below run on those in every form,
+    join_rank included; only pack has a packed override (_F2Span).
     """
 
     _planes = 0  # bit planes of a packed row, read as one member index; 0: no masks
@@ -133,16 +134,6 @@ class Span:
         """vec in this span's row form, placed from column at of a row of
         width + extra entries that is zero elsewhere."""
         return self._pack((0,) * at + tuple(vec) + (0,) * (self._len - at - len(vec)))
-
-    def pick(self, rows: Iterable, cols: Sequence[int]):
-        """The entries at columns cols (0-based, in that order) of each of
-        rows, packed rows of this span, in turn: one packed row of
-        len(rows) * len(cols) entries."""
-        return self._pack([u[j] for u in map(self._unpack, rows) for j in cols])
-
-    def row_key(self, v):
-        """A key of a packed row that orders rows as their entries do."""
-        return v
 
     def relations(self, rows: Iterable) -> list[tuple[int, ...]]:
         """For each row, in this span's row form, that depends on this basis
@@ -258,22 +249,6 @@ class _F2Span(Span):
     def combine(self, coeffs, rows):
         return reduce(xor, compress(rows, coeffs), 0)
 
-    def join_rank(self, other):
-        if type(other) is not _F2Span:
-            return super().join_rank(other)
-        # the walks of _reduce and _insert, inline over this basis and the residuals'
-        basis, mask, extra = self._basis, self._mask, self._len - self.width
-        new, new_mask = {}, 0
-        for v in other._basis.values():
-            while x := v & mask:
-                v ^= basis[x.bit_length()]
-            while x := v & new_mask:
-                v ^= new[x.bit_length()]
-            if v >> extra:
-                new[v.bit_length()] = v
-                new_mask |= 1 << v.bit_length() - 1
-        return len(basis) + len(new)
-
 
 class _F3Span(Span):
     """Rows as two bit planes (ones, twos): column j at bit (len - 1 - j) of
@@ -293,11 +268,6 @@ class _F3Span(Span):
     def _unpack(self, v):
         return tuple([(v[0] >> s & 1) | (v[1] >> s & 1) << 1
                       for s in range(self._len - 1, -1, -1)])
-
-    def row_key(self, v):
-        # each plane's binary digits read in base 16, twos doubled: the hex
-        # digit of column j is its entry, so the ints order as the entries
-        return int(f"{v[0]:b}", 16) + 2 * int(f"{v[1]:b}", 16)
 
     def member_mask(self) -> int:
         """The members of this span as the set bits of one int, the bit of
@@ -361,26 +331,6 @@ class _F3Span(Span):
                 t = v1 | b2
                 v1, v2 = t ^ ((b1 | b2) & ~v2), t ^ ((v1 | v2) & ~b1)
         return v1, v2
-
-    def join_rank(self, other):
-        if type(other) is not _F3Span:
-            return super().join_rank(other)
-        # the walks of _reduce and _insert, inline over this basis and the residuals'
-        basis, mask, extra = self._basis, self._mask, self._len - self.width
-        new, new_mask = {}, 0
-        for v1, v2 in other._basis.values():
-            for b, m in ((basis, mask), (new, new_mask)):
-                while x := (x1 := v1 & m) | v2 & m:
-                    b1, b2 = b[x.bit_length()]
-                    if x1 > x >> 1:
-                        b1, b2 = b2, b1
-                    t = v1 | b2
-                    v1, v2 = t ^ ((b1 | b2) & ~v2), t ^ ((v1 | v2) & ~b1)
-            if (v1 | v2) >> extra:
-                n = (v1 | v2).bit_length()
-                new[n] = (v1, v2) if v1 > v2 else (v2, v1)
-                new_mask |= 1 << n - 1
-        return len(basis) + len(new)
 
 
 class _TowerSpan(Span):

@@ -3,12 +3,12 @@
 Subspaces are canonicalised at construction to their unique reduced
 row echelon basis, held in the elimination kernel's row form, so subspace
 equality is equality of packed reduced bases; the basis is unpacked as a
-matrix only when .mat is read.  Lifting places the columns of matrix
-codewords between identity pivot columns; it is linear, so each lifted
-word's rows are combinations of the packed, placed basis rows, and no
-codeword matrix is built.  The subspace distance of two lifted words is
-twice the rank distance of the underlying matrices, independently of
-where the pivots sit.
+matrix only when .mat is read, as unlift and the file writer do.
+Lifting places the columns of matrix codewords between identity pivot
+columns; it is linear, so each lifted word's rows are combinations of the
+packed, placed basis rows, and no codeword matrix is built.  The subspace
+distance of two lifted words is twice the rank distance of the
+underlying matrices, independently of where the pivots sit.
 
 The pairwise scans, verify_distance_law and SubspaceCode.min_distance,
 read their distances off one row scan, _distance_rows.  Where the kernel
@@ -218,8 +218,7 @@ def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
     """
     if not sc.words:
         raise BadParams("empty subspace code")
-    # in the order of the words' matrices, read off their packed rows
-    words = sorted(sc.words, key=lambda w: tuple(map(w._span.row_key, w._rref)))
+    words = sorted(sc.words, key=lambda w: w.mat.rows)
     pivots = words[0].pivots
     if any(w.pivots != pivots for w in words):
         units = [w.pivots for w in words
@@ -233,16 +232,13 @@ def unlift(sc: SubspaceCode) -> tuple[tuple[int, ...], MatrixCode]:
     columns = [j - 1 for j in pivots] + [j for j in range(sc.n) if j + 1 not in pivots]
     s, basis = span(sc.tower, l * m), []
     for w in words:
-        rows, cols = w._rref, columns[l:]
+        rows, cols = w.mat.rows, columns[l:]
         if w.pivots != pivots:
-            e = span(sc.tower, sc.n)
-            e._insert([w._span.pick((r,), columns) for r in rows])
-            v = Subspace(e)
-            if v.pivots != tuple(range(1, l + 1)):
+            e = span(sc.tower, sc.n, 1, ([r[j] for j in columns] for r in rows))
+            if e.pivots != tuple(range(1, l + 1)):
                 raise MixedPivots(f"pivot locations differ: {pivots} vs {w.pivots}")
-            rows, cols = v._rref, range(l, sc.n)
-        if not s._insert((flat := w._span.pick(rows, cols),)):
-            flat = s._unpack(flat)
+            rows, cols = e.rows(), range(l, sc.n)
+        if s.add(flat := [r[j] for r in rows for j in cols]):
             basis.append(Mat(sc.tower, [flat[i:i + m] for i in range(0, l * m, m)],
                              subdeg=1, check=False))
     mc = MatrixCode(sc.tower, l, m, basis)
@@ -325,15 +321,18 @@ def parse_subspace_file(text: str) -> SubspaceCode:
     tower = parse_field_spec(lines[1])
     shape = parse_shape(lines[2], ("n", "l"))
     n, l = shape["n"], shape["l"]
-    words = []
-    for ln in lines[3:]:
+    words = {}  # each word, with its place and line in the file's words
+    for i, ln in enumerate(lines[3:], 1):
         M = parse_matrix(tower, ln, subdeg=1)
         if M.ncols != n:
             raise BadParams(f"word has {M.ncols} columns, ambient dim is {n}")
         word = Subspace(M)
         if word.dim != l:
             raise BadParams(f"word has dimension {word.dim}, shape says l={l}")
-        words.append(word)
+        if word in words:
+            j, first = words[word]
+            raise BadParams(f"words {j} and {i} ({first!r}, {ln!r}) span one subspace")
+        words[word] = i, ln
     sc = SubspaceCode(tower, n, words)
     if not 0 <= l <= n:  # the words matched l above; a file with none still needs a fitting l
         raise BadParams(f"need 0 <= l <= n, got l={l}, n={n}")

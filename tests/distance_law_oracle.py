@@ -8,8 +8,9 @@ Mat, canonicalised by ``Subspace(Mat)``.  It takes rank(A - B) by a fresh
 subtraction and rank call for every pair of codewords, where the library
 combines packed basis rows per message, takes one rank per codeword and
 reads each pair's from the place of its difference message.  Its unlift
-reads every word's matrix (``.mat``), where the library reads the packed
-rows.
+reads every word's matrix (``.mat``), and so now does the library's: the
+two are one procedure, and this copy keeps its results pinned should the
+library's change.
 """
 
 from __future__ import annotations

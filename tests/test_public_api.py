@@ -4,6 +4,11 @@ A name imported in rmcodes/__init__.py must be loaded in some other module
 of the package: in the module that defines it, outside its own definition,
 or in a module that imports it from there.  Names kept public for callers
 outside the library are listed in EXEMPT, each with its reason.
+
+The same holds for the elimination kernel's spans: every public method and
+property of elimination.Span and its subclasses must be read by attribute
+name somewhere in the package outside its own definitions, so a
+specialisation that loses its last caller fails here.
 """
 
 import ast
@@ -83,3 +88,37 @@ def test_every_export_has_a_library_caller():
     uncalled = [name for name, module in _imports("__init__").items()
                 if name not in exempt and not _callers(name, module)]
     assert uncalled == []
+
+
+@functools.cache
+def _span_classes() -> tuple[ast.ClassDef, ...]:
+    """elimination.Span and the classes of elimination derived from it."""
+    names, out = {"Span"}, []
+    for node in _tree("elimination").body:
+        if isinstance(node, ast.ClassDef) and (
+                node.name == "Span" or names & {b.id for b in node.bases
+                                                 if isinstance(b, ast.Name)}):
+            names.add(node.name)
+            out.append(node)
+    return tuple(out)
+
+
+def _attribute_readers(name: str, skip: set[int]) -> list[str]:
+    """The modules that read attribute name at some node not in skip."""
+    return [module for module in sorted(p.stem for p in PACKAGE.glob("*.py"))
+            if any(isinstance(node, ast.Attribute) and node.attr == name
+                   and isinstance(node.ctx, ast.Load) and id(node) not in skip
+                   for node in ast.walk(_tree(module)))]
+
+
+def test_every_span_method_has_a_library_reader():
+    defs = {}  # each public method and property name, with its definitions
+    for cls in _span_classes():
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.setdefault(node.name, []).append(node)
+    assert {"join_rank", "member_mask", "combine", "pack", "rank", "rows"} <= defs.keys()
+    assert len(_span_classes()) == 4
+    unread = [name for name, nodes in defs.items()
+              if not _attribute_readers(name, {id(n) for d in nodes for n in ast.walk(d)})]
+    assert unread == []

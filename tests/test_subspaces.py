@@ -1,6 +1,7 @@
 """Subspace distance, lifting, unlifting, and the doubled-distance law."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from rmcodes import (
     verify_distance_law,
 )
 from rmcodes.elimination import flatten, span
+from rmcodes.matrices import parse_matrix
 from rmcodes.subspaces import format_subspace_file, parse_subspace_file
 
 
@@ -302,6 +304,23 @@ class TestSubspaceFiles:
         assert text.splitlines()[2:] == ["n=3,l=0", "0,0,0"]
         again = parse_subspace_file(text)
         assert again == sc and again.size == 1 and again.dim == 0
+
+    @pytest.mark.parametrize("body, named", [
+        (["1,0", "1,0"], "words 1 and 2 ('1,0', '1,0')"),
+        # two bases of one plane, apart from a word that differs
+        (["1,0,0;0,1,0", "0,1,1;0,0,1", "1,1,0;0,1,0"],
+         "words 1 and 3 ('1,0,0;0,1,0', '1,1,0;0,1,0')"),
+    ])
+    def test_repeated_word_is_refused(self, body, named):
+        # a set would merge the two lines into one word and shrink the code
+        tower = make_tower(2, 1, 4)
+        words = [Subspace(parse_matrix(tower, w)) for w in body]
+        n, l = words[0].n, words[0].dim
+        text = "\n".join(["subspace", "gf(2,1,4)", f"n={n},l={l}", *body]) + "\n"
+        with pytest.raises(BadParams, match=re.escape(named)):
+            parse_subspace_file(text)
+        # the constructor keeps its set semantics
+        assert SubspaceCode(tower, n, words).size == len(body) - 1
 
 
 @st.composite
