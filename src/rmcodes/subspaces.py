@@ -1,21 +1,22 @@
 """Constant-dimension subspace codes and the lifting construction.
 
-Subspaces are canonicalised at construction to their unique reduced
-row echelon basis, held in the elimination kernel's row form, so subspace
-equality is equality of packed reduced bases; the basis is unpacked as a
-matrix only when .mat is read, as unlift and the file writer do.
-Lifting places the columns of matrix codewords between identity pivot
-columns; it is linear, so each lifted word's rows are combinations of the
-packed, placed basis rows, and no codeword matrix is built.  The subspace
-distance of two lifted words is twice the rank distance of the
-underlying matrices, independently of where the pivots sit.
+A Subspace is canonicalised to its unique reduced row echelon basis, held
+packed in the elimination kernel's row form, so equality compares packed
+bases (.mat unpacks one on first read, for unlift and the file writer).
+Subspaces are built only where words are compared: in lift's set of
+words, in subspace files and for dist.  Lifting places the columns of
+matrix codewords between identity pivot columns; it is linear, so each
+lifted word's rows are combinations of the packed, placed basis rows.
+The subspace distance of two lifts is twice the rank distance of their
+matrices, wherever the pivots sit.
 
 The pairwise scans, verify_distance_law and SubspaceCode.min_distance,
-read their distances off one row scan, _distance_rows.  Where the kernel
-gives member masks (over F_2 and F_3, for small rows, small words and a
-bounded total; elimination.member_masks), a pair's distance is counted
-from the two words' masks, one AND and one popcount; otherwise, and for
-a single pair (subspace_distance), it is one join_rank elimination.
+read their distances off one row scan over spans of any basis,
+_distance_rows, so the law builds no Subspace.  Where the kernel gives
+member masks (F_2 and F_3, small rows and words, a bounded total;
+elimination.member_masks), a pair's distance is counted from two masks,
+one AND and one popcount; otherwise, and for a single pair
+(subspace_distance), it is one join_rank elimination.
 """
 
 from __future__ import annotations
@@ -83,22 +84,22 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
     return 2 * U._span.join_rank(V._span) - U.dim - V.dim
 
 
-def _distance_rows(words: Sequence[Subspace]) -> Iterator[list[int]]:
-    """For each word in turn, its subspace distances to the words before it;
-    the words share one ambient space and one dimension k.
+def _distance_rows(spans: Sequence[Span]) -> Iterator[list[int]]:
+    """For each span in turn, its subspace distances to the spans before
+    it; the spans share one space and one rank k, and need not be reduced.
 
     Where the kernel gives member masks (elimination.member_masks), each
     distance is counted: the members of U n V are the set bits of
     mask_U & mask_V, q**dim(U n V) of them, and d_S = 2k - 2 dim(U n V).
-    A word's mask is built when its row comes, so a scan that stops early
-    builds few.  Otherwise each distance is one subspace_distance.
+    A span's mask is built when its row comes, so a scan that stops early
+    builds few.  Otherwise each distance is 2 join_rank(U, V) - 2k.
     """
-    masks = member_masks([w._span for w in words])
+    masks = member_masks(spans)
     if masks is None:
-        for i, u in enumerate(words):
-            yield [subspace_distance(u, v) for v in words[:i]]
+        for i, u in enumerate(spans):
+            yield [2 * (u.join_rank(v) - u.rank) for v in spans[:i]]
         return
-    k, q = words[0].dim, words[0].tower.p  # masks are over the prime field
+    k, q = spans[0].rank, spans[0].tower.p  # masks are over the prime field
     distance = {q ** j: 2 * (k - j) for j in range(k + 1)}  # by |U n V|
     seen = []
     for mask in masks:
@@ -131,16 +132,20 @@ class SubspaceCode:
         """Least subspace distance over pairs of words; None below two words.
 
         Pairwise, since a subspace code need not be linear, by the row scan
-        of _distance_rows over the words in the order of their packed
-        bases.  The scan stops after the first row holding distance 2: two
-        distinct subspaces of one dimension k have dim(U+V) >= k+1, so
-        d_S = 2 dim(U+V) - 2k >= 2.  Codes of more than guard words raise
-        TooLarge before the first pair.
+        of _distance_rows over the words' spans in the order of their
+        packed bases.  The scan stops after the first row holding distance
+        2: two distinct subspaces of one dimension k have dim(U+V) >= k+1,
+        so d_S = 2 dim(U+V) - 2k >= 2.  TooLarge comes before the first
+        pair for more than guard words, and before a row past guard pairs.
         """
         if self.size > guard:
             raise TooLarge(f"|code| = {self.size} exceeds guard {guard}")
+        rows = _distance_rows([w._span for w in sorted(self.words, key=lambda w: w._rref)])
         best = None
-        for row in _distance_rows(sorted(self.words, key=lambda w: w._rref)):
+        for i in range(self.size):  # row i holds i pairs
+            if (pairs := i * (i + 1) // 2) > guard:
+                raise TooLarge(f"{pairs} pairs of the first {i + 1} words exceed guard {guard}")
+            row = next(rows)
             if row:
                 best = min(row) if best is None else min(best, min(row))
                 if best == 2:
@@ -172,23 +177,16 @@ def _word_spans(mc: MatrixCode, width: int, columns: Sequence[int],
         yield s
 
 
-def _lifted(mc: MatrixCode, pivots: Sequence[int], guard: int,
-            pairs: bool = False) -> list[Subspace]:
-    """The lifts of mc's codewords, in messages() order; the pivots are
-    checked first (BadPivots), then the code size (TooLarge): its words, or
-    with pairs its pairs of words, must number at most guard."""
+def _lift_spans(mc: MatrixCode, pivots: Sequence[int]) -> Iterator[Span]:
+    """The spans of the lifts of mc's codewords, combined as they are read,
+    in messages() order; the pivots are checked first (BadPivots)."""
     n = mc.l + mc.m
     pivots = tuple(pivots)
     if (len(pivots) != mc.l or any(not 1 <= p <= n for p in pivots)
             or list(pivots) != sorted(set(pivots))):
         raise BadPivots(f"need {mc.l} ascending pivot columns in [1, {n}]")
-    if pairs and mc.size * (mc.size - 1) // 2 > guard:
-        raise TooLarge(f"|code| = {mc.size} makes {mc.size * (mc.size - 1) // 2} "
-                       f"pairs, over guard {guard}")
-    if mc.size > guard:
-        raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
     nonpivots = [j for j in range(n) if j + 1 not in pivots]
-    return list(map(Subspace, _word_spans(mc, n, nonpivots, pivots)))
+    return _word_spans(mc, n, nonpivots, pivots)
 
 
 def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = DEFAULT_GUARD) -> SubspaceCode:
@@ -196,9 +194,13 @@ def lift(mc: MatrixCode, pivots: Sequence[int], guard: int = DEFAULT_GUARD) -> S
 
     Codeword A maps to the row span of the l x (l+m) matrix whose pivot
     columns form the identity and whose remaining columns are A's columns
-    in order.  The map is injective, so the subspace code has |mc| words.
+    in order; the map is injective.  BadPivots, then TooLarge over guard
+    words, come before any word is built.
     """
-    sc = SubspaceCode(mc.tower, mc.l + mc.m, _lifted(mc, pivots, guard))
+    spans = _lift_spans(mc, pivots)
+    if mc.size > guard:
+        raise TooLarge(f"|code| = {mc.size} exceeds guard {guard}")
+    sc = SubspaceCode(mc.tower, mc.l + mc.m, map(Subspace, spans))
     if sc.size != mc.size:
         raise BadParams("lift lost codewords")  # unreachable: lifting is injective
     return sc
@@ -262,41 +264,38 @@ def verify_distance_law(mc: MatrixCode, pivots: Sequence[int]) -> DistanceLawRep
     """Check d_S(lift A, lift B) = 2 rank(A - B) over all codeword pairs.
 
     The subspace side is pairwise, one row of distances per lift from the
-    row scan of _distance_rows.  The rank side takes one rank per codeword,
-    the rank of the span of its rows combined from the packed basis rows:
-    mc is F_q-linear, so A - B is the codeword whose message is the
-    difference of the two messages.  Messages run in itertools.product
-    order over the q codes of F_q, so a message's place is its digits read
-    in base q, and the place of m_i - m_j is read digit by digit from a
-    q x q table of differences: one pass per row i, with no field
-    operation per pair, and each row of distances is compared with its row
-    of doubled ranks as a whole.  Codes of more than DEFAULT_GUARD pairs
-    of words raise TooLarge before any word is built.
+    row scan of _distance_rows over the lifts' unreduced spans.  The rank
+    side takes one rank per codeword, of the span of its rows combined from
+    the packed basis rows: mc is F_q-linear, so A - B is the codeword of
+    the difference of the two messages.  Messages run in itertools.product
+    order over the q codes of F_q, so a message's place is its digits in
+    base q, and the places of m_i - m_j for j < i are read digit by digit,
+    each level cut to the prefixes of those j, from a q x q table of
+    differences: no field operation per pair.  The first message is zero,
+    so dr_min is the least rank of a nonzero codeword.  BadPivots, then
+    TooLarge over DEFAULT_GUARD pairs of words, come before any word.
     """
-    lifted = _lifted(mc, pivots, DEFAULT_GUARD, pairs=True)
+    spans = _lift_spans(mc, pivots)
+    if (pairs := mc.size * (mc.size - 1) // 2) > DEFAULT_GUARD:
+        raise TooLarge(f"|code| = {mc.size} makes {pairs} pairs, over guard {DEFAULT_GUARD}")
     twice = [2 * s.rank for s in _word_spans(mc, mc.m, range(mc.m))]
     codes, sub = mc.tower.subfield_codes(1), mc.tower.sub
     q, place = len(codes), {c: k for k, c in enumerate(codes)}
     diff = {a: [place[sub(a, b)] for b in codes] for a in codes}
-    all_match = True
-    multiset = []
-    lows = []  # the least 2 rank(A - B) of each row
-    for i, (row, mi) in enumerate(zip(_distance_rows(lifted), mc.messages())):
-        places = [0]  # of m_i - m_j, for every j
+    all_match, multiset = True, []
+    for i, (row, mi) in enumerate(zip(_distance_rows(list(spans)), mc.messages())):
+        places, step = [0], mc.size  # of m_i - m_j, for each prefix of the j < i
         for a in mi:
-            places = [k * q + d for k in places for d in diff[a]]
-        want = [twice[j] for j in places[:i]]
-        if row != want:
-            all_match = False
+            step //= q
+            places = [k * q + d for k in places for d in diff[a]][:-(-i // step)]
+        all_match &= row == [twice[j] for j in places[:i]]  # [:i]: dim 0 has one message
         multiset += row
-        if want:
-            lows.append(min(want))
     multiset.sort()
     return DistanceLawReport(
         pairs_checked=len(multiset),
         all_match=all_match,
         ds_min=multiset[0] if multiset else None,
-        dr_min=min(lows) // 2 if lows else None,
+        dr_min=min(twice[1:]) // 2 if mc.size > 1 else None,
         distance_multiset=tuple(multiset),
     )
 

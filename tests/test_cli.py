@@ -170,8 +170,12 @@ class TestPipeline:
         mat, sub = tmp_path / "m.code", tmp_path / "s.code"
         run(capsys, "expand", "--code", str(gab_file), "--out", str(mat))
         run(capsys, "lift", "--code", str(mat), "--pivots", "1,2", "--out", str(sub))
-        code, out, _ = run(capsys, "mindist", "--code", str(sub), "--guard", "16")
+        # 16 words, and the scan compares all 120 pairs, since d_S,min = 4 > 2
+        code, out, _ = run(capsys, "mindist", "--code", str(sub), "--guard", "120")
         assert code == 0 and "d_S,min = 4" in out
+        code, out, err = run(capsys, "mindist", "--code", str(sub), "--guard", "119")
+        assert code == 1 and "d_S,min" not in out
+        assert err == "error: 120 pairs of the first 16 words exceed guard 119\n"
         code, out, err = run(capsys, "mindist", "--code", str(sub), "--guard", "15")
         assert code == 1 and "d_S,min" not in out
         assert err == "error: |code| = 16 exceeds guard 15\n"

@@ -7,7 +7,9 @@ both pivot sets, on F_3 codes in F_81, on F_4 codes in F_16 over F_4 and F_9
 codes in F_81 over F_9 (e = 2), on the zero code and on dimension 1.  A
 derandomized Hypothesis property checks that min_distance, which stops at
 the floor 2, equals the full pairwise minimum on random subspace codes,
-lifts or not, with None below two words; its guard bounds the words.
+lifts or not, with None below two words; its guard bounds the words and
+then the pairs it compares.  The law scans the lifts' spans and builds no
+Subspace.
 """
 
 import itertools
@@ -175,6 +177,56 @@ def test_min_distance_guard_bounds_the_words(f16, monkeypatch):
     with pytest.raises(TooLarge, match=r"^\|code\| = 4 exceeds guard 3$"):
         sc.min_distance(guard=3)
     assert pairs == []
+
+
+def _scanned(sc):
+    """The pairs and words min_distance reaches: its rows, over the words in
+    the order of their packed bases, up to the first holding distance 2."""
+    words = sorted(sc.words, key=lambda w: w._rref)
+    for i in range(1, len(words)):
+        if min(subspace_distance(words[i], v) for v in words[:i]) == 2:
+            return i * (i + 1) // 2, i + 1
+    return len(words) * (len(words) - 1) // 2, len(words)
+
+
+# (field, l, m, dim, seed, pairs compared, words reached): F_2 and F_3 scans
+# on masks, F_4 scans on join_rank; two stop early at distance 2
+PAIR_GUARD_CASES = [("f16", 2, 4, 4, 13, 36, 9), ("f81", 2, 3, 2, 3, 36, 9),
+                    ("f16_q4", 2, 3, 2, 0, 120, 16), ("f16_q4", 2, 4, 4, 0, 2080, 65)]
+
+
+@pytest.mark.parametrize("field, l, m, dim, seed, pairs, words", PAIR_GUARD_CASES)
+def test_min_distance_guard_bounds_the_pairs(request, field, l, m, dim, seed, pairs, words):
+    """At guard = the pairs the scan compares, it computes; at one less it
+    refuses, naming the pairs of the row that would pass the guard."""
+    tower = request.getfixturevalue(field)
+    sc = lift(_random_code(tower, l, m, dim, random.Random(seed)), tuple(range(1, l + 1)))
+    assert _scanned(sc) == (pairs, words) and sc.size < pairs
+    assert sc.min_distance(guard=pairs) == _pairwise_min(sc)
+    with pytest.raises(TooLarge, match=rf"^{pairs} pairs of the first {words} words "
+                                       rf"exceed guard {pairs - 1}$"):
+        sc.min_distance(guard=pairs - 1)
+
+
+@pytest.mark.parametrize("field, l, m, dim", [
+    ("f16", 2, 4, 3), ("f16", 2, 13, 2), ("f81", 2, 3, 2), ("f81", 3, 3, 2),
+    ("f16_q4", 2, 3, 2)])
+def test_distance_law_builds_no_subspace(request, monkeypatch, field, l, m, dim):
+    """The law scans the spans of the lifts as they are combined: with
+    Subspace.__init__ patched to raise, its reports still equal the oracle's,
+    on F_2 and F_3 scans on masks and on join_rank and in the list form."""
+    tower = request.getfixturevalue(field)
+    mc = _random_code(tower, l, m, dim, random.Random(l * 100 + m))
+    pivots = [tuple(range(1, l + 1)), tuple(range(1, 2 * l + 1, 2))]
+    want = [oracle.verify_distance_law(mc, p) for p in pivots]
+
+    def trap(self, basis):
+        raise AssertionError("a Subspace was built")
+
+    monkeypatch.setattr(Subspace, "__init__", trap)
+    assert [verify_distance_law(mc, p) for p in pivots] == want
+    with pytest.raises(AssertionError, match="was built"):
+        lift(mc, pivots[0])
 
 
 def test_words_of_two_dimensions_are_refused(f4):

@@ -6,8 +6,8 @@ index, and Span.member_mask() sets the bit of every member of a span, so
 (verify_distance_law, SubspaceCode.min_distance) count their distances so
 where elimination.member_masks gives masks: rows of at most MASK_BITS
 bits, words of at most as many members as there are words, and masks
-that fit SCAN_MASK_BITS bits in all; otherwise they run subspace_distance,
-one join_rank per pair, which is the oracle here: on every pair of
+that fit SCAN_MASK_BITS bits in all; otherwise they run one join_rank per
+pair, as subspace_distance does, which is the oracle here: on every pair of
 subspaces of F_2^4 and F_3^3, on random subspaces at widths on both sides
 of MASK_BITS, on scans on both sides of the member bound, on a code just
 over the memory bound, and in the scans against the per-pair check of
@@ -33,6 +33,7 @@ from rmcodes import subspaces
 from rmcodes.elimination import (
     MASK_BITS,
     SCAN_MASK_BITS,
+    Span,
     _F2Span,
     _F3Span,
     flatten,
@@ -144,7 +145,7 @@ def test_scan_rows_on_both_sides_of_the_bounds(request, monkeypatch, field, k, c
     for n in masked + unmasked:
         words = [_random_subspace(tower, n, k, rnd) for _ in range(count)]
         del calls[:]
-        rows = list(subspaces._distance_rows(words))
+        rows = list(subspaces._distance_rows([w._span for w in words]))
         assert rows == [[subspace_distance(u, v) for v in words[:i]]
                         for i, u in enumerate(words)]
         assert len(calls) == (len(words) if n in masked else 0)
@@ -159,13 +160,13 @@ def _lines(tower, n, count):
 def test_a_code_over_the_memory_bound_falls_back_to_elimination(f16, monkeypatch):
     calls = _count_masks(monkeypatch)
     pairs = []
-    distance = subspaces.subspace_distance
+    join_rank = Span.join_rank
 
-    def counted(U, V):
-        pairs.append((U, V))
-        return distance(U, V)
+    def counted(u, v):
+        pairs.append((u, v))
+        return join_rank(u, v)
 
-    monkeypatch.setattr(subspaces, "subspace_distance", counted)
+    monkeypatch.setattr(Span, "join_rank", counted)
     over = SubspaceCode(f16, 14, _lines(f16, 14, 4097))
     assert over.min_distance() == 2
     assert (len(calls), len(pairs)) == (0, 1)  # one join_rank, then the exit at 2

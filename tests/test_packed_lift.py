@@ -36,7 +36,7 @@ from rmcodes import (
 from rmcodes.codes import format_code_file
 from rmcodes.elimination import flatten, span
 from rmcodes.matrices import parse_matrix
-from rmcodes.subspaces import _lifted
+from rmcodes.subspaces import _lift_spans
 
 TOWERS = {
     "F_2 in F_16": (2, 1, 4, [1, 1, 0, 0, 1]),
@@ -83,7 +83,7 @@ def test_lifts_match_oracle_word_by_word(name, dim):
         mc = _random_code(tower, l, m, dim, rnd)
         for pivots in itertools.combinations(range(1, l + m + 1), l):
             mats, want = oracle.lifted(mc, pivots)
-            _assert_same_words(_lifted(mc, pivots, len(mats)), want)
+            _assert_same_words(list(map(Subspace, _lift_spans(mc, pivots))), want)
             assert lift(mc, pivots).words == frozenset(want)
 
 
@@ -110,7 +110,7 @@ def test_distance_law_never_unpacks_a_basis(f16, monkeypatch):
 
     monkeypatch.setattr(Subspace, "mat", property(trap))
     assert verify_distance_law(mc, (2, 5)) == want
-    fresh = _lifted(mc, (1, 3), mc.size)
+    fresh = list(map(Subspace, _lift_spans(mc, (1, 3))))
     assert {subspace_distance(u, v) for u, v in itertools.combinations(fresh, 2)} == {
         subspace_distance(u, v) for u, v in itertools.combinations(words, 2)}
     with pytest.raises(AssertionError, match="was read"):
@@ -180,7 +180,7 @@ def test_unlift_matches_the_matrix_oracle(name):
     # words with no lift of the zero matrix, and a nonlinear set of words
     mc = _random_code(tower, 2, 2, 2, rnd)
     for pivots in ((1, 3), (1, 2)):
-        bad = _lifted(mc, pivots, mc.size)[1:]
+        bad = list(map(Subspace, _lift_spans(mc, pivots)))[1:]
         with pytest.raises(RmcodesError) as got:
             unlift(SubspaceCode(tower, 4, bad))
         with pytest.raises(RmcodesError) as want:
