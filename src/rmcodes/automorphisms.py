@@ -117,12 +117,6 @@ class AutGroup:
     def same_elements(self, other: "AutGroup") -> bool:
         return self.kind == other.kind and self.keys == other.keys
 
-    def is_closed(self) -> bool:
-        """True when the coset closure of the elements stays inside them: a
-        finite set of invertible maps closed under composition is a group,
-        since the inverse of f is a power of f."""
-        return _greedy_generators(self) is not None
-
     def __repr__(self):
         return (f"AutGroup(kind={self.kind!r}, order={self.order}, "
                 f"d={self.d}, complete={self.complete})")

@@ -24,9 +24,7 @@ from .fields import (
     parse_field_spec,
     parse_int,
 )
-from .matrices import Mat, format_matrix, parse_matrix, rank
-
-DEFAULT_GUARD = 2**20
+from .matrices import DEFAULT_GUARD, Mat, format_matrix, parse_matrix, rank
 
 
 class RankMetricCode:
@@ -64,11 +62,6 @@ class RankMetricCode:
     def codeword_codes(self) -> Iterator[tuple[int, ...]]:
         for msg in itertools.product(range(self.tower.order), repeat=self.k):
             yield self.gen.vec_mul(msg)
-
-    def codewords(self) -> Iterator[tuple[FieldElement, ...]]:
-        t = self.tower
-        for word in self.codeword_codes():
-            yield tuple(FieldElement(t, c) for c in word)
 
     def __eq__(self, other):
         if not isinstance(other, RankMetricCode):

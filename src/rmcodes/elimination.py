@@ -171,7 +171,8 @@ class Span:
         return [self._unpack(v) for v in reversed(self.reduced()._basis.values())]
 
     def join_rank(self, other: "Span") -> int:
-        """Dimension of the sum of two spans of one space; neither changes.
+        """Dimension of the sum of two spans of one space, in one row form
+        (span() picks it from the tower and subdeg); neither changes.
 
         Only the residuals of other's basis rows modulo this basis are
         eliminated, in a fresh span: a nonzero member of this span is
@@ -179,12 +180,8 @@ class Span:
         zero, so the residuals meet this span in zero and the sum has rank
         self.rank plus the rank of the residuals.
         """
-        if type(other) is type(self):
-            rows = other._basis.values()
-        else:
-            rows = map(self._pack, other.rows())
         new = type(self)(self.tower, self.width, self._len - self.width)
-        new._insert(map(self._reduce, rows))
+        new._insert(map(self._reduce, other._basis.values()))
         return self.rank + new.rank
 
 

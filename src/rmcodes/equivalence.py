@@ -85,9 +85,13 @@ class _Map:
         return self._compose(other)
 
     def order(self) -> int:
-        """The least k >= 1 with f^k the identity."""
+        """The least k >= 1 with f^k the identity; TooLarge once k passes
+        DEFAULT_GUARD: over F_{2^20}, alpha = g with an L of order 7 gives
+        a map of order 7 (2^20 - 1)."""
         acc, k = self, 1
         while not acc.is_identity():
+            if k == DEFAULT_GUARD:
+                raise TooLarge(f"map order exceeds guard {DEFAULT_GUARD}")
             acc, k = acc._compose(self), k + 1
         return k
 

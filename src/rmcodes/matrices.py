@@ -19,6 +19,7 @@ from .errors import BadParams, ShapeMismatch, Singular, TooLarge, TowerMismatch
 from .fields import FieldElement, FieldTower, format_element, parse_element
 
 _GL_GUARD = 2**24  # matrices one enumerate_gl may walk
+DEFAULT_GUARD = 2**20  # the library's bound on a walk or a table, where a caller sets none
 
 
 class Mat:
@@ -161,7 +162,8 @@ def inverse(M: Mat) -> Mat:
 
 
 def element_order(M: Mat) -> int:
-    """Least k >= 1 with M^k = I; requires M invertible."""
+    """Least k >= 1 with M^k = I; requires M invertible.  TooLarge once k
+    passes DEFAULT_GUARD: an n x n matrix over F_Q may have order Q^n - 1."""
     if M.nrows != M.ncols:
         raise ShapeMismatch("order of a non-square matrix")
     if rank(M) != M.nrows:
@@ -170,6 +172,8 @@ def element_order(M: Mat) -> int:
     acc = M
     k = 1
     while acc != ident:
+        if k == DEFAULT_GUARD:
+            raise TooLarge(f"matrix order exceeds guard {DEFAULT_GUARD}")
         acc = acc @ M
         k += 1
     return k

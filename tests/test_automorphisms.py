@@ -108,7 +108,7 @@ class TestMBeta:
 
     def test_action_on_all_subfield_scalars(self, f16):
         g = IndependentTuple((f16.one, f16.generator**5))
-        for beta in f16.subfield(2):
+        for beta in (FieldElement(f16, c) for c in f16.subfield_codes(2)):
             M = m_beta(g, beta)
             moved = tuple(
                 sum((g.elements[i] * FieldElement(f16, M.rows[i][j])
@@ -178,7 +178,7 @@ class TestRmAutGroup:
 
     def test_closure(self, f16):
         code = gabidulin(1, (f16.one, f16.generator**5))
-        assert rm_aut_group(code).is_closed()
+        assert _greedy_generators(rm_aut_group(code)) is not None
 
     def test_generators_generate(self, f16):
         code = gabidulin(1, (f16.one, f16.generator**5))
@@ -228,7 +228,7 @@ class TestMatAutSubgroup:
         sub = mat_aut_subgroup(code, b)
         assert sub.order == rm_aut_group(code).order == 45
         assert not sub.complete
-        assert sub.is_closed()
+        assert _greedy_generators(sub) is not None
 
     def test_contained_in_brute_group(self, f8):
         code = gabidulin(1, (f8.one, f8.generator))
@@ -246,7 +246,7 @@ class TestMatAutBrute:
     def test_e11_stabilizer(self, f4):
         mc = MatrixCode(f4, 2, 2, [Mat(f4, [[1, 0], [0, 0]])])
         group = mat_aut_brute(mc)
-        assert group.is_closed()
+        assert _greedy_generators(group) is not None
         # maps preserving span{E_11}: L, M must each fix the first
         # coordinate direction appropriately; verify a known member
         member = MatMap(False, Mat(f4, [[1, 0], [0, 1]]),
@@ -304,10 +304,10 @@ class TestGroupClosure:
 
     def test_is_closed(self, f16_full):
         els = f16_full.elements
-        assert f16_full.is_closed()
+        assert _greedy_generators(f16_full) is not None
         k = next(i for i, f in enumerate(els) if f.is_identity())
         for i in (k, (k + 1) % len(els)):
-            assert not replace(f16_full, elements=els[:i] + els[i + 1:]).is_closed()
+            assert _greedy_generators(replace(f16_full, elements=els[:i] + els[i + 1:])) is None
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -320,11 +320,9 @@ class TestGroupClosure:
     def test_each_element_composed_about_once(self, f16_full, calls):
         group = replace(f16_full)  # generators not read yet
         want = _greedy_generators(group)
+        assert want is not None and len(calls) <= 2 * group.order
         calls.clear()
         assert group.generators == want
-        assert len(calls) <= 2 * group.order
-        calls.clear()
-        assert group.is_closed()
         assert len(calls) <= 2 * group.order
 
     def test_generators_picked_on_first_read(self, f16, calls):

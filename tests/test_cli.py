@@ -14,6 +14,8 @@ from rmcodes.fields import format_element, parse_field_spec, power_basis
 from rmcodes.cli import main
 from rmcodes.subspaces import format_subspace_file, lift
 
+from test_equivalence import PREFILTERS, prefilter_pair
+
 F16 = "gf(2,1,4;modulus=[1,1,0,0,1])"
 F8 = "gf(2,1,3;modulus=[1,1,0,1])"
 
@@ -227,6 +229,16 @@ class TestPipeline:
         code, out, _ = run(capsys, "equiv", "--code", str(gab_file),
                            "--code2", str(other), "--mode", "rm-linear")
         assert code == 0 and "EQUIVALENT" in out
+
+    @pytest.mark.parametrize("reason", PREFILTERS)
+    def test_equiv_prefilter_line(self, capsys, tmp_path, reason):
+        paths = [tmp_path / "c1.code", tmp_path / "c2.code"]
+        for path, c in zip(paths, prefilter_pair(parse_field_spec(F16), "mat-linear", reason)):
+            path.write_text(format_code_file(c))
+        code, out, err = run(capsys, "equiv", "--code", str(paths[0]), "--code2", str(paths[1]),
+                             "--mode", "mat-linear")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [f"NOT EQUIVALENT ({reason}; 0 maps checked)"]
 
     def test_equiv_zero_codes(self, capsys, tmp_path):
         """{0} has no minimum distance; the identity is its witness."""
@@ -565,6 +577,13 @@ class TestMapVerbs:
         code, out, _ = run(capsys, "order", "--field", F16,
                            "--map", "rm[alpha=g^1; L=g^0,0;0,g^0; gamma=0]")
         assert code == 0 and "order = 15" in out
+
+    def test_order_refused_past_the_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(rmcodes.equivalence, "DEFAULT_GUARD", 14)
+        code, out, err = run(capsys, "order", "--field", F16,
+                             "--map", "rm[alpha=g^1; L=g^0,0;0,g^0; gamma=0]")
+        assert (code, err) == (1, "error: map order exceeds guard 14\n")
+        assert "order =" not in out
 
     def test_dist(self, capsys):
         code, out, _ = run(capsys, "dist", "--field", F16, "--kind", "rank",

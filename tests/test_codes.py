@@ -201,7 +201,7 @@ class TestExtensionLinearity:
         assert mc.size == 2
         from rmcodes import compress
         x = compress(Mat(f4, [[1, 0]]), b)[0]
-        span = {(y * x).code for y in f4.elements()}
+        span = {(y * x).code for y in (FieldElement(f4, c) for c in range(f4.order))}
         assert len(span) == 4
         with pytest.raises(NonlinearCode):
             compress_code(mc, b)

@@ -73,7 +73,7 @@ def _bases():
 @pytest.mark.parametrize("name", list(_bases()))
 def test_full_bases_match_both_oracles(name):
     b = _bases()[name]
-    everything = tuple(b.tower.elements())
+    everything = tuple(FieldElement(b.tower, c) for c in range(b.tower.order))
     want = expand_oracle(everything, b)
     assert expand(everything, b) == want
     assert coords(everything, b) == want
@@ -84,7 +84,7 @@ def test_partial_tuple_matches_oracle_or_both_raise():
     f16 = _f16()
     g = IndependentTuple((f16.one, f16.generator**5))
     inside = 0
-    for x in f16.elements():
+    for x in (FieldElement(f16, c) for c in range(f16.order)):
         try:
             want = coords_oracle((x,), g)
         except NotInSpan:

@@ -33,7 +33,7 @@ from rmcodes import (
     verify_distance_law,
 )
 from rmcodes import subspaces
-from rmcodes.elimination import flatten, span
+from rmcodes.elimination import Span, flatten, span
 
 
 def _random_code(tower, l, m, dim, rnd):
@@ -168,12 +168,18 @@ def test_min_distance_of_empty_and_single_word_codes(f4):
 
 def test_min_distance_guard_bounds_the_words(f16, monkeypatch):
     """A code of guard words is scanned; one more word is refused in lift's
-    wording before any pair is compared."""
+    wording before any pair is compared: the scan asks for no member masks
+    and eliminates no pair."""
     sc = lift(_random_code(f16, 2, 3, 2, random.Random(70)), (1, 2))
     assert sc.size == 4
-    assert sc.min_distance(guard=4) == _pairwise_min(sc)
-    pairs = []
-    monkeypatch.setattr(subspaces, "subspace_distance", lambda u, v: pairs.append((u, v)))
+    want, pairs = _pairwise_min(sc), []
+    member_masks, join_rank = subspaces.member_masks, Span.join_rank
+    monkeypatch.setattr(subspaces, "member_masks",
+                        lambda spans: pairs.append(spans) or member_masks(spans))
+    monkeypatch.setattr(Span, "join_rank", lambda u, v: pairs.append((u, v)) or join_rank(u, v))
+    assert sc.min_distance(guard=4) == want
+    assert pairs  # the scan runs through what is patched
+    del pairs[:]
     with pytest.raises(TooLarge, match=r"^\|code\| = 4 exceeds guard 3$"):
         sc.min_distance(guard=3)
     assert pairs == []

@@ -303,14 +303,3 @@ def test_f3_planes_past_bit_64(f81):
 def test_flatten_is_row_major():
     assert flatten(((1, 2), (3, 4))) == (1, 2, 3, 4)
     assert flatten(()) == ()
-
-
-def test_join_rank_across_representations(f16):
-    """F_2 rows tagged with the top field sit in a tower-arithmetic span."""
-    rows = [(1, 0, 1), (0, 1, 1)]
-    packed, generic = span(f16, 3, 1), span(f16, 3, 4)
-    packed.add(rows[0])
-    generic.add(rows[1])
-    assert packed.join_rank(generic) == generic.join_rank(packed) == 2
-    generic.add(rows[0])
-    assert packed.join_rank(generic) == 2

@@ -11,6 +11,7 @@ from rmcodes import (
     Mat,
     MatMap,
     MatrixCode,
+    RankMetricCode,
     RmMap,
     ShapeMismatch,
     TooLarge,
@@ -47,6 +48,24 @@ def random_rm_map(tower, l, rnd, semilinear=False):
     gl = list(enumerate_gl(tower, l))
     return RmMap(rnd.randrange(1, tower.order), rnd.choice(gl),
                  rnd.randrange(tower.degree) if semilinear else 0)
+
+
+PREFILTERS = ["shape mismatch", "size mismatch", "minimum distance mismatch"]
+
+
+def prefilter_pair(f16, mode, reason):
+    """Two codes of mode's kind that the pre-filter named by reason tells
+    apart: l = 2 against l = 3, k = 1 against k = 2, and a Gabidulin code
+    (d = 2) against the code of (1, 0) (d = 1)."""
+    w = f16.generator
+    g2, g3 = (f16.one, w**5), (f16.one, w, w**2)
+    c1, c2 = {"shape mismatch": (gabidulin(1, g2), gabidulin(1, g3)),
+              "size mismatch": (gabidulin(1, g3), gabidulin(2, g3)),
+              "minimum distance mismatch": (gabidulin(1, g2),
+                                            RankMetricCode(Mat(f16, [[1, 0]], subdeg=4)))}[reason]
+    if mode.startswith("rm"):
+        return c1, c2
+    return expand_code(c1, power_basis(f16)), expand_code(c2, power_basis(f16))
 
 
 class TestRmAction:
@@ -87,13 +106,22 @@ class TestRmAction:
         with pytest.raises(TowerMismatch):
             rm_apply(RmMap.identity(f8, 2), code)
         with pytest.raises(TowerMismatch):
-            rm_apply(RmMap.identity(f8, 2), next(code.codewords()))
+            word = next(code.codeword_codes())
+            rm_apply(RmMap.identity(f8, 2), tuple(FieldElement(f16, c) for c in word))
 
 
 class TestRmGroup:
     def test_order_80(self, f81):
         f = RmMap(f81.generator.code, Mat.identity(f81, 2))
         assert f.order() == 80
+
+    def test_order_refused_past_the_guard(self, f81, monkeypatch):
+        f = RmMap(f81.generator.code, Mat.identity(f81, 2))
+        monkeypatch.setattr(equivalence, "DEFAULT_GUARD", 80)
+        assert f.order() == 80
+        monkeypatch.setattr(equivalence, "DEFAULT_GUARD", 79)
+        with pytest.raises(TooLarge, match=r"^map order exceeds guard 79$"):
+            f.order()
 
     def test_compose_invert_random(self, f16):
         rnd = random.Random(0)
@@ -382,6 +410,14 @@ class TestAreEquivalent:
         res = are_equivalent(zero, MatrixCode(f4, 2, 2, []), mode)
         assert (res.equivalent, res.checked, res.reason) == (True, 1, "witness found")
         assert res.witness.is_identity()
+
+    @pytest.mark.parametrize("reason", PREFILTERS)
+    @pytest.mark.parametrize("mode", ["rm-linear", "mat-semilinear"])
+    def test_prefilter_decides_with_no_map_checked(self, f16, mode, reason):
+        c1, c2 = prefilter_pair(f16, mode, reason)
+        want = (False, None, 0, mode, reason)
+        for res in (are_equivalent(c1, c2, mode), scan_oracle.are_equivalent(c1, c2, mode)):
+            assert (res.equivalent, res.witness, res.checked, res.mode, res.reason) == want
 
     def test_guard(self, f64):
         c = gabidulin(1, (f64.one, f64.generator))

@@ -23,6 +23,7 @@ from rmcodes import (
     rank,
     rref,
 )
+from rmcodes import matrices
 from rmcodes.elimination import decompose, solver, span
 from rmcodes.matrices import (
     _gl_members,
@@ -213,6 +214,14 @@ class TestElementOrder:
         assert not (M @ M).is_identity()
         assert (M @ M @ M).is_identity()
         assert element_order(M) == 3
+
+    def test_refused_past_the_guard(self, f81, monkeypatch):
+        M = Mat(f81, [[1, 1], [0, 1]])
+        monkeypatch.setattr(matrices, "DEFAULT_GUARD", 3)
+        assert element_order(M) == 3
+        monkeypatch.setattr(matrices, "DEFAULT_GUARD", 2)
+        with pytest.raises(TooLarge, match=r"^matrix order exceeds guard 2$"):
+            element_order(M)
 
     def test_singular_rejected(self, f4):
         with pytest.raises(Singular):
